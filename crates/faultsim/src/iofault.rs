@@ -29,7 +29,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use telemetry::json::{self, JsonValue};
+use telemetry::json::{self, obj, u64_field, JsonValue};
 
 /// Schema tag of the JSONL rendering.
 pub const IO_SCHEMA: &str = "ioplan.v1";
@@ -261,9 +261,6 @@ impl IoFaultPlan {
     /// Renders the plan as JSONL: a spec header line followed by one line
     /// per event, in schedule order.
     pub fn to_jsonl(&self) -> String {
-        let obj = |fields: Vec<(&str, JsonValue)>| {
-            JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        };
         let mut out = String::new();
         out.push_str(
             &obj(vec![
@@ -312,11 +309,6 @@ impl IoFaultPlan {
     /// Returns a description of the first malformed line (bad JSON, wrong
     /// schema tag, unknown fault kind, or missing field).
     pub fn parse_jsonl(input: &str) -> Result<Self, String> {
-        let u64_field = |v: &JsonValue, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-        };
         let mut lines = input.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or_else(|| "empty I/O fault plan document".to_owned())?;
         let h = json::parse(header).map_err(|e| format!("header: {e}"))?;

@@ -6,7 +6,7 @@
 //! line is one [`FaultEvent`]. Round-tripping reproduces the plan exactly:
 //! `parse_jsonl(plan.to_jsonl()) == plan`.
 
-use telemetry::json::{self, JsonValue};
+use telemetry::json::{self, obj, u64_field, JsonValue};
 
 use crate::plan::{
     ControllerFault, FaultEvent, FaultKind, FaultPlan, FaultSpec, HarnessFault, TrackerFault,
@@ -14,16 +14,6 @@ use crate::plan::{
 
 /// Schema tag written into (and required in) the header line.
 pub const SCHEMA: &str = "faultplan.v1";
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
 
 fn spec_to_json(spec: &FaultSpec) -> JsonValue {
     obj(vec![

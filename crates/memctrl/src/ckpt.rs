@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use telemetry::json::JsonValue;
+use telemetry::json::{obj, JsonValue};
 
 use crate::stats::RunStats;
 
@@ -148,11 +148,6 @@ impl std::error::Error for CkptError {
             _ => None,
         }
     }
-}
-
-/// Builds an object from `(key, value)` pairs.
-pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 /// Required sub-value lookup.

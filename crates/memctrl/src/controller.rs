@@ -9,12 +9,11 @@ use faultsim::{ControllerFault, FaultKind, FaultPlan};
 use mitigations::{RefreshAction, RowHammerDefense};
 use workloads::Workload;
 
-use telemetry::json::JsonValue;
+use telemetry::json::{obj, push_key, JsonValue};
 
 use crate::bank::{BankState, ServiceOutcome};
 use crate::ckpt::{
-    field, obj, opt_u64, opt_u64_field, run_stats_from_json, run_stats_to_json, u64_field,
-    CkptError,
+    field, opt_u64, opt_u64_field, run_stats_from_json, run_stats_to_json, u64_field, CkptError,
 };
 use crate::cmdlog::{CommandLog, CommandRecord, LoggedCommand};
 use crate::config::McConfig;
@@ -777,10 +776,11 @@ impl MemoryController {
         self.stats.bit_flips == 0
     }
 
-    /// Serializes the controller's complete dynamic state — clocks, refresh
+    /// Renders the controller's complete dynamic state — clocks, refresh
     /// position, statistics, per-bank timing state, and every bank's defense
-    /// — as a JSON value, such that [`restore`](Self::restore) on a freshly
-    /// built controller of the same configuration resumes bit-identically.
+    /// — as one line of compact JSON, such that [`restore`](Self::restore)
+    /// of its parse on a freshly built controller of the same configuration
+    /// resumes bit-identically.
     ///
     /// # Errors
     ///
@@ -789,7 +789,17 @@ impl MemoryController {
     /// or a telemetry tap (resuming would silently replay their histories
     /// from empty) — or when a bank's defense does not support
     /// checkpointing.
-    pub fn snapshot(&self) -> Result<JsonValue, CkptError> {
+    pub fn snapshot(&self) -> Result<String, CkptError> {
+        let mut out = String::new();
+        self.snapshot_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`snapshot`](Self::snapshot), appended to `out`. Banks render one at
+    /// a time: each bank's defense state is built, rendered and dropped
+    /// before the next, so the largest tree held is one bank's. On error
+    /// `out` may end in a partial line.
+    pub(crate) fn snapshot_into(&self, out: &mut String) -> Result<(), CkptError> {
         if self.oracles.is_some() {
             return Err(CkptError::Unsupported { what: "a run with a ground-truth fault oracle" });
         }
@@ -802,36 +812,56 @@ impl MemoryController {
         if self.telemetry.is_some() {
             return Err(CkptError::Unsupported { what: "a run with a telemetry tap attached" });
         }
-        let banks = (0..self.banks.len())
-            .map(|b| {
-                let (open_row, hits, ready_at, last_act_at) = self.banks[b].dynamic_state();
-                let eng = &self.refresh_engines[b];
-                Ok(obj(vec![
-                    ("open_row", opt_u64(open_row.map(|r| u64::from(r.0)))),
-                    ("hits_on_open_row", JsonValue::U64(u64::from(hits))),
-                    ("ready_at", JsonValue::U64(ready_at)),
-                    ("last_act_at", opt_u64(last_act_at)),
-                    ("ref_burst_in_window", JsonValue::U64(eng.burst_in_window())),
-                    ("ref_refs_issued", JsonValue::U64(eng.refs_issued())),
-                    ("ref_next_at", JsonValue::U64(eng.next_ref_at())),
-                    ("raa", JsonValue::U64(self.raa.get(b).copied().unwrap_or(0))),
-                    (
-                        "defense",
-                        self.defenses[b]
-                            .snapshot_state()
-                            .map_err(|e| CkptError::Defense { bank: b, detail: e })?,
-                    ),
-                ]))
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        Ok(obj(vec![
+        out.push('{');
+        for (key, value) in [
             ("channel", JsonValue::U64(u64::from(self.channel))),
             ("clock", JsonValue::U64(self.clock)),
             ("wall", JsonValue::U64(self.wall)),
             ("next_refresh_at", JsonValue::U64(self.next_refresh_at)),
             ("refresh_hold_until", JsonValue::U64(self.refresh_hold_until)),
             ("stats", run_stats_to_json(&self.stats)),
-            ("banks", JsonValue::Arr(banks)),
+        ] {
+            push_key(out, key);
+            value.render_into(out);
+            out.push(',');
+        }
+        push_key(out, "banks");
+        out.push('[');
+        let first = out.len();
+        for b in 0..self.banks.len() {
+            if b > 0 {
+                out.push(',');
+            }
+            self.bank_state(b)?.render_into(out);
+            if b == 0 {
+                // Banks render to similar lengths: reserve the rest at once.
+                out.reserve((out.len() - first + 1) * (self.banks.len() - 1));
+            }
+        }
+        out.push_str("]}");
+        Ok(())
+    }
+
+    /// One bank's checkpoint state: open row, timing, refresh position, RAA
+    /// count and the defense's own state.
+    fn bank_state(&self, b: usize) -> Result<JsonValue, CkptError> {
+        let (open_row, hits, ready_at, last_act_at) = self.banks[b].dynamic_state();
+        let eng = &self.refresh_engines[b];
+        Ok(obj(vec![
+            ("open_row", opt_u64(open_row.map(|r| u64::from(r.0)))),
+            ("hits_on_open_row", JsonValue::U64(u64::from(hits))),
+            ("ready_at", JsonValue::U64(ready_at)),
+            ("last_act_at", opt_u64(last_act_at)),
+            ("ref_burst_in_window", JsonValue::U64(eng.burst_in_window())),
+            ("ref_refs_issued", JsonValue::U64(eng.refs_issued())),
+            ("ref_next_at", JsonValue::U64(eng.next_ref_at())),
+            ("raa", JsonValue::U64(self.raa.get(b).copied().unwrap_or(0))),
+            (
+                "defense",
+                self.defenses[b]
+                    .snapshot_state()
+                    .map_err(|e| CkptError::Defense { bank: b, detail: e })?,
+            ),
         ]))
     }
 
@@ -1372,14 +1402,14 @@ mod tests {
         full.run(&mut halves(0..30_000), 30_000);
         // Checkpoint it through rendered text and restore into a fresh
         // controller of the same configuration.
-        let text = full.snapshot().unwrap().to_string();
+        let text = full.snapshot().unwrap();
         let mut resumed = graphene_mc(McConfig::single_bank(65_536, None));
         resumed.restore(&telemetry::json::parse(&text).unwrap()).unwrap();
         // The second half must play out identically on both.
         let a = full.run(&mut halves(30_000..60_000), 30_000);
         let b = resumed.run(&mut halves(30_000..60_000), 30_000);
         assert_eq!(a, b);
-        assert_eq!(full.snapshot().unwrap().to_string(), resumed.snapshot().unwrap().to_string());
+        assert_eq!(full.snapshot().unwrap(), resumed.snapshot().unwrap());
     }
 
     #[test]
@@ -1395,7 +1425,7 @@ mod tests {
     fn restore_rejects_a_checkpoint_with_the_wrong_shape() {
         let mut mc = graphene_mc(McConfig::single_bank(65_536, None));
         mc.run(&mut Synthetic::s3(65_536, 1), 1_000);
-        let snap = mc.snapshot().unwrap();
+        let snap = telemetry::json::parse(&mc.snapshot().unwrap()).unwrap();
         // micro2020_no_oracle has 16 banks per channel shard; the snapshot
         // came from a single-bank controller.
         let mut other = McBuilder::new(McConfig::micro2020_no_oracle()).build();
@@ -1490,7 +1520,7 @@ mod tests {
         let mut full = build();
         full.run(&mut halves(0..30_000), 30_000);
         assert!(full.raa_count(0) > 0 || full.stats().rfm_commands > 0);
-        let text = full.snapshot().unwrap().to_string();
+        let text = full.snapshot().unwrap();
         let mut resumed = build();
         resumed.restore(&telemetry::json::parse(&text).unwrap()).unwrap();
         assert_eq!(full.raa_count(0), resumed.raa_count(0));

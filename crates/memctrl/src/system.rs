@@ -23,7 +23,7 @@ use dram_model::timing::Picoseconds;
 use telemetry::json::JsonValue;
 use workloads::{Access, Workload};
 
-use crate::ckpt::{field, obj, u64_field, CkptError};
+use crate::ckpt::CkptError;
 use crate::controller::{McError, MemoryController, StampedAccess};
 use crate::mapping::MappingPolicy;
 use crate::stats::RunStats;
@@ -334,11 +334,17 @@ impl SystemController {
         self.shards.iter().all(MemoryController::is_clean)
     }
 
-    /// Serializes the full system's dynamic state — the routing front end's
-    /// clock and access count plus one
-    /// [`MemoryController::snapshot`] per channel shard — such that
-    /// [`restore`](Self::restore) on a freshly built system of the same
-    /// configuration resumes bit-identically.
+    /// Accesses routed so far by the front end.
+    pub fn routed(&self) -> u64 {
+        self.routed
+    }
+
+    /// Renders the full system's dynamic state for a checkpoint: one line
+    /// of compact JSON per channel shard ([`MemoryController::snapshot`]),
+    /// in channel order, each followed by `\n`. With the front end's
+    /// [`clock`](Self::clock) and [`routed`](Self::routed) count it is all
+    /// that [`restore`](Self::restore) needs to resume a freshly built
+    /// system of the same configuration bit-identically.
     ///
     /// # Errors
     ///
@@ -346,28 +352,42 @@ impl SystemController {
     /// between [`try_run_batched`](Self::try_run_batched) calls, which
     /// always flush), and propagates any shard's refusal (oracle, fault
     /// plan, command log, telemetry tap, or an uncheckpointable defense).
-    pub fn snapshot(&self) -> Result<JsonValue, CkptError> {
+    pub fn snapshot(&self) -> Result<String, CkptError> {
+        let mut out = String::new();
+        self.snapshot_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`snapshot`](Self::snapshot), appended to `out`. Returns where each
+    /// shard's line ends in `out` (before its `\n`), so a checkpoint writer
+    /// can frame the lines where they lie. On error `out` may end in a
+    /// partial line.
+    ///
+    /// # Errors
+    ///
+    /// As [`snapshot`](Self::snapshot).
+    pub fn snapshot_into(&self, out: &mut String) -> Result<Vec<usize>, CkptError> {
         if self.buffers.iter().any(|b| !b.is_empty()) {
             return Err(CkptError::Unsupported { what: "with buffered unexecuted accesses" });
         }
-        let shards = self
-            .shards
+        self.shards
             .iter()
             .enumerate()
             .map(|(c, s)| {
-                s.snapshot().map_err(|e| CkptError::Channel { channel: c, source: Box::new(e) })
+                s.snapshot_into(out)
+                    .map_err(|e| CkptError::Channel { channel: c, source: Box::new(e) })?;
+                let end = out.len();
+                out.push('\n');
+                Ok(end)
             })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        Ok(obj(vec![
-            ("clock", JsonValue::U64(self.clock)),
-            ("routed", JsonValue::U64(self.routed)),
-            ("shards", JsonValue::Arr(shards)),
-        ]))
+            .collect()
     }
 
-    /// Replays state captured by [`snapshot`](Self::snapshot) into this
-    /// system, which must have been built from the same configuration (the
-    /// snapshot stores no geometry or policy; the builder pins them).
+    /// Replays a checkpoint into this system, which must have been built
+    /// from the same configuration (the snapshot stores no geometry or
+    /// policy; the builder pins them): the front end's `clock` and `routed`
+    /// count plus the parse of every shard line [`snapshot`](Self::snapshot)
+    /// rendered, in channel order.
     ///
     /// # Errors
     ///
@@ -375,12 +395,12 @@ impl SystemController {
     /// wrong channel count, or any shard-level rejection. Shards restore in
     /// channel order; on error, earlier shards may already hold the
     /// checkpoint's state, so discard the system rather than resuming it.
-    pub fn restore(&mut self, state: &JsonValue) -> Result<(), CkptError> {
-        let clock = u64_field(state, "clock")?;
-        let routed = u64_field(state, "routed")?;
-        let shards = field(state, "shards")?
-            .as_arr()
-            .ok_or_else(|| CkptError::NotArray { key: "shards".to_owned() })?;
+    pub fn restore(
+        &mut self,
+        clock: Picoseconds,
+        routed: u64,
+        shards: &[JsonValue],
+    ) -> Result<(), CkptError> {
         if shards.len() != self.shards.len() {
             return Err(CkptError::ShardCount { found: shards.len(), have: self.shards.len() });
         }
@@ -473,21 +493,40 @@ mod tests {
         let accesses = trace(40_000);
         let mut full = system(64);
         full.run_batched(&accesses[..20_000]);
-        let text = full.snapshot().unwrap().to_string();
+        let text = full.snapshot().unwrap();
+        assert_eq!(text.lines().count(), 4, "one line per channel shard");
+        let shards: Vec<JsonValue> =
+            text.lines().map(|l| telemetry::json::parse(l).unwrap()).collect();
         let mut resumed = system(64);
-        resumed.restore(&telemetry::json::parse(&text).unwrap()).unwrap();
+        resumed.restore(full.clock(), full.routed(), &shards).unwrap();
         full.run_batched(&accesses[20_000..]);
         resumed.run_batched(&accesses[20_000..]);
         assert_eq!(full.clock(), resumed.clock());
+        assert_eq!(full.routed(), resumed.routed());
         assert_eq!(full.finish(), resumed.finish());
-        assert_eq!(full.snapshot().unwrap().to_string(), resumed.snapshot().unwrap().to_string());
+        assert_eq!(full.snapshot().unwrap(), resumed.snapshot().unwrap());
+    }
+
+    #[test]
+    fn snapshot_into_reports_where_each_shard_line_ends() {
+        let mut sys = system(64);
+        sys.run_batched(&trace(2_000));
+        let mut out = String::from("header\n");
+        let ends = sys.snapshot_into(&mut out).unwrap();
+        assert_eq!(&out["header\n".len()..], sys.snapshot().unwrap());
+        let mut start = "header\n".len();
+        for (c, &end) in ends.iter().enumerate() {
+            assert_eq!(&out[end..=end], "\n");
+            assert_eq!(out[start..end], sys.shards()[c].snapshot().unwrap());
+            start = end + 1;
+        }
+        assert_eq!(start, out.len());
     }
 
     #[test]
     fn system_restore_rejects_wrong_shard_count() {
         let mut sys = system(64);
-        let state = telemetry::json::parse("{\"clock\":0,\"routed\":0,\"shards\":[]}").unwrap();
-        let err = sys.restore(&state).unwrap_err();
+        let err = sys.restore(0, 0, &[]).unwrap_err();
         assert!(matches!(err, CkptError::ShardCount { found: 0, have: _ }), "{err:?}");
         assert!(err.to_string().contains("shard"), "{err}");
     }

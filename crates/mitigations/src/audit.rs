@@ -33,9 +33,9 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use telemetry::json::JsonValue;
+use telemetry::json::{obj, u64_field, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, lane, obj, u64_field, u64_lane};
+use crate::ckpt::{expect_scheme, field, u64_lane};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// Parameters of the Graphene no-false-negatives certificate.
@@ -217,6 +217,28 @@ impl AuditedDefense {
     }
 }
 
+/// A JSON array of `entry(index, value)` for every nonzero entry of `v`.
+/// The histories are bank-sized but sparse, so all-zero blocks are skipped
+/// with one branch-free test each.
+fn sparse<T: Copy + Default + PartialEq>(
+    v: &[T],
+    entry: impl Fn(usize, T) -> JsonValue,
+) -> JsonValue {
+    const BLOCK: usize = 64;
+    let zero = T::default();
+    let mut out = Vec::new();
+    for (b, block) in v.chunks(BLOCK).enumerate() {
+        if block.iter().fold(false, |any, &x| any | (x != zero)) {
+            for (i, &x) in block.iter().enumerate() {
+                if x != zero {
+                    out.push(entry(b * BLOCK + i, x));
+                }
+            }
+        }
+    }
+    JsonValue::Arr(out)
+}
+
 impl RowHammerDefense for AuditedDefense {
     fn name(&self) -> String {
         format!("Audited({})", self.inner.name())
@@ -352,18 +374,11 @@ impl RowHammerDefense for AuditedDefense {
         // Sparse encodings: activation history and shadow accounts are
         // bank-sized (64Ki rows) but a realistic run touches a small
         // fraction, so only set bits / nonzero counts are written.
-        let activated =
-            lane((0..self.activated.len()).filter(|&i| self.activated[i]).map(|i| i as u64));
+        let activated = sparse(&self.activated, |i, _| JsonValue::U64(i as u64));
         let pairs = |v: &[u32]| {
-            JsonValue::Arr(
-                v.iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c != 0)
-                    .map(|(i, &c)| {
-                        JsonValue::Arr(vec![JsonValue::U64(i as u64), JsonValue::U64(u64::from(c))])
-                    })
-                    .collect(),
-            )
+            sparse(v, |i, c| {
+                JsonValue::Arr(vec![JsonValue::U64(i as u64), JsonValue::U64(u64::from(c))])
+            })
         };
         Ok(obj(vec![
             ("scheme", JsonValue::Str("audited".to_owned())),

@@ -8,11 +8,6 @@
 
 use telemetry::json::JsonValue;
 
-/// Builds an object from `(key, value)` pairs.
-pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
 /// Renders an iterator of `u64` as a JSON array.
 pub(crate) fn lane(values: impl IntoIterator<Item = u64>) -> JsonValue {
     JsonValue::Arr(values.into_iter().map(JsonValue::U64).collect())
@@ -21,13 +16,6 @@ pub(crate) fn lane(values: impl IntoIterator<Item = u64>) -> JsonValue {
 /// Required sub-value lookup.
 pub(crate) fn field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v JsonValue, String> {
     v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-/// Required integer field.
-pub(crate) fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
 }
 
 /// Required integer-array field.

@@ -26,9 +26,9 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use freq_elems::{CountMinSketch, FrequencyEstimator};
 use graphene_core::GrapheneConfig;
-use telemetry::json::JsonValue;
+use telemetry::json::{obj, u64_field, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, lane, obj, u32_lane, u64_field, u64_lane};
+use crate::ckpt::{expect_scheme, field, lane, u32_lane, u64_lane};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 fn bits_for(x: u64) -> u32 {

@@ -5,9 +5,9 @@ use dram_model::timing::Picoseconds;
 use graphene_core::mechanism::GrapheneSnapshot;
 use graphene_core::table::TableSnapshot;
 use graphene_core::{CamStats, ConfigError, Graphene, GrapheneConfig, GrapheneStats};
-use telemetry::json::JsonValue;
+use telemetry::json::{obj, u64_field, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, lane, obj, u32_lane, u64_field, u64_lane};
+use crate::ckpt::{expect_scheme, field, lane, u32_lane, u64_lane};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// Adapter exposing [`graphene_core::Graphene`] as a [`RowHammerDefense`].

@@ -2,9 +2,9 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use telemetry::json::JsonValue;
+use telemetry::json::{obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, obj};
+use crate::ckpt::expect_scheme;
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// A defense that does nothing — the unprotected baseline against which

@@ -23,9 +23,9 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use telemetry::json::JsonValue;
+use telemetry::json::{obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, obj};
+use crate::ckpt::{expect_scheme, field};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits, ThrottleDecision};
 
 /// Wraps a defense so its NRRs are issued as DDR5 RFM commands.

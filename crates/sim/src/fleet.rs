@@ -60,9 +60,9 @@ use memctrl::{
     CkptError, MappingPolicy, McBuilder, McConfig, McError, StampedAccess, SystemController,
     SystemStats,
 };
-use telemetry::json::{self, JsonValue};
+use telemetry::json::{self, obj, u64_field, JsonValue};
 use telemetry::{MetricsSink, SharedSink};
-use workloads::crc::crc32c;
+use workloads::crc::{crc32c_combine, Crc32c};
 use workloads::vfs::{real_fs, Vfs};
 use workloads::{
     Access, ProxyWorkload, RateLimited, SpecPreset, StripedNSided, TraceError, TraceReader,
@@ -260,16 +260,6 @@ impl FleetError {
     }
 }
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
-
 fn str_field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v str, String> {
     v.get(key)
         .and_then(JsonValue::as_str)
@@ -399,8 +389,12 @@ pub struct FleetCheckpoint {
     /// Config fingerprint; `None` for legacy `fleetckpt.v1` files, which
     /// predate it (their restores skip the fingerprint check).
     pub config: Option<CkptFingerprint>,
-    /// The [`SystemController::restore`] value.
-    state: JsonValue,
+    /// The front end's clock when the checkpoint was taken.
+    clock: u64,
+    /// Accesses the front end had routed.
+    routed: u64,
+    /// Every channel shard's parsed state, in channel order.
+    shards: Vec<JsonValue>,
 }
 
 impl FleetCheckpoint {
@@ -412,8 +406,20 @@ impl FleetCheckpoint {
     /// Propagates any shard-level mismatch; on error the system may be
     /// partially restored and must be discarded.
     pub fn restore_into(&self, system: &mut SystemController) -> Result<(), CkptError> {
-        system.restore(&self.state)
+        system.restore(self.clock, self.routed, &self.shards)
     }
+}
+
+/// The CRC32C of one checkpoint body line. The line and its newline are
+/// folded into the running whole-body CRC `body` as well, so the body CRC
+/// costs no second pass over the bytes.
+fn line_crc(line: &[u8], body: &mut u32) -> u32 {
+    let mut d = Crc32c::new();
+    d.update(line);
+    let crc = d.finish();
+    d.update(b"\n");
+    *body = crc32c_combine(*body, d.finish(), line.len() as u64 + 1);
+    crc
 }
 
 /// Writes a `fleetckpt.v2` checkpoint atomically (temp sibling + rename, so
@@ -424,6 +430,11 @@ impl FleetCheckpoint {
 /// identity, progress, and `fingerprint`; one line per channel shard; and a
 /// footer line with a CRC32C per body line plus one over the whole body, so
 /// any later bit rot or truncation is detected at read time.
+///
+/// The file is rendered into one buffer: the shard lines are rendered
+/// straight after the header ([`SystemController::snapshot_into`], one
+/// bank's defense tree at a time) and framed where they lie, in one CRC
+/// pass; the buffer goes to the filesystem in one write.
 ///
 /// # Errors
 ///
@@ -438,50 +449,43 @@ pub fn write_fleet_checkpoint(
     system: &SystemController,
     fingerprint: &CkptFingerprint,
 ) -> Result<(), FleetError> {
-    let snap = system.snapshot().map_err(|source| FleetError::Snapshot { source })?;
-    let shards = snap
-        .get("shards")
-        .and_then(JsonValue::as_arr)
-        .expect("system snapshots always carry a `shards` array");
-    let mut lines: Vec<String> = Vec::with_capacity(shards.len() + 2);
-    lines.push(
-        obj(vec![
-            ("schema", JsonValue::Str(FLEET_CKPT_SCHEMA.to_owned())),
-            ("trace", JsonValue::Str(trace_name.to_owned())),
-            ("accesses_done", JsonValue::U64(accesses_done)),
-            ("clock", JsonValue::U64(u64_field(&snap, "clock").expect("snapshot carries clock"))),
-            (
-                "routed",
-                JsonValue::U64(u64_field(&snap, "routed").expect("snapshot carries routed")),
-            ),
-            ("channels", JsonValue::U64(shards.len() as u64)),
-            ("config", fingerprint.to_json()),
-        ])
-        .to_string(),
-    );
-    for shard in shards {
-        lines.push(shard.to_string());
-    }
-    let line_crcs: Vec<JsonValue> =
-        lines.iter().map(|l| JsonValue::U64(u64::from(crc32c(l.as_bytes())))).collect();
-    let mut body = String::new();
-    for l in &lines {
-        body.push_str(l);
-        body.push('\n');
-    }
-    let footer = obj(vec![
+    let mut text = String::new();
+    obj(vec![
+        ("schema", JsonValue::Str(FLEET_CKPT_SCHEMA.to_owned())),
+        ("trace", JsonValue::Str(trace_name.to_owned())),
+        ("accesses_done", JsonValue::U64(accesses_done)),
+        ("clock", JsonValue::U64(system.clock())),
+        ("routed", JsonValue::U64(system.routed())),
+        ("channels", JsonValue::U64(system.shards().len() as u64)),
+        ("config", fingerprint.to_json()),
+    ])
+    .render_into(&mut text);
+    let mut line_ends = vec![text.len()];
+    text.push('\n');
+    line_ends
+        .extend(system.snapshot_into(&mut text).map_err(|source| FleetError::Snapshot { source })?);
+    let (mut start, mut body) = (0, 0);
+    let line_crcs = line_ends
+        .iter()
+        .map(|&end| {
+            let crc = line_crc(&text.as_bytes()[start..end], &mut body);
+            start = end + 1;
+            JsonValue::U64(u64::from(crc))
+        })
+        .collect();
+    obj(vec![
         ("schema", JsonValue::Str(FLEET_CKPT_FOOTER_SCHEMA.to_owned())),
-        ("lines", JsonValue::U64(lines.len() as u64)),
-        ("crc32c", JsonValue::U64(u64::from(crc32c(body.as_bytes())))),
+        ("lines", JsonValue::U64(line_ends.len() as u64)),
+        ("crc32c", JsonValue::U64(u64::from(body))),
         ("line_crcs", JsonValue::Arr(line_crcs)),
-    ]);
-    body.push_str(&footer.to_string());
-    body.push('\n');
+    ])
+    .render_into(&mut text);
+    text.push('\n');
     let tmp = path.with_extension("ckpt.tmp");
     let io = |e: std::io::Error| FleetError::CkptIo { path: path.to_path_buf(), source: e };
     {
         let mut f = fs.create(&tmp).map_err(io)?;
-        f.write_all(body.as_bytes()).map_err(io)?;
+        f.write_all(text.as_bytes()).map_err(io)?;
         f.sync_all().map_err(io)?;
     }
     fs.rename(&tmp, path).map_err(io)
@@ -549,23 +553,19 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
                 lines.len()
             )));
         }
+        let mut body = 0;
         for (i, (line, stored)) in lines.iter().zip(line_crcs).enumerate() {
             let stored =
                 stored.as_u64().ok_or_else(|| corrupt("non-integer line crc".to_owned()))?;
-            let computed = u64::from(crc32c(line.as_bytes()));
+            let computed = u64::from(line_crc(line.as_bytes(), &mut body));
             if stored != computed {
                 return Err(corrupt(format!(
                     "line {i}: crc32c mismatch (stored {stored:#010x}, computed {computed:#010x})"
                 )));
             }
         }
-        let mut body = String::new();
-        for l in &lines {
-            body.push_str(l);
-            body.push('\n');
-        }
         let stored_body = u64_field(&footer, "crc32c").map_err(&corrupt)?;
-        let computed_body = u64::from(crc32c(body.as_bytes()));
+        let computed_body = u64::from(body);
         if stored_body != computed_body {
             return Err(corrupt(format!(
                 "body crc32c mismatch (stored {stored_body:#010x}, computed {computed_body:#010x})"
@@ -596,11 +596,9 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
         trace: str_field(&header_json, "trace").map_err(&corrupt)?.to_owned(),
         accesses_done: u64_field(&header_json, "accesses_done").map_err(&corrupt)?,
         config,
-        state: obj(vec![
-            ("clock", JsonValue::U64(u64_field(&header_json, "clock").map_err(&corrupt)?)),
-            ("routed", JsonValue::U64(u64_field(&header_json, "routed").map_err(&corrupt)?)),
-            ("shards", JsonValue::Arr(shards)),
-        ]),
+        clock: u64_field(&header_json, "clock").map_err(&corrupt)?,
+        routed: u64_field(&header_json, "routed").map_err(&corrupt)?,
+        shards,
     })
 }
 
@@ -1393,6 +1391,23 @@ mod tests {
         fs::remove_file(&ckpt).ok();
     }
 
+    /// The `fleetckpt.v2` bytes of a small audited Graphene fleet, pinned by
+    /// length and CRC32C: any drift in the format fails here.
+    #[test]
+    fn golden_checkpoint_bytes_are_pinned() {
+        let mut cfg = small_cfg();
+        cfg.audit = true;
+        let trace = small_trace(&cfg, 12_000);
+        let ckpt = tmp("golden.ckpt");
+        cfg.checkpoint = Some(ckpt.clone());
+        cfg.stop_after = Some(7_500);
+        run_fleet(&cfg, &trace, |_| {}).unwrap();
+        let bytes = fs::read(&ckpt).unwrap();
+        assert_eq!((bytes.len(), workloads::crc32c(&bytes)), (392_163, 0x889f_59dc));
+        fs::remove_file(&trace).ok();
+        fs::remove_file(&ckpt).ok();
+    }
+
     #[test]
     fn checkpoint_for_a_different_trace_is_refused() {
         let cfg = small_cfg();
@@ -1499,22 +1514,17 @@ mod tests {
         // snapshot; the reader must accept it and skip the fingerprint.
         let cfg = small_cfg();
         let system = cfg.build_system();
-        let snap = system.snapshot().unwrap();
-        let shards = snap.get("shards").and_then(JsonValue::as_arr).unwrap();
         let mut text = obj(vec![
             ("schema", JsonValue::Str(FLEET_CKPT_SCHEMA_V1.to_owned())),
             ("trace", JsonValue::Str("legacy".to_owned())),
             ("accesses_done", JsonValue::U64(0)),
             ("clock", JsonValue::U64(0)),
             ("routed", JsonValue::U64(0)),
-            ("channels", JsonValue::U64(shards.len() as u64)),
+            ("channels", JsonValue::U64(system.shards().len() as u64)),
         ])
         .to_string();
         text.push('\n');
-        for s in shards {
-            text.push_str(&s.to_string());
-            text.push('\n');
-        }
+        text.push_str(&system.snapshot().unwrap());
         let path = tmp("legacy.ckpt");
         fs::write(&path, text).unwrap();
         let ckpt = read_fleet_checkpoint(real_fs().as_ref(), &path).unwrap();

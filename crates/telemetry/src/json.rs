@@ -10,8 +10,14 @@
 //! Rust's shortest-roundtrip `Display`, so `parse(render(v)) == v` for every
 //! finite value. Non-finite floats render as `null` (JSON has no NaN) and
 //! parse back as [`f64::NAN`] in number position.
+//!
+//! There is one renderer, [`JsonValue::render_into`]: it appends compact
+//! JSON to a caller's string, writing integer digits and unescaped string
+//! runs directly rather than through `fmt`, so multi-megabyte checkpoint
+//! documents render at memory speed. `Display` delegates to it. The parser
+//! is linear in the input: unescaped string runs are copied as one slice.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed or to-be-rendered JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,70 +85,155 @@ impl JsonValue {
     }
 }
 
+/// Builds an object from `(key, value)` pairs.
+pub fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
+    JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+/// The integer under `key` of an object.
+///
+/// # Errors
+///
+/// Names the key when it is missing or not a `u64`.
+pub fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
+}
+
+impl JsonValue {
+    /// Appends the compact rendering of `self` to `out`: no whitespace,
+    /// object fields in insertion order.
+    pub fn render_into(&self, out: &mut String) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::U64(n) => push_u64(out, *n),
+            JsonValue::F64(v) => push_f64(out, *v),
+            JsonValue::Str(s) => push_escaped(out, s),
+            JsonValue::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    // Checkpoint lanes are long integer arrays: render their
+                    // elements without a recursive call each.
+                    match item {
+                        JsonValue::U64(n) => push_u64(out, *n),
+                        other => other.render_into(out),
+                    }
+                }
+                out.push(']');
+            }
+            JsonValue::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_key(out, k);
+                    v.render_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// Two ASCII digits per value below 100, so integers render two digits per
+/// division.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Appends the decimal digits of `n`, pushed one ASCII character at a time:
+/// for the short numbers checkpoints are made of, that beats copying a
+/// slice.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    for &digit in &buf[i..] {
+        out.push(char::from(digit));
+    }
+}
+
+/// Appends `"key":` with `key` escaped: the opening of one object field.
+pub fn push_key(out: &mut String, key: &str) {
+    push_escaped(out, key);
+    out.push(':');
+}
+
 /// Renders `f64` per the module contract: shortest-roundtrip `Display` for
 /// finite values, `null` otherwise.
-fn write_f64(f: &mut fmt::Formatter<'_>, v: f64) -> fmt::Result {
+fn push_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
-        return f.write_str("null");
+        out.push_str("null");
+        return;
     }
     // `Display` omits a decimal point for integral values ("3" not "3.0"),
     // which the integer-first parser would read back as `U64`. Keeping the
     // point preserves the float-ness through a round trip (integral `f64`s
     // print their exact expansion, so no precision is lost).
-    if v.fract() == 0.0 {
-        write!(f, "{v:.1}")
-    } else {
-        write!(f, "{v}")
-    }
+    let _ = if v.fract() == 0.0 { write!(out, "{v:.1}") } else { write!(out, "{v}") };
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Appends `s` as a quoted JSON string. Runs without a character that
+/// needs escaping are copied as one slice; every escaped character is
+/// ASCII, so the runs split on character boundaries.
+fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
     }
-    f.write_str("\"")
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonValue::Null => f.write_str("null"),
-            JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::U64(n) => write!(f, "{n}"),
-            JsonValue::F64(v) => write_f64(f, *v),
-            JsonValue::Str(s) => write_escaped(f, s),
-            JsonValue::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            JsonValue::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.render_into(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -153,7 +244,7 @@ impl fmt::Display for JsonValue {
 /// Returns a human-readable description of the first malformation, with the
 /// byte offset it was found at.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -164,6 +255,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -270,16 +362,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid; find the next one).
-                    let rest = &self.bytes[self.pos..];
-                    let len = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8".to_owned())?
-                        .chars()
-                        .next()
-                        .map_or(1, char::len_utf8);
-                    out.push_str(std::str::from_utf8(&rest[..len]).expect("char boundary"));
-                    self.pos += len;
+                    // Copy the run up to the next quote or backslash as one
+                    // slice. Both delimiters are ASCII, so the run ends on a
+                    // character boundary of the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -383,6 +474,68 @@ mod tests {
     fn strings_escape_and_unescape() {
         let v = JsonValue::Str("a\"b\\c\nd\te\u{1}f".into());
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_text_round_trips_beside_escapes() {
+        for text in [
+            "é",
+            "aé",
+            "é\"",
+            "\\é",
+            "\u{1}é\n",
+            "naïve \"quote\" ends in ü",
+            "日本語\t→\\",
+            "ends in a four-byte scalar 🦀",
+            "🦀\"🦀\\🦀",
+        ] {
+            let v = JsonValue::Str(text.to_owned());
+            assert_eq!(parse(&v.to_string()).unwrap(), v, "{text:?}");
+            let key = JsonValue::Obj(vec![(text.to_owned(), JsonValue::U64(1))]);
+            assert_eq!(parse(&key.to_string()).unwrap(), key, "{text:?}");
+        }
+        assert_eq!(parse("\"x\\u00e9\"").unwrap(), JsonValue::Str("xé".to_owned()));
+    }
+
+    #[test]
+    fn renders_compact_text() {
+        let v = obj(vec![
+            (
+                "n",
+                JsonValue::Arr(
+                    vec![0, 9, 10, 99, 100, 12_345, u64::MAX]
+                        .into_iter()
+                        .map(JsonValue::U64)
+                        .collect(),
+                ),
+            ),
+            ("s", JsonValue::Str("a\"\\\n\r\t\u{1f}\u{7f}é".to_owned())),
+            ("f", JsonValue::Arr(vec![JsonValue::F64(2.0), JsonValue::F64(-0.25)])),
+            (
+                "b",
+                JsonValue::Arr(vec![
+                    JsonValue::Bool(true),
+                    JsonValue::Bool(false),
+                    JsonValue::Null,
+                ]),
+            ),
+            ("e", JsonValue::Obj(Vec::new())),
+        ]);
+        let mut out = String::from("prefix ");
+        v.render_into(&mut out);
+        let expected = "{\"n\":[0,9,10,99,100,12345,18446744073709551615],\
+                        \"s\":\"a\\\"\\\\\\n\\r\\t\\u001f\u{7f}é\",\
+                        \"f\":[2.0,-0.25],\"b\":[true,false,null],\"e\":{}}";
+        assert_eq!(out, format!("prefix {expected}"));
+        assert_eq!(v.to_string(), expected);
+    }
+
+    #[test]
+    fn field_helpers_build_and_read_objects() {
+        let v = obj(vec![("a", JsonValue::U64(7)), ("b", JsonValue::Str("x".into()))]);
+        assert_eq!(u64_field(&v, "a"), Ok(7));
+        assert!(u64_field(&v, "b").unwrap_err().contains("`b`"));
+        assert!(u64_field(&v, "c").unwrap_err().contains("`c`"));
     }
 
     #[test]
