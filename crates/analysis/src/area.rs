@@ -5,10 +5,9 @@ use mitigations::{
     AbacusConfig, AbacusDefense, BlockHammerConfig, BlockHammerDefense, CbtConfig, CometConfig,
     CometDefense, RowHammerDefense, TableBits, TwiceConfig,
 };
-use serde::{Deserialize, Serialize};
 
 /// Per-scheme table footprints at one Row Hammer threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AreaComparison {
     /// The threshold the comparison was computed for.
     pub t_rh: u64,
@@ -68,7 +67,7 @@ pub fn rank_megabytes(bits: TableBits, banks: u32) -> f64 {
 /// totals stay comparable), and BlockHammer's dual counting-Bloom filters.
 /// Each footprint comes from the scheme's own [`TableBits`] accounting, so
 /// the arena report and the defense implementations can never drift apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaAreaComparison {
     /// The threshold the comparison was computed for.
     pub t_rh: u64,

@@ -38,11 +38,10 @@
 
 use graphene_core::GrapheneConfig;
 use mitigations::{BlockHammerConfig, CometConfig};
-use serde::{Deserialize, Serialize};
 
 /// Analytic false-negative certificate for one probabilistic tracker at one
 /// Row Hammer threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FnCertificate {
     /// Scheme the certificate covers.
     pub scheme: &'static str,
@@ -58,7 +57,7 @@ pub struct FnCertificate {
 }
 
 /// Outcome of checking a certificate against an audited run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FnCertCheck {
     /// Whether the run satisfied the certificate.
     pub passes: bool,

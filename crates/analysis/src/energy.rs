@@ -9,10 +9,9 @@
 //! separately so both can be reported.
 
 use dram_model::timing::{DramTiming, Picoseconds};
-use serde::{Deserialize, Serialize};
 
 /// Energy constants and derived overhead computations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy of one ACT+PRE pair (nJ) — also the cost of refreshing one row
     /// on demand. Micron power calculator: 11.49 nJ.

@@ -18,12 +18,11 @@
 
 use dram_model::timing::DramTiming;
 use graphene_core::{GrapheneConfig, GrapheneParams};
-use serde::{Deserialize, Serialize};
 
 use crate::security::{minimal_para_probability, para_window_failure, yearly_failure};
 
 /// Graphene parameters under a scaled refresh window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshWindowPoint {
     /// The refresh window (ps).
     pub t_refw: u64,

@@ -7,12 +7,11 @@
 //! where the worst-case refresh-energy increase is the famous 0.34 %.
 
 use graphene_core::{GrapheneConfig, GrapheneParams};
-use serde::{Deserialize, Serialize};
 
 use crate::energy::EnergyModel;
 
 /// One point of the Figure 6 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure6Point {
     /// Reset-window divisor.
     pub k: u32,

@@ -1,4 +1,4 @@
-//! Fleet replay driver: synthesize a multi-tenant RHT3 trace, then stream
+//! Fleet replay driver: synthesize a multi-tenant RHT4 trace, then stream
 //! it from disk through the channel-sharded controller at bounded memory,
 //! checkpointing between segments and emitting live telemetry.
 //!

@@ -516,7 +516,7 @@ fn main() {
         );
     }
 
-    // Hand-rolled JSON: the workspace's serde is a no-op offline stub.
+    // Hand-rolled JSON, like every other artifact the workspace writes.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"generated_by\": \"perf_snapshot\",");
     let _ = writeln!(json, "  \"fast\": {fast},");

@@ -15,10 +15,8 @@
 //! `rh-analysis` (the paper's Table V expresses Graphene's dynamic energy
 //! per ACT; this breakdown lets the model scale to other access mixes).
 
-use serde::{Deserialize, Serialize};
-
 /// Counters of CAM operations performed by a Graphene table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CamStats {
     /// Address-CAM searches (one per ACT).
     pub addr_searches: u64,

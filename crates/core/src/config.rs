@@ -23,14 +23,13 @@ use std::fmt;
 use dram_model::fault::MuModel;
 use dram_model::geometry::bits_for;
 use dram_model::timing::{DramTiming, Picoseconds};
-use serde::{Deserialize, Serialize};
 
 /// User-facing configuration: what the deployment knows.
 ///
 /// Use [`GrapheneConfig::builder`] to construct; then derive the mechanism
 /// parameters with [`GrapheneConfig::derive`] (or let
 /// [`Graphene::from_config`](crate::Graphene::from_config) do it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrapheneConfig {
     /// Row Hammer threshold `T_RH` of the protected device.
     pub row_hammer_threshold: u64,
@@ -211,7 +210,7 @@ impl Default for GrapheneConfigBuilder {
 
 /// Everything the mechanism needs at run time, derived from a
 /// [`GrapheneConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrapheneParams {
     /// The Row Hammer threshold the derivation assumed.
     pub row_hammer_threshold: u64,

@@ -3,7 +3,6 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 use telemetry::MetricsSink;
 
@@ -15,7 +14,7 @@ use crate::table::{CounterTable, TableSnapshot, TableUpdate};
 ///
 /// The memory controller turns this into an NRR command
 /// ([`dram_model::DramCommand::NearbyRowRefresh`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NrrRequest {
     /// The aggressor row whose estimated count reached a multiple of `T`.
     pub aggressor: RowId,
@@ -32,7 +31,7 @@ impl NrrRequest {
 }
 
 /// Operation counters of one Graphene instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GrapheneStats {
     /// Activations processed.
     pub activations: u64,
@@ -50,7 +49,7 @@ pub struct GrapheneStats {
 /// The full dynamic state of one [`Graphene`] engine, as captured by
 /// [`Graphene::snapshot`] and replayed by [`Graphene::restore`] —
 /// the unit of per-bank state in a run checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrapheneSnapshot {
     /// The counter table's architectural state.
     pub table: TableSnapshot,

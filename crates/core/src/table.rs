@@ -55,7 +55,6 @@
 use std::collections::HashMap;
 
 use dram_model::geometry::RowId;
-use serde::{Deserialize, Serialize};
 
 use crate::cam::CamStats;
 
@@ -70,7 +69,7 @@ const OVERFLOW_SENTINEL: u32 = u32::MAX;
 const SCAN_LANES: usize = 16;
 
 /// Outcome of processing one activation through the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TableUpdate {
     /// The row was already tracked; its count was incremented.
@@ -109,7 +108,7 @@ impl TableUpdate {
 /// stores plus the software bookkeeping counters. Acceleration state
 /// (probe lane, presence filter, probe cursor) and parity bits are derived
 /// on restore.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSnapshot {
     /// Address-CAM key lane (stale bits preserved for invalid slots).
     pub keys: Vec<u32>,
@@ -147,7 +146,7 @@ pub struct TableSnapshot {
 /// }
 /// assert!(table.process_activation(RowId(7)).triggered()); // 5th ACT hits T
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterTable {
     /// Address-CAM key lane. Entry `i`'s stored row address; meaningless
     /// (stale) bits while the valid bit is clear — the scan confirms

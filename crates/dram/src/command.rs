@@ -1,7 +1,5 @@
 //! DRAM command vocabulary, including the paper's NRR extension.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::RowId;
 
 /// Commands a memory controller can issue to one bank.
@@ -9,7 +7,7 @@ use crate::geometry::RowId;
 /// `NearbyRowRefresh` is the paper's minor DRAM-protocol extension
 /// (Section IV-A): on receipt, the device refreshes the rows within
 /// `radius` of the specified aggressor row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum DramCommand {
     /// Activate (open) a row.

@@ -10,8 +10,6 @@
 //! that makes Row Hammer a security problem rather than a reliability
 //! nuisance.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::RowId;
 
 /// Initial data pattern of every row's canary word.
@@ -20,7 +18,7 @@ use crate::geometry::RowId;
 /// patterns because coupling is data-dependent; the oracle here is
 /// pattern-independent, but the patterns still matter for demonstrating
 /// which stored value got corrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum DataPattern {
     /// All zeros.
@@ -65,7 +63,7 @@ impl DataPattern {
 /// shadow.rewrite_row(RowId(3));
 /// assert!(shadow.corrupted_rows().is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataShadow {
     pattern: DataPattern,
     words: Vec<u64>,

@@ -6,8 +6,6 @@
 //! the memory controller (the `memctrl` crate) owns timing legality; the
 //! device owns data integrity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::command::DramCommand;
 use crate::data::{DataPattern, DataShadow};
 use crate::error::DramError;
@@ -17,7 +15,7 @@ use crate::refresh::RefreshEngine;
 use crate::timing::{DramTiming, Picoseconds};
 
 /// Counters a bank device accumulates while executing commands.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// ACT commands executed.
     pub activates: u64,

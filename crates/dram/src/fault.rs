@@ -17,8 +17,6 @@
 //! Internally the oracle uses 1/65536 fixed-point arithmetic so that
 //! accumulation is exact and deterministic across platforms.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 use crate::geometry::RowId;
 use crate::timing::Picoseconds;
@@ -29,7 +27,7 @@ const SCALE: u64 = 1 << 16;
 /// Distance-coefficient model for non-adjacent Row Hammer.
 ///
 /// `μ_1` is always 1: an adjacent ACT contributes one full disturbance unit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 #[non_exhaustive]
 pub enum MuModel {
     /// Only ±1 neighbours are disturbed (the classic Row Hammer model).
@@ -121,7 +119,7 @@ impl MuModel {
 }
 
 /// Parameters of the disturbance/fault model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DisturbanceModel {
     /// Row Hammer threshold `T_RH` in units of adjacent ACTs.
     pub t_rh: u64,
@@ -148,7 +146,7 @@ impl Default for DisturbanceModel {
 }
 
 /// A recorded Row Hammer bit flip: ground truth that a defense failed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitFlip {
     /// The victim row whose accumulated disturbance crossed `T_RH`.
     pub row: RowId,

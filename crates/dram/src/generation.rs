@@ -37,15 +37,13 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::timing::{DramTiming, Picoseconds, MS};
 
 /// DDR5/LPDDR5 Refresh Management (RFM) accounting constants.
 ///
 /// Units: RAAIMT/RAAMMT count ACTs per bank; `t_rfm` is the bank-busy time
 /// of one RFM command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RfmSpec {
     /// RAA Initial Management Threshold: one RFM command is owed (and one
     /// issued RFM debits) this many ACTs.
@@ -193,7 +191,7 @@ impl DramGeneration for Lpddr5 {
 /// assert!(g.rfm().is_some());
 /// assert_eq!(Generation::Ddr4_2400.timing(), DramTiming::ddr4_2400());
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Generation {
     /// The paper's DDR4-2400 device (the default, matching the legacy

@@ -6,17 +6,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 
 /// Index of a DRAM row within one bank.
 ///
 /// Newtype so that row numbers cannot be confused with counts or byte
 /// addresses (C-NEWTYPE).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RowId(pub u32);
 
 impl RowId {
@@ -56,9 +52,7 @@ impl From<u32> for RowId {
 }
 
 /// Coordinate of one bank in the memory system.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BankCoord {
     /// Channel index.
     pub channel: u8,
@@ -85,7 +79,7 @@ impl fmt::Display for BankCoord {
 /// assert_eq!(g.total_banks(), 64);
 /// assert_eq!(g.row_addr_bits(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramGeometry {
     /// Number of memory channels.
     pub channels: u8,

@@ -8,8 +8,6 @@
 //! protection argument depends on every row being auto-refreshed once per
 //! tREFW, at a time the memory controller cannot observe.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 use crate::generation::Generation;
 use crate::geometry::RowId;
@@ -23,10 +21,6 @@ use crate::timing::{DramTiming, Picoseconds};
 /// constructor keeps this DDR4 value.
 pub const MAX_POSTPONED_REFS: u32 = 8;
 
-fn default_max_postponed() -> u32 {
-    MAX_POSTPONED_REFS
-}
-
 /// Rotating auto-refresh state for one bank.
 ///
 /// # Example
@@ -39,7 +33,7 @@ fn default_max_postponed() -> u32 {
 /// let first_burst = eng.next_burst();
 /// assert_eq!(first_burst.len(), 8); // rows 0..8
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefreshEngine {
     rows_per_bank: u32,
     /// Rows restored per REF command.
@@ -55,9 +49,7 @@ pub struct RefreshEngine {
     /// Time the next REF is due.
     next_ref_at: Picoseconds,
     /// Generation postponement limit for [`Self::catch_up_postponed`].
-    /// Defaults to the DDR4 [`MAX_POSTPONED_REFS`], so checkpoints written
-    /// before the field existed restore as DDR4 engines.
-    #[serde(default = "default_max_postponed")]
+    /// Defaults to the DDR4 [`MAX_POSTPONED_REFS`].
     max_postponed: u32,
 }
 
@@ -82,7 +74,7 @@ impl RefreshEngine {
             refs_issued: 0,
             t_refi: timing.t_refi,
             next_ref_at: timing.t_refi,
-            max_postponed: default_max_postponed(),
+            max_postponed: MAX_POSTPONED_REFS,
         }
     }
 

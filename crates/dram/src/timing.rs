@@ -13,8 +13,6 @@
 //! plus the Table III service timings (tRCD/tRP/tCL = 13.3 ns) and the
 //! vendor-specific refresh window tREFW = 64 ms assumed throughout the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 
 /// Time in integer picoseconds.
@@ -43,7 +41,7 @@ pub const NS: Picoseconds = 1_000;
 /// let t = DramTiming::ddr4_2400();
 /// assert_eq!(t.refresh_commands_per_window(), 8205);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramTiming {
     /// Refresh interval: one REF command must be issued per tREFI.
     pub t_refi: Picoseconds,

@@ -1,10 +1,9 @@
 //! JSONL serialization for fault plans.
 //!
-//! The workspace's `serde` is an inert offline stub, so the format is
-//! rendered and parsed by hand on top of [`telemetry::json`]. Line 1 is a
-//! header carrying the schema tag and the full [`FaultSpec`]; each following
-//! line is one [`FaultEvent`]. Round-tripping reproduces the plan exactly:
-//! `parse_jsonl(plan.to_jsonl()) == plan`.
+//! The format is rendered and parsed by hand on top of [`telemetry::json`].
+//! Line 1 is a header carrying the schema tag and the full [`FaultSpec`];
+//! each following line is one [`FaultEvent`]. Round-tripping reproduces the
+//! plan exactly: `parse_jsonl(plan.to_jsonl()) == plan`.
 
 use telemetry::json::{self, obj, u64_field, JsonValue};
 

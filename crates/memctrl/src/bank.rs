@@ -14,12 +14,11 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::{DramTiming, Picoseconds};
-use serde::{Deserialize, Serialize};
 
 use crate::pagepolicy::PagePolicy;
 
 /// Outcome of serving one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceOutcome {
     /// When the access started service (≥ its arrival).
     pub start: Picoseconds,
@@ -34,7 +33,7 @@ pub struct ServiceOutcome {
 }
 
 /// One bank's controller-side state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankState {
     timing: DramTiming,
     policy: PagePolicy,

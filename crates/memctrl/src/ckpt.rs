@@ -1,10 +1,9 @@
 //! Shared JSON plumbing and the typed error for controller checkpoint
 //! state.
 //!
-//! The workspace's `serde` is an inert offline stub, so checkpoint state is
-//! rendered and parsed by hand on top of [`telemetry::json`] (the faultsim
-//! JSONL idiom). The parser is integer-first, so every `u64` counter
-//! round-trips exactly.
+//! Checkpoint state is rendered and parsed by hand on top of
+//! [`telemetry::json`] (the faultsim JSONL idiom). The parser is
+//! integer-first, so every `u64` counter round-trips exactly.
 //!
 //! Every snapshot/restore failure is a [`CkptError`] — a machine-matchable
 //! enum rather than a formatted string, so the fleet recovery supervisor

@@ -15,11 +15,10 @@
 //! assert zero violations — a regression net under every timing change.
 
 use dram_model::timing::{DramTiming, Picoseconds};
-use serde::{Deserialize, Serialize};
 use telemetry::json::JsonValue;
 
 /// One logged controller command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LoggedCommand {
     /// Row activation (the ACT slot time).
@@ -37,7 +36,7 @@ pub enum LoggedCommand {
 }
 
 /// A command with its bank and issue time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandRecord {
     /// Flattened bank index.
     pub bank: u16,

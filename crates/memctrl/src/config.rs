@@ -4,7 +4,6 @@ use dram_model::fault::DisturbanceModel;
 use dram_model::geometry::DramGeometry;
 use dram_model::timing::DramTiming;
 use dram_model::{Generation, RfmSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::pagepolicy::PagePolicy;
 
@@ -15,7 +14,7 @@ use crate::pagepolicy::PagePolicy;
 /// oracle armed at `T_RH = 50K`. [`McConfig::for_generation`] builds the
 /// same system on another DRAM generation's timing — arming the RFM
 /// (Refresh Management) accounting when the generation defines it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McConfig {
     /// DRAM timing parameters.
     pub timing: DramTiming,
@@ -35,16 +34,12 @@ pub struct McConfig {
     /// keeps a Rolling Accumulated ACT (RAA) counter per bank, debits it
     /// by RAAIMT per executed [`mitigations::RefreshAction::Rfm`], and
     /// force-issues an RFM whenever a bank's RAA reaches RAAMMT. `None`
-    /// (the DDR4/LPDDR4X default, and the value old serialized configs
-    /// deserialize to) disables all RFM machinery.
-    #[serde(default)]
+    /// (the DDR4/LPDDR4X default) disables all RFM machinery.
     pub rfm: Option<RfmSpec>,
     /// The DRAM generation this configuration models. Drives the refresh
     /// postponement bound of the per-bank [`dram_model::RefreshEngine`]s;
     /// `timing` and `rfm` are kept denormalized so tests can override them
-    /// independently. Defaults to DDR4-2400 (the legacy behavior, and what
-    /// old serialized configs deserialize to).
-    #[serde(default)]
+    /// independently. Defaults to DDR4-2400 (the legacy behavior).
     pub generation: Generation,
 }
 

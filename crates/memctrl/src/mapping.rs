@@ -21,10 +21,9 @@
 //! workload's flat `(bank, row)` accesses across channels.
 
 use dram_model::geometry::{bits_for, BankCoord, DramGeometry, RowId};
-use serde::{Deserialize, Serialize};
 
 /// How physical-address bits map onto (channel, rank, bank, row, column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum MappingScheme {
     /// `[row | rank | bank | channel | column]`, LSB on the right.
@@ -35,7 +34,7 @@ pub enum MappingScheme {
 }
 
 /// A decoded physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecodedAddress {
     /// Which bank the access targets.
     pub coord: BankCoord,
@@ -57,7 +56,7 @@ pub struct DecodedAddress {
 /// let d = m.decode(0x1234_5678);
 /// assert!(d.row.0 < 65_536);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapper {
     geometry: DramGeometry,
     scheme: MappingScheme,
@@ -156,7 +155,7 @@ impl AddressMapper {
 /// This is the unit the sharded front end routes on, and what
 /// [`McError::AddressOutOfRange`](crate::McError::AddressOutOfRange) carries
 /// when an access does not exist in the configured geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystemAddress {
     /// Coordinate of the target bank.
     pub coord: BankCoord,
@@ -193,7 +192,7 @@ impl std::fmt::Display for SystemAddress {
 /// Every policy is a deterministic function of `(bank, row)`, so a trace
 /// routed twice lands identically — the property the sharded-equals-legacy
 /// equivalence tests pin.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum MappingPolicy {
     /// Channel from low row bits; bank id picks the bank within the channel.

@@ -1,9 +1,7 @@
 //! Row-buffer page policies.
 
-use serde::{Deserialize, Serialize};
-
 /// When the controller closes (precharges) an open row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PagePolicy {
     /// Keep the row open until a conflicting access arrives.

@@ -18,10 +18,9 @@ use std::collections::VecDeque;
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 /// Scheduler policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Maximum requests per batch (PAR-BS "marking cap"). 1 = plain FCFS.
     pub batch_size: usize,
@@ -49,7 +48,7 @@ impl Default for SchedulerConfig {
 }
 
 /// One queued request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedRequest {
     /// Target row.
     pub row: RowId,

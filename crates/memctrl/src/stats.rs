@@ -1,10 +1,9 @@
 //! Run statistics.
 
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate counters of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Accesses served.
     pub accesses: u64,
@@ -48,11 +47,9 @@ pub struct RunStats {
     /// Defense-requested RFM commands executed (DDR5/LPDDR5 Refresh
     /// Management; a subset of `defense_refresh_commands`). Always 0 when
     /// [`crate::McConfig::rfm`] is unset.
-    #[serde(default)]
     pub rfm_commands: u64,
     /// RFMs the *controller* was forced to issue because a bank's Rolling
     /// Accumulated ACT counter reached RAAMMT before the defense acted.
-    #[serde(default)]
     pub forced_rfms: u64,
 }
 

@@ -21,12 +21,11 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// CBT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbtConfig {
     /// Total counters available (128 for the paper's CBT-128).
     pub num_counters: usize,
@@ -106,7 +105,7 @@ impl Default for CbtConfig {
 }
 
 /// A live counter covering the row range `[start, start + size)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     start: u32,
     level: u32,

@@ -1,10 +1,9 @@
 //! Shared JSON plumbing for defense checkpoint state.
 //!
-//! The workspace's `serde` is an inert offline stub, so checkpoint state is
-//! rendered and parsed by hand on top of [`telemetry::json`], the same way
-//! `faultsim` serializes fault plans. [`telemetry::json::parse`] is
-//! integer-first (`u64` before `f64`), so every counter and packed bitmask
-//! word round-trips exactly.
+//! Checkpoint state is rendered and parsed by hand on top of
+//! [`telemetry::json`], the same way `faultsim` serializes fault plans.
+//! [`telemetry::json::parse`] is integer-first (`u64` before `f64`), so
+//! every counter and packed bitmask word round-trips exactly.
 
 use telemetry::json::JsonValue;
 

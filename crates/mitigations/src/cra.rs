@@ -27,12 +27,11 @@ use std::collections::HashMap;
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// CRA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CraConfig {
     /// Row Hammer threshold.
     pub row_hammer_threshold: u64,
@@ -78,7 +77,7 @@ impl Default for CraConfig {
 }
 
 /// Counter-cache traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CraStats {
     /// Counter-cache hits.
     pub cache_hits: u64,

@@ -2,11 +2,10 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 use telemetry::MetricsSink;
 
 /// A proactive refresh a defense asks the memory controller to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum RefreshAction {
     /// Refresh the neighbours of `aggressor` out to ±`radius` rows
@@ -85,7 +84,7 @@ impl RefreshAction {
 /// extra delay the scheduler must impose before serving the access; the
 /// controller holds the bank for that long and accounts the decision in
 /// `RunStats::{throttled_acts, throttle_delay}`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThrottleDecision {
     /// Extra delay (ps) before the access may be served; 0 = proceed now.
     pub delay: Picoseconds,
@@ -110,7 +109,7 @@ impl ThrottleDecision {
 
 /// Hardware table footprint of a defense, split by memory type as the
 /// paper's Table IV reports it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableBits {
     /// Content-addressable memory bits per bank.
     pub cam_bits: u64,

@@ -10,7 +10,6 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
@@ -25,7 +24,7 @@ use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 /// let mut ideal = IdealCounters::new(50_000, 65_536, 64_000_000_000);
 /// assert!(ideal.on_activation(RowId(7), 0).is_empty());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IdealCounters {
     threshold: u64,
     rows_per_bank: u32,

@@ -32,12 +32,11 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// MRLoc configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MrlocConfig {
     /// History-queue entries (15 in the paper's Figure 7(b) analysis).
     pub queue_entries: usize,

@@ -23,12 +23,11 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// PRoHIT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProhitConfig {
     /// Hot-table entries.
     pub hot_entries: usize,

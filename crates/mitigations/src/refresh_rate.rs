@@ -15,7 +15,6 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
@@ -30,7 +29,7 @@ use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 /// // Each tick refreshes one extra burst of 8 rows (2× the base rate).
 /// assert_eq!(d.on_refresh_tick(0).len(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RefreshRateScaling {
     /// Total refresh-rate multiplier (`k ≥ 1`; 1 = no extra refreshes).
     factor: u32,

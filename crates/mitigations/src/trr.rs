@@ -24,12 +24,11 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// TRR sampler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrrConfig {
     /// Sampler entries (TRRespass found 1-16 on real DIMMs; 4 is typical).
     pub sampler_slots: usize,

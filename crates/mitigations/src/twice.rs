@@ -23,12 +23,11 @@ use std::collections::HashMap;
 
 use dram_model::geometry::RowId;
 use dram_model::timing::{DramTiming, Picoseconds};
-use serde::{Deserialize, Serialize};
 
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// TWiCe configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwiceConfig {
     /// Row Hammer threshold `T_RH`.
     pub row_hammer_threshold: u64,
@@ -104,7 +103,7 @@ impl Default for TwiceConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TwiceEntry {
     act_cnt: u64,
     life: u64,

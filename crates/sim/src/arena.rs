@@ -28,7 +28,6 @@ use dram_model::fault::DisturbanceModel;
 use memctrl::{McBuilder, McConfig, RunStats};
 use mitigations::{BlockHammerConfig, CometConfig, TableBits};
 use rh_analysis::{ArenaAreaComparison, EnergyModel, FnCertificate};
-use serde::Serialize;
 
 use crate::pool;
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
@@ -106,7 +105,7 @@ pub fn arena_lineup(t_rh: u64) -> Vec<DefenseSpec> {
 }
 
 /// One scored cell of the arena matrix.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArenaCell {
     /// Row Hammer threshold of this cell.
     pub t_rh: u64,

@@ -80,9 +80,6 @@ pub const FLEET_CKPT_SCHEMA: &str = "fleetckpt.v2";
 /// Schema tag of the integrity footer line.
 pub const FLEET_CKPT_FOOTER_SCHEMA: &str = "fleetckpt.v2#footer";
 
-/// Legacy (un-framed, fingerprint-less) schema, still readable.
-pub const FLEET_CKPT_SCHEMA_V1: &str = "fleetckpt.v1";
-
 /// Why a fleet replay failed.
 ///
 /// The variants separate the three things a recovery layer must tell
@@ -205,8 +202,7 @@ impl fmt::Display for FleetError {
             }
             FleetError::CkptSchema { path, found } => write!(
                 f,
-                "checkpoint {}: schema `{found}` is not `{FLEET_CKPT_SCHEMA}` \
-                 (or legacy `{FLEET_CKPT_SCHEMA_V1}`)",
+                "checkpoint {}: schema `{found}` is not `{FLEET_CKPT_SCHEMA}`",
                 path.display()
             ),
             FleetError::WrongTrace { expected, found } => {
@@ -386,9 +382,8 @@ pub struct FleetCheckpoint {
     pub trace: String,
     /// Trace records fully executed when the checkpoint was taken.
     pub accesses_done: u64,
-    /// Config fingerprint; `None` for legacy `fleetckpt.v1` files, which
-    /// predate it (their restores skip the fingerprint check).
-    pub config: Option<CkptFingerprint>,
+    /// The config fingerprint of the run that wrote the checkpoint.
+    pub config: CkptFingerprint,
     /// The front end's clock when the checkpoint was taken.
     clock: u64,
     /// Accesses the front end had routed.
@@ -494,12 +489,12 @@ pub fn write_fleet_checkpoint(
 /// Reads and validates a fleet checkpoint file through the given
 /// filesystem.
 ///
-/// `fleetckpt.v2` files must carry an intact integrity footer: the whole-
-/// body CRC and every per-line CRC are verified **before** any line is
-/// parsed, so bit rot, torn writes, and truncation surface as
+/// The file must be `fleetckpt.v2` with an intact integrity footer: the
+/// whole-body CRC and every per-line CRC are verified **before** any line
+/// is parsed, so bit rot, torn writes, and truncation surface as
 /// [`FleetError::CkptCorrupt`] naming the damaged line — never as a
-/// half-plausible parse. Legacy `fleetckpt.v1` files (no footer, no
-/// fingerprint) remain readable without corruption detection.
+/// half-plausible parse. Any other schema tag, including the retired
+/// `fleetckpt.v1`, is [`FleetError::CkptSchema`].
 ///
 /// # Errors
 ///
@@ -515,62 +510,51 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
     if lines.is_empty() {
         return Err(corrupt("empty checkpoint file".to_owned()));
     }
-    // Peek the header's schema tag to pick the framing.
     let header_json = json::parse(lines[0]).map_err(|e| corrupt(format!("header: {e}")))?;
     let schema = str_field(&header_json, "schema").map_err(&corrupt)?;
-    let legacy = match schema {
-        s if s == FLEET_CKPT_SCHEMA => false,
-        s if s == FLEET_CKPT_SCHEMA_V1 => true,
-        other => {
-            return Err(FleetError::CkptSchema {
-                path: path.to_path_buf(),
-                found: other.to_owned(),
-            })
-        }
-    };
-    if !legacy {
-        // Verify the footer before believing anything else.
-        let footer_line = lines.pop().ok_or_else(|| corrupt("missing footer".to_owned()))?;
-        let footer = json::parse(footer_line).map_err(|e| corrupt(format!("footer: {e}")))?;
-        if str_field(&footer, "schema").map_err(&corrupt)? != FLEET_CKPT_FOOTER_SCHEMA {
-            return Err(corrupt("last line is not an integrity footer".to_owned()));
-        }
-        if u64_field(&footer, "lines").map_err(&corrupt)? != lines.len() as u64 {
+    if schema != FLEET_CKPT_SCHEMA {
+        return Err(FleetError::CkptSchema { path: path.to_path_buf(), found: schema.to_owned() });
+    }
+    // Verify the footer before believing anything else.
+    let footer_line = lines.pop().ok_or_else(|| corrupt("missing footer".to_owned()))?;
+    let footer = json::parse(footer_line).map_err(|e| corrupt(format!("footer: {e}")))?;
+    if str_field(&footer, "schema").map_err(&corrupt)? != FLEET_CKPT_FOOTER_SCHEMA {
+        return Err(corrupt("last line is not an integrity footer".to_owned()));
+    }
+    if u64_field(&footer, "lines").map_err(&corrupt)? != lines.len() as u64 {
+        return Err(corrupt(format!(
+            "footer promises {} body line(s), found {}",
+            u64_field(&footer, "lines").map_err(&corrupt)?,
+            lines.len()
+        )));
+    }
+    let line_crcs = footer
+        .get("line_crcs")
+        .and_then(JsonValue::as_arr)
+        .ok_or_else(|| corrupt("footer lacks a `line_crcs` array".to_owned()))?;
+    if line_crcs.len() != lines.len() {
+        return Err(corrupt(format!(
+            "footer carries {} line crc(s) for {} line(s)",
+            line_crcs.len(),
+            lines.len()
+        )));
+    }
+    let mut body = 0;
+    for (i, (line, stored)) in lines.iter().zip(line_crcs).enumerate() {
+        let stored = stored.as_u64().ok_or_else(|| corrupt("non-integer line crc".to_owned()))?;
+        let computed = u64::from(line_crc(line.as_bytes(), &mut body));
+        if stored != computed {
             return Err(corrupt(format!(
-                "footer promises {} body line(s), found {}",
-                u64_field(&footer, "lines").map_err(&corrupt)?,
-                lines.len()
+                "line {i}: crc32c mismatch (stored {stored:#010x}, computed {computed:#010x})"
             )));
         }
-        let line_crcs = footer
-            .get("line_crcs")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| corrupt("footer lacks a `line_crcs` array".to_owned()))?;
-        if line_crcs.len() != lines.len() {
-            return Err(corrupt(format!(
-                "footer carries {} line crc(s) for {} line(s)",
-                line_crcs.len(),
-                lines.len()
-            )));
-        }
-        let mut body = 0;
-        for (i, (line, stored)) in lines.iter().zip(line_crcs).enumerate() {
-            let stored =
-                stored.as_u64().ok_or_else(|| corrupt("non-integer line crc".to_owned()))?;
-            let computed = u64::from(line_crc(line.as_bytes(), &mut body));
-            if stored != computed {
-                return Err(corrupt(format!(
-                    "line {i}: crc32c mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                )));
-            }
-        }
-        let stored_body = u64_field(&footer, "crc32c").map_err(&corrupt)?;
-        let computed_body = u64::from(body);
-        if stored_body != computed_body {
-            return Err(corrupt(format!(
-                "body crc32c mismatch (stored {stored_body:#010x}, computed {computed_body:#010x})"
-            )));
-        }
+    }
+    let stored_body = u64_field(&footer, "crc32c").map_err(&corrupt)?;
+    let computed_body = u64::from(body);
+    if stored_body != computed_body {
+        return Err(corrupt(format!(
+            "body crc32c mismatch (stored {stored_body:#010x}, computed {computed_body:#010x})"
+        )));
     }
     let channels = u64_field(&header_json, "channels").map_err(&corrupt)?;
     let shards = lines[1..]
@@ -584,14 +568,10 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
             shards.len()
         )));
     }
-    let config = if legacy {
-        None
-    } else {
-        let cf = header_json
-            .get("config")
-            .ok_or_else(|| corrupt("header lacks a `config` fingerprint".to_owned()))?;
-        Some(CkptFingerprint::from_json(cf).map_err(&corrupt)?)
-    };
+    let config = header_json
+        .get("config")
+        .ok_or_else(|| corrupt("header lacks a `config` fingerprint".to_owned()))?;
+    let config = CkptFingerprint::from_json(config).map_err(&corrupt)?;
     Ok(FleetCheckpoint {
         trace: str_field(&header_json, "trace").map_err(&corrupt)?.to_owned(),
         accesses_done: u64_field(&header_json, "accesses_done").map_err(&corrupt)?,
@@ -852,10 +832,7 @@ fn check_checkpoint(
     if ckpt.accesses_done > trace_len {
         return Err(FleetError::BeyondTrace { claimed: ckpt.accesses_done, trace_len });
     }
-    if let Some(cf) = &ckpt.config {
-        cf.check_against(fingerprint)?;
-    }
-    Ok(())
+    ckpt.config.check_against(fingerprint)
 }
 
 /// Rotating checkpoint storage: `keep` generation slots (`<base>.g0` ..
@@ -1342,7 +1319,7 @@ mod tests {
     }
 
     fn small_trace(cfg: &FleetConfig, accesses: u64) -> PathBuf {
-        let path = tmp("fleet.rht3");
+        let path = tmp("fleet.rht4");
         synth_fleet_trace(&path, "fleet-test", &cfg.system.geometry, 48, accesses, 7).unwrap();
         path
     }
@@ -1417,7 +1394,7 @@ mod tests {
         with_ckpt.checkpoint = Some(ckpt.clone());
         run_fleet(&with_ckpt, &trace_a, |_| {}).unwrap();
 
-        let trace_b = tmp("other.rht3");
+        let trace_b = tmp("other.rht4");
         synth_fleet_trace(&trace_b, "other-fleet", &cfg.system.geometry, 8, 1_000, 9).unwrap();
         let err = run_fleet(&with_ckpt, &trace_b, |_| {}).unwrap_err();
         assert!(matches!(err, FleetError::WrongTrace { .. }), "{err:?}");
@@ -1469,6 +1446,16 @@ mod tests {
         let err = read_fleet_checkpoint(fs_.as_ref(), &path).unwrap_err();
         assert!(matches!(err, FleetError::CkptSchema { .. }), "{err:?}");
         assert!(err.to_string().contains("fleetckpt.v2"), "{err}");
+        // A header of the retired, fingerprint-less `fleetckpt.v1` schema is
+        // refused by its tag, not restored without a config check.
+        fs::write(
+            &path,
+            "{\"schema\":\"fleetckpt.v1\",\"trace\":\"t\",\"accesses_done\":0,\"clock\":0,\
+             \"routed\":0,\"channels\":0}\n",
+        )
+        .unwrap();
+        let err = read_fleet_checkpoint(fs_.as_ref(), &path).unwrap_err();
+        assert!(matches!(&err, FleetError::CkptSchema { found, .. } if found == "fleetckpt.v1"));
         fs::write(&path, "").unwrap();
         let err = read_fleet_checkpoint(fs_.as_ref(), &path).unwrap_err();
         assert!(err.to_string().contains("empty"), "{err}");
@@ -1506,33 +1493,6 @@ mod tests {
         assert!(matches!(err, FleetError::CkptCorrupt { .. }), "{err:?}");
         fs::remove_file(&trace).ok();
         fs::remove_file(&ckpt).ok();
-    }
-
-    #[test]
-    fn legacy_v1_checkpoints_stay_readable() {
-        // Hand-build a v1 file (no footer, no config) around a real system
-        // snapshot; the reader must accept it and skip the fingerprint.
-        let cfg = small_cfg();
-        let system = cfg.build_system();
-        let mut text = obj(vec![
-            ("schema", JsonValue::Str(FLEET_CKPT_SCHEMA_V1.to_owned())),
-            ("trace", JsonValue::Str("legacy".to_owned())),
-            ("accesses_done", JsonValue::U64(0)),
-            ("clock", JsonValue::U64(0)),
-            ("routed", JsonValue::U64(0)),
-            ("channels", JsonValue::U64(system.shards().len() as u64)),
-        ])
-        .to_string();
-        text.push('\n');
-        text.push_str(&system.snapshot().unwrap());
-        let path = tmp("legacy.ckpt");
-        fs::write(&path, text).unwrap();
-        let ckpt = read_fleet_checkpoint(real_fs().as_ref(), &path).unwrap();
-        assert_eq!(ckpt.trace, "legacy");
-        assert!(ckpt.config.is_none());
-        let mut fresh = cfg.build_system();
-        ckpt.restore_into(&mut fresh).unwrap();
-        fs::remove_file(&path).ok();
     }
 
     #[test]

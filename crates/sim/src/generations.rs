@@ -21,7 +21,6 @@ use dram_model::fault::DisturbanceModel;
 use dram_model::Generation;
 use memctrl::{McBuilder, McConfig, RunStats};
 use rh_analysis::EnergyModel;
-use serde::Serialize;
 
 use crate::pool;
 use crate::scenarios::{DefenseSpec, GenSpec, WorkloadSpec};
@@ -118,7 +117,7 @@ pub fn generation_lineup(generation: Generation, t_rh: u64) -> Vec<GenSpec> {
 }
 
 /// One scored cell of the cross-generation matrix.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationCell {
     /// Generation name (`ddr4`, `ddr5`, `lpddr4x`, `lpddr5`).
     pub generation: String,

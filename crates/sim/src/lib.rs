@@ -23,9 +23,9 @@
 //!   defenses and workloads, measuring false negatives, audit detections,
 //!   and graceful degradation under injected tracker, controller, and
 //!   harness faults.
-//! * [`fleet`] — bounded-memory fleet replay: RHT3 traces streamed from
+//! * [`fleet`] — bounded-memory fleet replay: RHT4 traces streamed from
 //!   disk through the sharded pipeline in checkpointed segments, with
-//!   bit-identical kill/resume via `fleetckpt.v1` checkpoints and
+//!   bit-identical kill/resume via `fleetckpt.v2` checkpoints and
 //!   multi-tenant trace synthesis.
 //! * [`arena`] — the tracker arena: Graphene, CoMeT, ABACuS, and
 //!   BlockHammer head to head across attack workloads and thresholds,
@@ -68,7 +68,7 @@ pub use fleet::{
     read_fleet_checkpoint, run_fleet, run_fleet_supervised, synth_fleet_trace,
     write_fleet_checkpoint, CheckpointStore, CkptFingerprint, FleetCheckpoint, FleetConfig,
     FleetError, FleetProgress, FleetReport, SupervisorConfig, SupervisorReport,
-    FLEET_CKPT_FOOTER_SCHEMA, FLEET_CKPT_SCHEMA, FLEET_CKPT_SCHEMA_V1,
+    FLEET_CKPT_FOOTER_SCHEMA, FLEET_CKPT_SCHEMA,
 };
 pub use generations::{
     generation_lineup, run_generation_matrix, GenerationCell, GenerationMatrixConfig,

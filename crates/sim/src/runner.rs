@@ -7,8 +7,8 @@ use dram_model::fault::DisturbanceModel;
 use memctrl::{
     DefenseFactory, McBuilder, McConfig, MemoryController, RunStats, StatsAudit, TelemetryTap,
 };
+use mitigations::RowHammerDefense;
 use rh_analysis::EnergyModel;
-use serde::{Deserialize, Serialize};
 use telemetry::{Cadence, MetricsSink, NoopSink, Recorder, SharedSink, Snapshot};
 
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
@@ -16,7 +16,7 @@ use crate::scenarios::{DefenseSpec, WorkloadSpec};
 /// Telemetry wiring for a campaign: how often instrumented defenses and the
 /// controller tap sample, how much history each per-bank ring keeps, and
 /// whether to use a recording sink at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySpec {
     /// Sample every this many ACTs (must be ≥ 1).
     pub every_acts: u64,
@@ -48,7 +48,7 @@ impl Default for TelemetrySpec {
 }
 
 /// Configuration of one simulation campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Memory-controller/system configuration used for *normal* workloads.
     pub system: McConfig,
@@ -125,7 +125,7 @@ impl SimConfig {
 
 /// Result of one (defense, workload) pair, relative to the defense-free
 /// baseline of the same trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Defense name.
     pub defense: String,
@@ -178,6 +178,61 @@ fn execute(
     stats
 }
 
+/// The sink an instrumented component reports to: the cell's shared
+/// recorder, or a discarding [`NoopSink`] when nothing is recorded.
+pub(crate) fn sink_for(shared: &Option<SharedSink>) -> Box<dyn MetricsSink + Send> {
+    match shared {
+        Some(s) => Box::new(s.clone()),
+        None => Box::new(NoopSink),
+    }
+}
+
+/// A [`DefenseFactory`] that wraps every defense `inner` builds in
+/// [`mitigations::instrumented`], one wrapper per bank. All-bank pools are
+/// wrapped too, so ABACuS keeps its one shared table per controller under
+/// telemetry; with a noop sink the wrapper is the identity, so the built
+/// system is the uninstrumented one.
+pub(crate) struct InstrumentedFactory<'a> {
+    pub(crate) inner: &'a dyn DefenseFactory,
+    pub(crate) shared: &'a Option<SharedSink>,
+    pub(crate) cadence: Cadence,
+}
+
+impl InstrumentedFactory<'_> {
+    fn wrap(
+        &self,
+        bank: usize,
+        rows_per_bank: u32,
+        defense: Box<dyn RowHammerDefense + Send>,
+    ) -> Box<dyn RowHammerDefense + Send> {
+        let sink = sink_for(self.shared);
+        mitigations::instrumented(defense, sink, bank as u16, rows_per_bank, self.cadence)
+    }
+}
+
+impl DefenseFactory for InstrumentedFactory<'_> {
+    fn build_defense(
+        &self,
+        bank: usize,
+        rows_per_bank: u32,
+        audited: bool,
+    ) -> Box<dyn RowHammerDefense + Send> {
+        self.wrap(bank, rows_per_bank, self.inner.build_defense(bank, rows_per_bank, audited))
+    }
+
+    fn build_all_bank(
+        &self,
+        first_bank: usize,
+        banks: u32,
+        rows_per_bank: u32,
+        audited: bool,
+    ) -> Option<Vec<Box<dyn RowHammerDefense + Send>>> {
+        let pool = self.inner.build_all_bank(first_bank, banks, rows_per_bank, audited)?;
+        let wrapped = pool.into_iter().enumerate();
+        Some(wrapped.map(|(i, d)| self.wrap(first_bank + i, rows_per_bank, d)).collect())
+    }
+}
+
 /// [`execute`] with the telemetry wiring of `spec`: every defense goes
 /// through [`mitigations::instrumented`] and the controller gets a
 /// [`TelemetryTap`], all feeding one shared recorder per cell. With
@@ -199,26 +254,9 @@ fn execute_cell(
     let shared = (!spec.noop)
         .then(|| SharedSink::with_recorder(Recorder::with_ring_capacity(spec.ring_capacity)));
     let cadence = Cadence::EveryActs(spec.every_acts);
-    let sink_for = |shared: &Option<SharedSink>| -> Box<dyn MetricsSink + Send> {
-        match shared {
-            Some(s) => Box::new(s.clone()),
-            None => Box::new(NoopSink),
-        }
-    };
-    // Honor the all-bank factory path under instrumentation too: pre-build
-    // the shared pool (ABACuS) and drain it in bank order, falling back to
-    // the per-bank factory for everything else. Each facade still gets its
-    // own instrumentation wrapper, so per-bank series stay per-bank.
-    let mut all_bank_pool =
-        defense.build_all_bank(0, cfg.geometry.total_banks(), rows, audit).map(Vec::into_iter);
     let mut mc = McBuilder::new(cfg.clone())
-        .defenses_with(|bank| {
-            let inner = match all_bank_pool.as_mut() {
-                Some(pool) => pool.next().expect("all-bank defense pool exhausted"),
-                None => defense.build_defense(bank, rows, audit),
-            };
-            mitigations::instrumented(inner, sink_for(&shared), bank as u16, rows, cadence)
-        })
+        .defenses(&InstrumentedFactory { inner: defense, shared: &shared, cadence })
+        .audit(audit)
         .telemetry(TelemetryTap::new(sink_for(&shared), cadence))
         .build();
     let mut w = workload.build(cfg.geometry.total_banks() as u16, rows, seed);

@@ -11,7 +11,6 @@ use mitigations::{
     HardenedGraphene, IdealCounters, Mrloc, MrlocConfig, NoDefense, Para, Prohit, ProhitConfig,
     RfmIssuer, RowHammerDefense, ShadowCert, Twice, TwiceConfig,
 };
-use serde::{Deserialize, Serialize};
 use workloads::{
     Interleaved, MrlocAttack, ProhitAttack, ProxyWorkload, SameRowAllBanks, SpecPreset,
     StripedNSided, Synthetic, Workload,
@@ -53,7 +52,7 @@ impl fmt::Display for SpecParseError {
 impl std::error::Error for SpecParseError {}
 
 /// A named, buildable defense configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum DefenseSpec {
     /// No protection (the baseline).
@@ -542,7 +541,7 @@ impl DefenseFactory for DefenseSpec {
 /// generations that define Refresh Management (DDR5, LPDDR5), re-spells
 /// the defense's NRRs as RFM commands through [`RfmIssuer`] — inside the
 /// audit shell, so the certificate covers the RFM spelling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenSpec {
     /// The DRAM generation the defense is built for.
     pub generation: Generation,
@@ -643,7 +642,7 @@ impl DefenseFactory for GenSpec {
 }
 
 /// A named, buildable workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum WorkloadSpec {
     /// S1 with `n` aggressor rows.

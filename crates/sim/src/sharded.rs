@@ -23,14 +23,14 @@
 //! legacy single-shard path and across 1/2/4/8-thread runs.
 
 use memctrl::{
-    DefenseFactory, MappingPolicy, McBuilder, MemoryController, StampedAccess, SystemController,
-    SystemStats, TelemetryTap,
+    MappingPolicy, McBuilder, MemoryController, StampedAccess, SystemController, SystemStats,
+    TelemetryTap,
 };
-use telemetry::{Cadence, MetricsSink, NoopSink, Recorder, SharedSink, Snapshot};
+use telemetry::{Cadence, Recorder, SharedSink, Snapshot};
 use workloads::Workload;
 
 use crate::pool;
-use crate::runner::{audit_run, SimConfig};
+use crate::runner::{audit_run, sink_for, InstrumentedFactory, SimConfig};
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
 use crate::spsc;
 
@@ -96,13 +96,6 @@ pub struct SystemReport {
     pub snapshot: Option<Snapshot>,
 }
 
-fn sink_for(shared: &Option<SharedSink>) -> Box<dyn MetricsSink + Send> {
-    match shared {
-        Some(s) => Box::new(s.clone()),
-        None => Box::new(NoopSink),
-    }
-}
-
 /// Builds the sharded system for a campaign: defenses come from the one
 /// [`DefenseSpec`] factory (seeded by **global** bank index, so the system
 /// is bit-comparable to a whole-geometry controller), and telemetry — when
@@ -114,18 +107,14 @@ fn build_system<'a>(
     audit: bool,
     shared: &'a Option<SharedSink>,
 ) -> SystemController {
-    let cfg = sim.system.clone();
-    let rows = cfg.geometry.rows_per_bank;
-    let builder = McBuilder::new(cfg).mapping(policy);
+    let builder = McBuilder::new(sim.system.clone()).mapping(policy);
     match sim.telemetry.as_ref() {
         None => builder.defenses(defense).audit(audit).build_system(),
         Some(spec) => {
             let cadence = Cadence::EveryActs(spec.every_acts);
             builder
-                .defenses_with(move |bank| {
-                    let inner = defense.build_defense(bank, rows, audit);
-                    mitigations::instrumented(inner, sink_for(shared), bank as u16, rows, cadence)
-                })
+                .defenses(&InstrumentedFactory { inner: defense, shared, cadence })
+                .audit(audit)
                 .telemetry_per_shard(move |channel, offset| {
                     Some(TelemetryTap::keyed(sink_for(shared), cadence, offset, Some(channel)))
                 })
@@ -363,19 +352,41 @@ mod tests {
 
     #[test]
     fn recorded_telemetry_does_not_perturb_stats_and_yields_snapshot() {
-        let mut plain = small_system(10_000);
-        plain.audit = false;
-        let mut recorded = plain.clone();
-        recorded.telemetry = Some(TelemetrySpec::every_acts(500));
-        let defense = DefenseSpec::Para { p: 0.01 };
-        let workload = WorkloadSpec::StripedManySided { sides: 2, banks: 16 };
-        let a = run_system_sharded(&plain, MappingPolicy::ChannelXor, &defense, &workload, 2, 64);
-        let b =
-            run_system_sharded(&recorded, MappingPolicy::ChannelXor, &defense, &workload, 2, 64);
-        assert_eq!(a.stats, b.stats, "telemetry must be observation-only");
-        assert!(a.snapshot.is_none());
-        let snap = b.snapshot.expect("recording campaign must yield a snapshot");
-        assert!(!snap.series.is_empty());
+        let mut para = small_system(10_000);
+        para.audit = false;
+        // ABACuS shares one counter table across a channel's banks; the
+        // telemetry wrappers must go around that shared pool, not replace
+        // it with a private table per bank.
+        let mut abacus = small_system(40_000);
+        abacus.audit = false;
+        abacus.system.geometry.channels = 2;
+        let cases = [
+            (
+                para,
+                DefenseSpec::Para { p: 0.01 },
+                WorkloadSpec::StripedManySided { sides: 2, banks: 16 },
+            ),
+            (
+                abacus,
+                DefenseSpec::Abacus { t_rh: 2_000, k: 2 },
+                WorkloadSpec::SameRowAllBanks { banks: 8 },
+            ),
+        ];
+        for (plain, defense, workload) in cases {
+            let run = |telemetry| {
+                let sim = SimConfig { telemetry, ..plain.clone() };
+                run_system_sharded(&sim, MappingPolicy::ChannelXor, &defense, &workload, 2, 64)
+            };
+            let a = run(None);
+            let noop = run(Some(TelemetrySpec::noop()));
+            let b = run(Some(TelemetrySpec::every_acts(500)));
+            let name = defense.name();
+            assert_eq!(a.stats, noop.stats, "{name}: noop telemetry must be bit-identical");
+            assert_eq!(a.stats, b.stats, "{name}: telemetry must be observation-only");
+            assert!(a.snapshot.is_none() && noop.snapshot.is_none());
+            let snap = b.snapshot.expect("recording campaign must yield a snapshot");
+            assert!(!snap.series.is_empty());
+        }
     }
 
     #[test]

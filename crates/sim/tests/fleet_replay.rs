@@ -1,7 +1,7 @@
 //! Checkpoint/resume bit-identity of the streaming fleet runner.
 //!
 //! The contract under test: killing a fleet replay at an arbitrary point
-//! and resuming it from its last `fleetckpt.v1` checkpoint produces final
+//! and resuming it from its last `fleetckpt.v2` checkpoint produces final
 //! [`SystemStats`] **bit-identical** to an uninterrupted run of the same
 //! trace — at every worker count, segment size, and kill point. The trace
 //! is pre-synthesized (no runtime randomness to replay), every layer's
@@ -60,7 +60,7 @@ fn config(didx: usize) -> FleetConfig {
 fn trace() -> &'static PathBuf {
     static TRACE: OnceLock<PathBuf> = OnceLock::new();
     TRACE.get_or_init(|| {
-        let path = tmp("shared.rht3");
+        let path = tmp("shared.rht4");
         synth_fleet_trace(&path, "fleet-prop", &config(0).system.geometry, 64, TRACE_LEN, 11)
             .unwrap();
         path

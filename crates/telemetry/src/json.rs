@@ -1,9 +1,8 @@
 //! A minimal JSON value model, renderer, and parser.
 //!
-//! The workspace's `serde` is an offline no-op stub (see `vendor/README.md`),
-//! so every snapshot format in this crate is rendered and parsed by hand.
-//! The surface is deliberately small: the snapshot schema only needs
-//! objects, arrays, strings, booleans, `u64` counters, and `f64` samples.
+//! Every snapshot format in this crate is rendered and parsed by hand. The
+//! surface is deliberately small: the snapshot schema only needs objects,
+//! arrays, strings, booleans, `u64` counters, and `f64` samples.
 //!
 //! Numbers keep their integer-ness through a round trip: the parser tries
 //! `u64` first and falls back to `f64`, and the renderer prints `f64`s with

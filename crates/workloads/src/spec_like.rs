@@ -29,13 +29,12 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::stream::{Access, Workload};
 use crate::zipf::Zipf;
 
 /// Parameters of one proxy stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProxyParams {
     /// Report name (e.g. `"mcf-like"`).
     pub name: String,
@@ -50,7 +49,7 @@ pub struct ProxyParams {
 }
 
 /// Named presets mirroring the paper's workload list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum SpecPreset {
     /// SPEC mcf: pointer-chasing, huge footprint, low locality.

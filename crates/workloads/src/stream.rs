@@ -2,7 +2,6 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use serde::{Deserialize, Serialize};
 
 /// One memory access as the DRAM bank sees it: which bank, which row, and
 /// how long after the previous access it arrives.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `gap = 0` models a saturating stream (an attacker activating as fast as
 /// tRC allows — the controller enforces the actual timing); larger gaps model
 /// the think time of realistic workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Access {
     /// Flattened bank index in the simulated system.
     pub bank: u16,

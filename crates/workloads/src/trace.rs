@@ -1,30 +1,20 @@
-//! Trace recording and replay.
+//! In-memory trace recording and replay.
 //!
 //! Every generator in this crate is deterministic, but experiments sometimes
-//! need the *same* access sequence replayed against many defenses, shipped
-//! to another process, or archived next to results. A [`Trace`] is a
-//! materialized access list with a compact binary encoding
-//! (16 bytes/access: bank `u16`, row `u32`, gap `u64`, stream `u16`,
-//! little-endian).
+//! need the *same* access sequence replayed against many defenses. A
+//! [`Trace`] is a materialized access list and [`TraceReplay`] loops over
+//! it. The on-disk format is RHT4 ([`crate::trace3`]): traces that must
+//! outlive the process, or that do not fit in memory, go through
+//! [`TraceWriter`](crate::TraceWriter) and
+//! [`TraceReader`](crate::TraceReader).
 //!
-//! The v2 format has no geometry metadata, so a trace recorded for one
-//! bank/row layout replayed against a smaller system produces out-of-range
-//! banks. Decoders that know the target geometry should use
-//! [`Trace::from_bytes_for`] / [`Trace::read_from_file_for`], which reject
-//! such traces up front with a typed [`TraceError`] instead of letting a
-//! late `McError` (or silent per-bank aliasing) surface mid-run. The
-//! streaming v3 format ([`crate::trace3`]) stamps the geometry into the
-//! header so the check needs no out-of-band knowledge.
+//! [`TraceError`] is the typed malformation of an RHT4 file.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dram_model::geometry::{DramGeometry, RowId};
+use dram_model::geometry::DramGeometry;
 
 use crate::stream::{Access, Workload};
 
-/// Magic prefix of the binary encoding (`"RHT2"`).
-const MAGIC: [u8; 4] = *b"RHT2";
-
-/// A malformed, oversized, or geometry-incompatible trace encoding.
+/// A malformed or geometry-incompatible trace encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceError {
@@ -38,20 +28,13 @@ pub enum TraceError {
         /// The four bytes found where the magic should be.
         found: [u8; 4],
     },
-    /// The body length disagrees with the header's record count.
+    /// The chunks do not hold the record count the header promises.
     LengthMismatch {
-        /// Bytes remaining after the header.
-        body: usize,
         /// Records the header promised.
         records: u64,
     },
-    /// More accesses than the header's length field can carry.
-    TooLong {
-        /// Accesses in the trace.
-        len: usize,
-    },
     /// The trace was recorded on a different geometry than the replay
-    /// target (v3 traces carry their geometry in the header).
+    /// target (the geometry is stamped into the header).
     GeometryMismatch {
         /// The geometry the replay runs on.
         expected: DramGeometry,
@@ -95,14 +78,9 @@ impl std::fmt::Display for TraceError {
                 write!(f, "trace shorter than header ({len} bytes)")
             }
             TraceError::BadMagic { found } => write!(f, "bad magic {found:?}"),
-            TraceError::LengthMismatch { body, records } => {
-                write!(f, "body length {body} does not match {records} accesses")
+            TraceError::LengthMismatch { records } => {
+                write!(f, "trace body does not hold the {records} records its header promises")
             }
-            TraceError::TooLong { len } => write!(
-                f,
-                "trace has {len} accesses but the header length field is a u32 (max {})",
-                u32::MAX
-            ),
             TraceError::GeometryMismatch { expected, found } => {
                 write!(f, "trace recorded for {found:?} cannot replay on {expected:?}")
             }
@@ -131,21 +109,7 @@ impl From<TraceError> for std::io::Error {
     }
 }
 
-/// Writes `bytes` to `path` atomically: the content goes to a temp sibling
-/// first and is renamed into place, so a crash mid-write can never leave a
-/// truncated file at `path` that still begins with valid magic — the
-/// destination either keeps its previous content or holds the complete new
-/// encoding.
-pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = tmp_sibling(path);
-    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// The temp sibling `write_atomic` stages into: same directory (so the
+/// The temp sibling an atomic writer stages into: same directory (so the
 /// rename cannot cross filesystems), name suffixed with `.tmp`.
 pub(crate) fn tmp_sibling(path: &std::path::Path) -> std::path::PathBuf {
     let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
@@ -187,107 +151,6 @@ impl Trace {
         self.accesses.is_empty()
     }
 
-    /// Serializes to the compact binary form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace holds more than `u32::MAX` accesses — the header
-    /// length field is a `u32`, and a trace that long used to be silently
-    /// truncated modulo 2³², corrupting the encoding. Use
-    /// [`try_to_bytes`](Self::try_to_bytes) to handle the case as an error.
-    pub fn to_bytes(&self) -> Bytes {
-        self.try_to_bytes().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`to_bytes`](Self::to_bytes), but surfaces an over-long trace
-    /// as an error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::TooLong`] if the access count does not fit the
-    /// header's `u32` length field.
-    pub fn try_to_bytes(&self) -> Result<Bytes, TraceError> {
-        let n = u32::try_from(self.accesses.len())
-            .map_err(|_| TraceError::TooLong { len: self.accesses.len() })?;
-        let mut buf = BytesMut::with_capacity(4 + 4 + self.accesses.len() * 16);
-        buf.put_slice(&MAGIC);
-        buf.put_u32_le(n);
-        for a in &self.accesses {
-            buf.put_u16_le(a.bank);
-            buf.put_u32_le(a.row.0);
-            buf.put_u64_le(a.gap);
-            buf.put_u16_le(a.stream);
-        }
-        Ok(buf.freeze())
-    }
-
-    /// Parses the binary form produced by [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed malformation (bad magic, truncated body, trailing
-    /// bytes).
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, TraceError> {
-        if data.remaining() < 8 {
-            return Err(TraceError::ShortHeader { len: data.remaining() });
-        }
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if magic != MAGIC {
-            return Err(TraceError::BadMagic { found: magic });
-        }
-        let n = data.get_u32_le() as usize;
-        if data.remaining() != n * 16 {
-            return Err(TraceError::LengthMismatch { body: data.remaining(), records: n as u64 });
-        }
-        let mut accesses = Vec::with_capacity(n);
-        for _ in 0..n {
-            let bank = data.get_u16_le();
-            let row = RowId(data.get_u32_le());
-            let gap = data.get_u64_le();
-            let stream = data.get_u16_le();
-            accesses.push(Access { bank, row, gap, stream });
-        }
-        Ok(Trace { accesses, name: "trace(decoded)".to_owned() })
-    }
-
-    /// [`from_bytes`](Self::from_bytes) plus a geometry bound check on
-    /// every decoded access — the v2 header carries no geometry metadata,
-    /// so this is the only way to catch a trace recorded for a larger
-    /// layout before it routes out of range mid-run.
-    ///
-    /// # Errors
-    ///
-    /// Returns the decode errors of [`from_bytes`](Self::from_bytes), or
-    /// [`TraceError::OutOfRange`] naming the first offending access.
-    pub fn from_bytes_for(data: Bytes, geometry: &DramGeometry) -> Result<Self, TraceError> {
-        let trace = Self::from_bytes(data)?;
-        trace.validate_for(geometry)?;
-        Ok(trace)
-    }
-
-    /// Checks every access addresses a bank and row inside `geometry`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::OutOfRange`] for the first access outside the
-    /// geometry.
-    pub fn validate_for(&self, geometry: &DramGeometry) -> Result<(), TraceError> {
-        let banks = geometry.total_banks();
-        let rows = geometry.rows_per_bank;
-        for (i, a) in self.accesses.iter().enumerate() {
-            if u32::from(a.bank) >= banks || a.row.0 >= rows {
-                return Err(TraceError::OutOfRange {
-                    index: i as u64,
-                    bank: a.bank,
-                    row: a.row.0,
-                    geometry: *geometry,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// An infinitely looping replayer over this trace.
     ///
     /// # Panics
@@ -296,45 +159,6 @@ impl Trace {
     pub fn replay(&self) -> TraceReplay {
         assert!(!self.accesses.is_empty(), "cannot replay an empty trace");
         TraceReplay { trace: self.clone(), position: 0 }
-    }
-
-    /// Writes the binary form to a file, atomically: the encoding is staged
-    /// in a temp sibling and renamed into place, so a crash mid-write
-    /// leaves either the previous file or the complete new one — never a
-    /// truncated body behind valid magic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the filesystem.
-    pub fn write_to_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), self.to_bytes().as_ref())
-    }
-
-    /// Reads a trace previously written with
-    /// [`write_to_file`](Self::write_to_file).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`std::io::Error`] for filesystem problems or a malformed
-    /// file (mapped to [`std::io::ErrorKind::InvalidData`]).
-    pub fn read_from_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let data = std::fs::read(path)?;
-        Self::from_bytes(Bytes::from(data)).map_err(Into::into)
-    }
-
-    /// [`read_from_file`](Self::read_from_file) with the geometry bound
-    /// check of [`from_bytes_for`](Self::from_bytes_for).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`std::io::Error`]; geometry violations map to
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn read_from_file_for(
-        path: impl AsRef<std::path::Path>,
-        geometry: &DramGeometry,
-    ) -> std::io::Result<Self> {
-        let data = std::fs::read(path)?;
-        Self::from_bytes_for(Bytes::from(data), geometry).map_err(Into::into)
     }
 }
 
@@ -361,6 +185,7 @@ impl Workload for TraceReplay {
 mod tests {
     use super::*;
     use crate::synthetic::Synthetic;
+    use dram_model::geometry::RowId;
 
     #[test]
     fn record_and_replay_match_source() {
@@ -388,169 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let mut source = Synthetic::s4(4_096, 7);
-        let trace = Trace::record(&mut source, 1_000);
-        let decoded = Trace::from_bytes(trace.to_bytes()).unwrap();
-        assert_eq!(decoded.accesses(), trace.accesses());
-    }
-
-    #[test]
-    fn encoded_size_is_deterministic() {
-        let trace = Trace::from_accesses(
-            "t",
-            vec![Access { bank: 3, row: RowId(9), gap: 11, stream: 0 }; 10],
-        );
-        assert_eq!(trace.to_bytes().len(), 8 + 10 * 16);
-    }
-
-    #[test]
-    fn header_length_field_round_trips() {
-        // The length field is the 4 bytes after the magic, little-endian.
-        // It used to be written with a silently-truncating `as u32`; pin
-        // that it encodes the exact access count and decodes back to it.
-        for n in [0usize, 1, 7, 1_000] {
-            let trace = Trace::from_accesses(
-                "t",
-                vec![Access { bank: 0, row: RowId(5), gap: 1, stream: 0 }; n],
-            );
-            let bytes = trace.try_to_bytes().unwrap();
-            let field = u32::from_le_bytes(bytes.as_ref()[4..8].try_into().unwrap());
-            assert_eq!(field as usize, trace.len());
-            assert_eq!(Trace::from_bytes(bytes).unwrap().len(), n);
-        }
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = Trace::from_bytes(Bytes::from_static(b"XXXX\x00\x00\x00\x00")).unwrap_err();
-        assert_eq!(err, TraceError::BadMagic { found: *b"XXXX" });
-        assert!(err.to_string().contains("bad magic"));
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let trace =
-            Trace::from_accesses("t", vec![Access { bank: 0, row: RowId(1), gap: 2, stream: 0 }]);
-        let mut bytes = trace.to_bytes().to_vec();
-        bytes.pop();
-        assert!(matches!(
-            Trace::from_bytes(Bytes::from(bytes)),
-            Err(TraceError::LengthMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_short_header() {
-        assert!(matches!(
-            Trace::from_bytes(Bytes::from_static(b"RHT")),
-            Err(TraceError::ShortHeader { len: 3 })
-        ));
-    }
-
-    #[test]
-    fn geometry_validation_catches_foreign_trace() {
-        // Recorded on a 64-bank/64K-row layout, replayed against 4 banks of
-        // 1K rows: the v2 header cannot tell, so the decode-time check must.
-        let trace = Trace::from_accesses(
-            "big",
-            vec![Access { bank: 37, row: RowId(50_000), gap: 1, stream: 0 }],
-        );
-        let small = DramGeometry {
-            channels: 1,
-            ranks_per_channel: 1,
-            banks_per_rank: 4,
-            rows_per_bank: 1_024,
-        };
-        let err = Trace::from_bytes_for(trace.to_bytes(), &small).unwrap_err();
-        assert!(
-            matches!(err, TraceError::OutOfRange { index: 0, bank: 37, row: 50_000, .. }),
-            "{err}"
-        );
-        // The same bytes replay fine on the layout they were recorded for.
-        let big = DramGeometry::micro2020();
-        assert!(Trace::from_bytes_for(trace.to_bytes(), &big).is_ok());
-    }
-
-    #[test]
-    fn geometry_validation_checks_rows_independently_of_banks() {
-        let g = DramGeometry::single_bank(100);
-        let ok =
-            Trace::from_accesses("t", vec![Access { bank: 0, row: RowId(99), gap: 0, stream: 0 }]);
-        assert!(ok.validate_for(&g).is_ok());
-        let bad_row =
-            Trace::from_accesses("t", vec![Access { bank: 0, row: RowId(100), gap: 0, stream: 0 }]);
-        assert!(bad_row.validate_for(&g).is_err());
-    }
-
-    #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_replay_panics() {
         let _ = Trace::default().replay();
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let mut source = Synthetic::s1(10, 4_096, 3);
-        let trace = Trace::record(&mut source, 200);
-        let path = std::env::temp_dir().join("graphene_repro_trace_roundtrip.rht");
-        trace.write_to_file(&path).unwrap();
-        let loaded = Trace::read_from_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.accesses(), trace.accesses());
-    }
-
-    #[test]
-    fn read_malformed_file_is_invalid_data() {
-        let path = std::env::temp_dir().join("graphene_repro_trace_malformed.rht");
-        std::fs::write(&path, b"not a trace").unwrap();
-        let err = Trace::read_from_file(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn torn_write_never_corrupts_destination() {
-        // Regression: `write_to_file` used to write the destination in
-        // place, so a crash mid-write left a truncated file that still
-        // began with valid magic. The atomic path stages into a temp
-        // sibling: an aborted writer (simulated here by a torn temp file
-        // that never got renamed) leaves the destination byte-identical.
-        let dir = std::env::temp_dir().join("graphene_repro_torn_write");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.rht");
-        let old = Trace::from_accesses(
-            "old",
-            vec![Access { bank: 1, row: RowId(7), gap: 3, stream: 0 }; 50],
-        );
-        old.write_to_file(&path).unwrap();
-
-        // A writer that died mid-write leaves only a torn temp sibling.
-        let new = Trace::from_accesses(
-            "new",
-            vec![Access { bank: 2, row: RowId(9), gap: 4, stream: 1 }; 50],
-        );
-        let torn = &new.to_bytes().as_ref()[..20].to_vec();
-        std::fs::write(tmp_sibling(&path), torn).unwrap();
-
-        let loaded = Trace::read_from_file(&path).unwrap();
-        assert_eq!(loaded.accesses(), old.accesses(), "destination must be the old trace");
-
-        // A subsequent complete write replaces both, leaving no temp debris.
-        new.write_to_file(&path).unwrap();
-        assert_eq!(Trace::read_from_file(&path).unwrap().accesses(), new.accesses());
-        assert!(!tmp_sibling(&path).exists(), "rename must consume the temp file");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn failed_write_cleans_up_temp_file() {
-        let dir = std::env::temp_dir().join("graphene_repro_failed_write_missing_dir");
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("trace.rht");
-        let trace =
-            Trace::from_accesses("t", vec![Access { bank: 0, row: RowId(1), gap: 2, stream: 0 }]);
-        assert!(trace.write_to_file(&path).is_err(), "missing parent dir must fail");
-        assert!(!path.exists());
     }
 }

@@ -1,10 +1,10 @@
 //! The RHT4 streaming trace format: geometry-stamped, delta-encoded,
 //! chunked, **CRC32C-framed**.
 //!
-//! The v2 [`crate::trace::Trace`] materializes every access in memory on
-//! both ends, which caps replays at whatever fits in RAM. Fleet-scale runs
-//! (billions of ACTs) need a disk format that is written incrementally and
-//! read back at bounded memory. RHT4 provides:
+//! An in-memory [`crate::trace::Trace`] materializes every access, which
+//! caps replays at whatever fits in RAM. Fleet-scale runs (billions of ACTs)
+//! need a disk format that is written incrementally and read back at bounded
+//! memory. RHT4 provides:
 //!
 //! * a **geometry-stamped header** — channels/ranks/banks/rows are recorded
 //!   at write time, so a trace replayed against a mismatched
@@ -13,7 +13,7 @@
 //! * **delta-encoded records** — bank/row/stream are zigzag-varint deltas
 //!   against the previous record (the inter-arrival `gap` is already a time
 //!   delta and is stored as a raw varint), shrinking well-behaved streams to
-//!   a few bytes per access versus v2's fixed 16;
+//!   a few bytes per access;
 //! * **self-contained chunks** — each chunk restarts the delta baseline and
 //!   carries its own record count and byte length, so a reader can skip
 //!   whole chunks without decoding them (the checkpoint/resume path in
@@ -21,8 +21,7 @@
 //! * **integrity framing** — the header and every chunk carry a CRC32C
 //!   ([`crate::crc`]); bit rot, torn writes behind a valid header, and
 //!   foreign overwrites surface as [`TraceError::Corrupt`] at read time and
-//!   are never silently replayed. The legacy unframed RHT3 encoding is
-//!   still readable (it simply gets no corruption detection);
+//!   are never silently replayed;
 //! * **atomic writes** — [`TraceWriter`] streams into a temp sibling and
 //!   renames into place on [`finish`](TraceWriter::finish), so a crash
 //!   mid-write never leaves a truncated file behind valid magic.
@@ -49,8 +48,9 @@
 //! a corrupted record count or length field is caught as corruption, not
 //! misparsed as structure. `total_records` (and therefore `header_crc`) is
 //! patched just before the final rename, so a reader never sees a count the
-//! body cannot back. RHT3 files lack both crc fields and use 8-byte chunk
-//! framing.
+//! body cannot back. A file with any other magic (including the retired
+//! RHT2 and RHT3 encodings) is refused at open with
+//! [`TraceError::BadMagic`].
 
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -65,9 +65,6 @@ use crate::vfs::{real_fs, Vfs, VfsFile};
 
 /// Magic prefix of the CRC-framed streaming encoding (`"RHT4"`).
 const MAGIC: [u8; 4] = *b"RHT4";
-
-/// Magic prefix of the legacy unframed encoding (`"RHT3"`), still readable.
-const MAGIC_V3: [u8; 4] = *b"RHT3";
 
 /// Records per chunk unless overridden — 64 KiB-ish payloads at typical
 /// delta widths, small enough that one decoded chunk is negligible next to
@@ -86,15 +83,6 @@ const COUNT_OFFSET: u64 = 4 + 3 + 4;
 /// Byte offset of the RHT4 `header_crc` field (right after
 /// `total_records`).
 const HEADER_CRC_OFFSET: u64 = COUNT_OFFSET + 8;
-
-/// Which on-disk framing a reader is decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Framing {
-    /// Legacy RHT3: no CRC fields, 8-byte chunk headers.
-    V3,
-    /// RHT4: header CRC + 12-byte chunk headers with a chunk CRC.
-    V4,
-}
 
 fn invalid(e: TraceError) -> std::io::Error {
     e.into()
@@ -408,13 +396,13 @@ impl Drop for TraceWriter {
     }
 }
 
-/// Chunked reader of an RHT4 (or legacy RHT3) trace, implementing
-/// [`Workload`] at O(chunk) memory.
+/// Chunked reader of an RHT4 trace, implementing [`Workload`] at O(chunk)
+/// memory.
 ///
 /// The reader holds exactly one decoded chunk; [`next_access`] refills from
 /// disk when the chunk drains and loops back to the first chunk at
-/// end-of-trace (mirroring [`crate::trace::TraceReplay`]). Each RHT4 chunk
-/// is CRC-verified before any of its records are decoded; a failed frame is
+/// end-of-trace (mirroring [`crate::trace::TraceReplay`]). Each chunk is
+/// CRC-verified before any of its records are decoded; a failed frame is
 /// [`TraceError::Corrupt`]. I/O or decode failures mid-stream panic through
 /// [`next_access`] — the `Workload` contract has no error channel — but
 /// fallible consumers (the fleet pipeline) use [`try_next`](Self::try_next)
@@ -424,7 +412,6 @@ impl Drop for TraceWriter {
 #[derive(Debug)]
 pub struct TraceReader {
     file: Box<dyn VfsFile>,
-    framing: Framing,
     geometry: DramGeometry,
     name: String,
     total: u64,
@@ -438,8 +425,8 @@ pub struct TraceReader {
 }
 
 impl TraceReader {
-    /// Opens a trace, validating magic, header structure, and (for RHT4)
-    /// the header CRC.
+    /// Opens a trace, validating magic, header structure, and the header
+    /// CRC.
     ///
     /// # Errors
     ///
@@ -463,17 +450,11 @@ impl TraceReader {
         if got < magic.len() {
             return Err(invalid(TraceError::ShortHeader { len: got }));
         }
-        let framing = match magic {
-            MAGIC => Framing::V4,
-            MAGIC_V3 => Framing::V3,
-            found => return Err(invalid(TraceError::BadMagic { found })),
-        };
-        // Geometry + total, plus the header crc field for v4.
-        let fixed_len = match framing {
-            Framing::V3 => 15,
-            Framing::V4 => 19,
-        };
-        let mut fixed = vec![0u8; fixed_len];
+        if magic != MAGIC {
+            return Err(invalid(TraceError::BadMagic { found: magic }));
+        }
+        // Geometry, total, and the header crc field.
+        let mut fixed = [0u8; 19];
         let got = read_up_to(&mut file, &mut fixed)?;
         if got < fixed.len() {
             return Err(invalid(TraceError::ShortHeader { len: 4 + got }));
@@ -496,21 +477,19 @@ impl TraceReader {
         file.read_exact(&mut name).map_err(|_| {
             invalid(TraceError::Malformed { detail: "header ends inside name".to_owned() })
         })?;
-        if framing == Framing::V4 {
-            let stored = u32::from_le_bytes(fixed[15..19].try_into().expect("4 bytes"));
-            let mut digest = Crc32c::new();
-            digest.update(&magic);
-            digest.update(&fixed[..15]);
-            digest.update(&name_len);
-            digest.update(&name);
-            let computed = digest.finish();
-            if computed != stored {
-                return Err(invalid(TraceError::Corrupt {
-                    what: "header".to_owned(),
-                    stored,
-                    computed,
-                }));
-            }
+        let stored = u32::from_le_bytes(fixed[15..19].try_into().expect("4 bytes"));
+        let mut digest = Crc32c::new();
+        digest.update(&magic);
+        digest.update(&fixed[..15]);
+        digest.update(&name_len);
+        digest.update(&name);
+        let computed = digest.finish();
+        if computed != stored {
+            return Err(invalid(TraceError::Corrupt {
+                what: "header".to_owned(),
+                stored,
+                computed,
+            }));
         }
         let name = String::from_utf8(name).map_err(|_| {
             invalid(TraceError::Malformed { detail: "trace name is not UTF-8".to_owned() })
@@ -518,7 +497,6 @@ impl TraceReader {
         let body_start = file.stream_position()?;
         Ok(TraceReader {
             file,
-            framing,
             geometry,
             name,
             total,
@@ -593,8 +571,8 @@ impl TraceReader {
     /// (loops folded in). Whole chunks are skipped by their byte length
     /// without decoding — and without CRC verification: a resumed run never
     /// re-executes those records, so their integrity cannot affect it —
-    /// and only the chunk containing the target is decoded (and, for RHT4,
-    /// verified). This is the checkpoint-resume entry point.
+    /// and only the chunk containing the target is decoded (and verified).
+    /// This is the checkpoint-resume entry point.
     ///
     /// # Errors
     ///
@@ -615,9 +593,9 @@ impl TraceReader {
         let mut remaining = if self.total == 0 { 0 } else { position % self.total };
         // Skip whole chunks by length; decode only the one holding the target.
         while remaining > 0 {
-            let frame = self.read_chunk_header()?.ok_or_else(|| {
-                invalid(TraceError::LengthMismatch { body: 0, records: self.total })
-            })?;
+            let frame = self
+                .read_chunk_header()?
+                .ok_or_else(|| invalid(TraceError::LengthMismatch { records: self.total }))?;
             if u64::from(frame.records) <= remaining {
                 self.file.seek(SeekFrom::Current(i64::from(frame.payload_len)))?;
                 self.file_position += u64::from(frame.records);
@@ -634,26 +612,19 @@ impl TraceReader {
 
     /// Reads the next chunk header; `None` at end-of-file.
     fn read_chunk_header(&mut self) -> std::io::Result<Option<ChunkFrame>> {
-        let frame_len = match self.framing {
-            Framing::V3 => 8,
-            Framing::V4 => 12,
-        };
         let mut header = [0u8; 12];
-        let got = read_up_to(&mut self.file, &mut header[..frame_len])?;
+        let got = read_up_to(&mut self.file, &mut header)?;
         if got == 0 {
             return Ok(None);
         }
-        if got < frame_len {
+        if got < header.len() {
             return Err(invalid(TraceError::Malformed {
                 detail: "truncated chunk header".to_owned(),
             }));
         }
         let records = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         let payload_len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        let stored_crc = match self.framing {
-            Framing::V3 => None,
-            Framing::V4 => Some(u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"))),
-        };
+        let stored_crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
         if records == 0 {
             return Err(invalid(TraceError::Malformed {
                 detail: "chunk with zero records".to_owned(),
@@ -673,28 +644,25 @@ impl TraceReader {
         Ok(Some(ChunkFrame { records, payload_len, stored_crc }))
     }
 
-    /// Decodes one chunk payload into `self.chunk`, verifying the CRC frame
-    /// first when the format carries one.
+    /// Decodes one chunk payload into `self.chunk`, verifying its CRC frame
+    /// first.
     fn decode_chunk(&mut self, frame: &ChunkFrame) -> std::io::Result<()> {
         let mut payload = vec![0u8; frame.payload_len as usize];
         self.file.read_exact(&mut payload).map_err(|_| {
             invalid(TraceError::Malformed { detail: "truncated chunk payload".to_owned() })
         })?;
-        if let Some(stored) = frame.stored_crc {
-            let mut digest = Crc32c::new();
-            digest.update(&frame.records.to_le_bytes());
-            digest.update(&frame.payload_len.to_le_bytes());
-            digest.update(&payload);
-            let computed = digest.finish();
-            if computed != stored {
-                // file_position still names the first record of this chunk.
-                let chunk_of = self.file_position;
-                return Err(invalid(TraceError::Corrupt {
-                    what: format!("chunk at record {chunk_of}"),
-                    stored,
-                    computed,
-                }));
-            }
+        let mut digest = Crc32c::new();
+        digest.update(&frame.records.to_le_bytes());
+        digest.update(&frame.payload_len.to_le_bytes());
+        digest.update(&payload);
+        let computed = digest.finish();
+        if computed != frame.stored_crc {
+            // file_position still names the first record of this chunk.
+            return Err(invalid(TraceError::Corrupt {
+                what: format!("chunk at record {}", self.file_position),
+                stored: frame.stored_crc,
+                computed,
+            }));
         }
         self.chunk.clear();
         self.chunk.reserve(frame.records as usize);
@@ -756,10 +724,7 @@ impl TraceReader {
                 Some(frame) => self.decode_chunk(&frame)?,
                 None => {
                     if self.file_position != self.total {
-                        return Err(invalid(TraceError::LengthMismatch {
-                            body: 0,
-                            records: self.total,
-                        }));
+                        return Err(invalid(TraceError::LengthMismatch { records: self.total }));
                     }
                     self.file.seek(SeekFrom::Start(self.body_start))?;
                     self.file_position = 0;
@@ -774,8 +739,7 @@ impl TraceReader {
 struct ChunkFrame {
     records: u32,
     payload_len: u32,
-    /// `None` for legacy RHT3 chunks, which carry no CRC.
-    stored_crc: Option<u32>,
+    stored_crc: u32,
 }
 
 /// `read` until the buffer is full or EOF; returns bytes read. (`read_exact`
@@ -808,7 +772,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("graphene_repro_rht3");
+        let dir = std::env::temp_dir().join("graphene_repro_rht4");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }
@@ -828,33 +792,6 @@ mod tests {
             w.push(a).unwrap();
         }
         w.finish().unwrap();
-    }
-
-    /// Writes the legacy RHT3 encoding by hand (no CRC fields, 8-byte chunk
-    /// framing) — the writer only emits RHT4 now, but the reader must keep
-    /// accepting archived v3 traces.
-    fn write_v3(path: &Path, g: DramGeometry, chunk: u32, accesses: &[Access]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_V3);
-        bytes.push(g.channels);
-        bytes.push(g.ranks_per_channel);
-        bytes.push(g.banks_per_rank);
-        bytes.extend_from_slice(&g.rows_per_bank.to_le_bytes());
-        bytes.extend_from_slice(&(accesses.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.push(b't');
-        for group in accesses.chunks(chunk as usize) {
-            let mut payload = Vec::new();
-            let mut prev = BASELINE;
-            for a in group {
-                encode_record(&mut payload, &prev, a);
-                prev = *a;
-            }
-            bytes.extend_from_slice(&(group.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        std::fs::write(path, bytes).unwrap();
     }
 
     fn read_all(path: &Path) -> Vec<Access> {
@@ -883,7 +820,7 @@ mod tests {
 
     #[test]
     fn round_trip_synthetic_workload() {
-        let path = tmp("round_trip.rht3");
+        let path = tmp("round_trip.rht4");
         let g = geom(16, 65_536);
         let mut source = Synthetic::s1(10, 65_536, 42);
         let reference = crate::trace::Trace::record(&mut source, 5_000);
@@ -894,29 +831,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v3_traces_stay_readable() {
-        let path = tmp("legacy_v3.rht3");
-        let g = geom(8, 4_096);
-        let mut source = Synthetic::s2(6, 4_096, 3);
-        let reference = crate::trace::Trace::record(&mut source, 700);
-        write_v3(&path, g, 64, reference.accesses());
-        let mut r = TraceReader::open(&path).unwrap();
-        assert_eq!(r.len(), 700);
-        assert_eq!(r.geometry(), &g);
-        let decoded: Vec<Access> = (0..700).map(|_| r.next_access()).collect();
-        assert_eq!(decoded, reference.accesses());
-        // skip_to works on v3 framing too.
-        let mut skipped = TraceReader::open(&path).unwrap();
-        skipped.skip_to(130).unwrap();
-        assert_eq!(skipped.next_access(), reference.accesses()[130]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn gap_overflow_values_round_trip() {
         // The gap field is a raw varint; the extremes (including u64::MAX,
         // which would overflow any narrower delta) must survive.
-        let path = tmp("gap_overflow.rht3");
+        let path = tmp("gap_overflow.rht4");
         let g = geom(2, 100);
         let accesses = vec![
             Access { bank: 0, row: RowId(0), gap: u64::MAX, stream: 0 },
@@ -930,7 +848,7 @@ mod tests {
 
     #[test]
     fn zero_length_trace_round_trips() {
-        let path = tmp("zero_len.rht3");
+        let path = tmp("zero_len.rht4");
         write_accesses(&path, geom(4, 1_000), 8, &[]);
         let r = TraceReader::open(&path).unwrap();
         assert_eq!(r.len(), 0);
@@ -942,7 +860,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty trace")]
     fn replaying_zero_length_trace_panics() {
-        let path = tmp("zero_len_replay.rht3");
+        let path = tmp("zero_len_replay.rht4");
         write_accesses(&path, geom(4, 1_000), 8, &[]);
         let mut r = TraceReader::open(&path).unwrap();
         let _ = r.next_access();
@@ -950,7 +868,7 @@ mod tests {
 
     #[test]
     fn geometry_mismatch_is_rejected_at_open() {
-        let path = tmp("geometry_mismatch.rht3");
+        let path = tmp("geometry_mismatch.rht4");
         let recorded = geom(16, 65_536);
         write_accesses(
             &path,
@@ -968,7 +886,7 @@ mod tests {
 
     #[test]
     fn writer_rejects_out_of_geometry_access() {
-        let path = tmp("writer_bounds.rht3");
+        let path = tmp("writer_bounds.rht4");
         let mut w = TraceWriter::create(&path, "t", geom(4, 100)).unwrap();
         let err = w.push(&Access { bank: 4, row: RowId(0), gap: 0, stream: 0 }).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -981,7 +899,7 @@ mod tests {
 
     #[test]
     fn reader_loops_like_trace_replay() {
-        let path = tmp("loops.rht3");
+        let path = tmp("loops.rht4");
         let accesses = vec![
             Access { bank: 0, row: RowId(1), gap: 5, stream: 0 },
             Access { bank: 1, row: RowId(2), gap: 6, stream: 0 },
@@ -996,7 +914,7 @@ mod tests {
 
     #[test]
     fn skip_to_matches_sequential_consumption() {
-        let path = tmp("skip_to.rht3");
+        let path = tmp("skip_to.rht4");
         let g = geom(16, 4_096);
         let mut source = Synthetic::s2(10, 4_096, 7);
         let reference = crate::trace::Trace::record(&mut source, 1_000);
@@ -1024,7 +942,7 @@ mod tests {
 
     #[test]
     fn truncated_body_is_detected() {
-        let path = tmp("truncated.rht3");
+        let path = tmp("truncated.rht4");
         let g = geom(4, 1_000);
         let accesses: Vec<Access> = (0..100)
             .map(|i| Access { bank: (i % 4) as u16, row: RowId(i * 7 % 1_000), gap: 3, stream: 0 })
@@ -1098,10 +1016,22 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_short_header() {
-        let path = tmp("bad_magic.rht3");
+        let path = tmp("bad_magic.rht4");
         std::fs::write(&path, b"RHT2\x01\x01\x01\x00\x04\x00\x00plus-enough-padding").unwrap();
         let err = TraceReader::open(&path).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
+        // A complete header of the retired unframed RHT3 encoding is refused
+        // by its tag, not parsed.
+        let mut rht3 = b"RHT3".to_vec();
+        rht3.extend_from_slice(&[1, 1, 4]);
+        rht3.extend_from_slice(&1_000u32.to_le_bytes());
+        rht3.extend_from_slice(&0u64.to_le_bytes());
+        rht3.extend_from_slice(&1u16.to_le_bytes());
+        rht3.push(b't');
+        std::fs::write(&path, &rht3).unwrap();
+        let err = TraceReader::open(&path).unwrap_err();
+        let typed = err.get_ref().and_then(|e| e.downcast_ref::<TraceError>());
+        assert_eq!(typed, Some(&TraceError::BadMagic { found: *b"RHT3" }), "{err}");
         std::fs::write(&path, b"RHT4").unwrap();
         let err = TraceReader::open(&path).unwrap_err();
         assert!(err.to_string().contains("shorter than header"), "{err}");
@@ -1113,9 +1043,9 @@ mod tests {
 
     #[test]
     fn delta_encoding_is_compact_for_local_streams() {
-        // A sequential walk (deltas of ±1 and small gaps) must beat the
-        // fixed 16-byte v2 record by a wide margin, CRC frames included.
-        let path = tmp("compact.rht3");
+        // A sequential walk (deltas of ±1 and small gaps) must beat a fixed
+        // 16-byte record by a wide margin, CRC frames included.
+        let path = tmp("compact.rht4");
         let g = geom(1, 65_536);
         let accesses: Vec<Access> = (0..10_000)
             .map(|i| Access { bank: 0, row: RowId(i), gap: 60_000, stream: 0 })
@@ -1124,7 +1054,7 @@ mod tests {
         let size = std::fs::metadata(&path).unwrap().len();
         assert!(
             size < 10_000 * 8,
-            "delta encoding should be ≤ half of v2's 16 B/record, got {size} bytes"
+            "delta encoding should be ≤ half of a fixed 16 B/record, got {size} bytes"
         );
         assert_eq!(read_all(&path), accesses);
         std::fs::remove_file(&path).ok();
@@ -1151,7 +1081,7 @@ mod tests {
                     stream: rng.gen_range(0..8),
                 })
                 .collect();
-            let path = tmp(&format!("prop_{seed}_{n}_{chunk}.rht3"));
+            let path = tmp(&format!("prop_{seed}_{n}_{chunk}.rht4"));
             write_accesses(&path, g, chunk, &accesses);
             let decoded = read_all(&path);
             std::fs::remove_file(&path).ok();
@@ -1176,7 +1106,7 @@ mod tests {
                     stream: 0,
                 })
                 .collect();
-            let path = tmp(&format!("prop_skip_{seed}_{n}_{chunk}_{frac}.rht3"));
+            let path = tmp(&format!("prop_skip_{seed}_{n}_{chunk}_{frac}.rht4"));
             write_accesses(&path, g, chunk, &accesses);
             let target = frac % (2 * n as u64 + 1);
             let mut sequential = TraceReader::open(&path).unwrap();

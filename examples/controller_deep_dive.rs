@@ -11,14 +11,14 @@
 //!    and watch bank-conflict behaviour diverge;
 //! 2. run the same trace under FCFS and the PAR-BS-like batched scheduler
 //!    and compare row-hit rates and completion time;
-//! 3. record a workload to a binary trace, replay it, and confirm the
-//!    defense outcome is bit-for-bit identical.
+//! 3. record a workload to an RHT4 trace file, stream it back, and confirm
+//!    the defense outcome is bit-for-bit identical.
 
 use graphene_repro::dram_model::DramGeometry;
 use graphene_repro::memctrl::{AddressMapper, MappingScheme, McBuilder, McConfig, SchedulerConfig};
 use graphene_repro::rh_analysis::TablePrinter;
 use graphene_repro::rh_sim::{run_pair, DefenseSpec, SimConfig, WorkloadSpec};
-use graphene_repro::workloads::{Trace, Workload};
+use graphene_repro::workloads::{TraceReader, TraceWriter, Workload};
 
 fn main() {
     // 1. Address mapping.
@@ -76,14 +76,18 @@ fn main() {
     let cfg = SimConfig::attack_bank(5_000, 100_000);
     let live = run_pair(&cfg, &DefenseSpec::Graphene { t_rh: 5_000, k: 2 }, &WorkloadSpec::S4);
     let mut source = WorkloadSpec::S4.build(1, 65_536, cfg.seed);
-    let trace = Trace::record(source.as_mut(), 100_000);
-    let bytes = trace.to_bytes();
-    let decoded = Trace::from_bytes(bytes.clone()).expect("roundtrip");
-    println!("  recorded 100K accesses -> {} bytes on the wire", bytes.len());
+    let geometry = cfg.attack.geometry;
+    let path = std::env::temp_dir().join("controller_deep_dive.rht4");
+    let mut writer = TraceWriter::create(&path, "s4", geometry).expect("create trace");
+    writer.record(source.as_mut(), 100_000).expect("record trace");
+    writer.finish().expect("write trace");
+    let bytes = std::fs::metadata(&path).expect("trace on disk").len();
+    println!("  recorded 100K accesses -> {bytes} bytes of RHT4 on disk");
     let graphene = DefenseSpec::Graphene { t_rh: 5_000, k: 2 };
     let mut mc = McBuilder::new(cfg.attack.clone()).defenses(&graphene).build();
-    let mut replay = decoded.replay();
+    let mut replay = TraceReader::open_for(&path, &geometry).expect("open trace");
     let replayed = mc.run(&mut replay, 100_000);
+    std::fs::remove_file(&path).ok();
     println!(
         "  live run:   {} victim refreshes, {} flips",
         live.stats.victim_rows_refreshed, live.stats.bit_flips
