@@ -29,7 +29,9 @@
 //!    parallel run's stats are asserted bit-identical to the sequential
 //!    run; `host_cores` records how much hardware parallelism was actually
 //!    available, so a single-core runner's numbers read honestly as
-//!    pipeline-overhead wins rather than concurrency wins.
+//!    pipeline-overhead wins rather than concurrency wins. The router runs
+//!    shard batches too whenever a ring is full, so
+//!    `acts_per_sec_per_worker` divides by `threads + 1`.
 //!
 //! Usage: `cargo run --release -p rh-bench --bin perf-snapshot [--fast]
 //! [--out PATH] [--threads N] [--ci-gate]`. `--fast`/`RH_FAST` shrinks the
@@ -91,7 +93,7 @@ fn stream_row(state: &mut u64, step: u64, n_entry: usize) -> RowId {
     *state ^= *state << 25;
     *state ^= *state >> 27;
     let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    if r % 8 == 0 {
+    if r.is_multiple_of(8) {
         RowId((r >> 32) as u32 % (n_entry as u32 / 2).max(1))
     } else {
         RowId(1_000_000 + step as u32)
@@ -331,7 +333,7 @@ fn measure_scaling(accesses: u64, thread_counts: &[usize]) -> ScalingCurve {
                 threads,
                 wall_ms,
                 acts_per_sec,
-                acts_per_sec_per_worker: acts_per_sec / threads as f64,
+                acts_per_sec_per_worker: acts_per_sec / (threads + 1) as f64,
                 speedup_vs_sequential: sequential_ms / wall_ms,
             }
         })

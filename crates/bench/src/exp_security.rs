@@ -198,6 +198,9 @@ fn mrloc_analysis(fast: bool) {
     );
 }
 
+/// Builds a fresh defense for one ground-truth case.
+type DefenseMaker = Box<dyn FnMut() -> Box<dyn RowHammerDefense>>;
+
 fn ground_truth(fast: bool) {
     crate::banner("Ground truth — attack patterns vs the fault oracle (reduced T_RH = 1,000)");
     let t_rh = 1_000u64;
@@ -228,7 +231,7 @@ fn ground_truth(fast: bool) {
     };
 
     let mut table = TablePrinter::new(vec!["defense", "bit flips", "victim refreshes"]);
-    let cases: Vec<(&str, Box<dyn FnMut() -> Box<dyn RowHammerDefense>>)> = vec![
+    let cases: Vec<(&str, DefenseMaker)> = vec![
         (
             "PRoHIT (q=0.003)",
             Box::new(|| {

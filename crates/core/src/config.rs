@@ -499,7 +499,7 @@ mod tests {
         let p = config_with_k(1).derive().unwrap();
         let w = p.acts_per_window;
         let t = p.tracking_threshold;
-        if w % t == 0 {
+        if w.is_multiple_of(t) {
             assert_eq!(p.n_entry as u64, w / t);
         } else {
             assert_eq!(p.n_entry as u64, w / t);

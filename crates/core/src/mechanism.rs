@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn telemetry_emits_trajectory_series() {
-        use telemetry::{MetricsSink as _, Recorder};
+        use telemetry::Recorder;
         let mut g = engine();
         let t = g.params().tracking_threshold;
         for i in 0..t {
@@ -429,8 +429,9 @@ mod tests {
         // state on the same continuation.
         let mut live = engine();
         let w = live.params().reset_window;
-        let stream =
-            |i: u64| (RowId(if i % 4 == 0 { 3 } else { 100 + (i % 13) as u32 }), i * (w / 20_000));
+        let stream = |i: u64| {
+            (RowId(if i.is_multiple_of(4) { 3 } else { 100 + (i % 13) as u32 }), i * (w / 20_000))
+        };
         for i in 0..30_000u64 {
             let (row, at) = stream(i);
             live.on_activation(row, at);

@@ -223,7 +223,7 @@ mod tests {
             cms.observe(i + 10);
         }
         let e = cms.estimate(&1);
-        assert!(e >= 10_000 && e <= 10_100, "estimate {e}");
+        assert!((10_000..=10_100).contains(&e), "estimate {e}");
     }
 
     #[test]

@@ -276,7 +276,8 @@ mod tests {
             x ^= x << 25;
             x ^= x >> 27;
             let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            let key = if r % 3 == 0 { (r >> 32) as u32 % 5 } else { (r >> 32) as u32 % 4096 };
+            let key =
+                if r.is_multiple_of(3) { (r >> 32) as u32 % 5 } else { (r >> 32) as u32 % 4096 };
             mg.observe(key);
             observe_by_scan(&mut scan, cap, key);
             if i % 1024 == 0 {

@@ -237,7 +237,8 @@ mod tests {
             x ^= x << 25;
             x ^= x >> 27;
             let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            let key = if r % 4 == 0 { (r >> 32) as u32 % 6 } else { (r >> 32) as u32 % 2048 };
+            let key =
+                if r.is_multiple_of(4) { (r >> 32) as u32 % 6 } else { (r >> 32) as u32 % 2048 };
             ss.observe(key);
             observe_by_scan(&mut scan, cap, key);
             if i % 1024 == 0 {

@@ -1416,7 +1416,7 @@ mod tests {
     fn checkpoint_refuses_a_run_with_a_fault_oracle() {
         let model = DisturbanceModel { t_rh: 5_000, mu: MuModel::Adjacent };
         let mc = no_defense_mc(McConfig::single_bank(65_536, Some(model)));
-        let err = mc.snapshot().err().expect("oracle runs must refuse checkpointing");
+        let err = mc.snapshot().expect_err("oracle runs must refuse checkpointing");
         assert!(matches!(err, crate::ckpt::CkptError::Unsupported { .. }), "{err:?}");
         assert!(err.to_string().contains("fault oracle"), "{err}");
     }

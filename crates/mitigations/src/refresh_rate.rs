@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn rotation_covers_every_row() {
         let mut d = RefreshRateScaling::new(2, 64, 8);
-        let mut seen = vec![false; 64];
+        let mut seen = [false; 64];
         for i in 0..8u64 {
             for a in d.on_refresh_tick(i) {
                 for r in a.rows(64) {

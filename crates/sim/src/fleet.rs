@@ -4,11 +4,11 @@
 //!
 //! The matrix runners materialize workloads in memory; a fleet-scale trace
 //! (hundreds of millions of ACTs from thousands of tenants) cannot be. This
-//! module drives the [`sharded`](crate::sharded) pipeline straight from a
+//! module drives the [`sharded`] pipeline straight from a
 //! [`TraceReader`] — the reader refills one chunk at a time, the router
-//! streams stamped batches into bounded per-channel SPSC queues, and the
-//! shards drain them concurrently — so resident memory stays O(chunk +
-//! queue depth) regardless of trace length.
+//! streams stamped batches into bounded per-channel SPSC rings, and worker
+//! threads (and the router, whenever a ring is full) run them — so
+//! resident memory stays O(chunk + queue depth) regardless of trace length.
 //!
 //! Execution is **segmented**: [`run_fleet`] streams `segment` accesses,
 //! quiesces the pipeline, writes a `fleetckpt.v2` checkpoint (the JSONL
@@ -57,8 +57,7 @@ use std::sync::Arc;
 
 use dram_model::geometry::DramGeometry;
 use memctrl::{
-    CkptError, MappingPolicy, McBuilder, McConfig, McError, StampedAccess, SystemController,
-    SystemStats,
+    CkptError, MappingPolicy, McBuilder, McConfig, McError, SystemController, SystemStats,
 };
 use telemetry::json::{self, obj, u64_field, JsonValue};
 use telemetry::{MetricsSink, SharedSink};
@@ -69,10 +68,8 @@ use workloads::{
     TraceWriter, Workload,
 };
 
-use crate::pool;
 use crate::scenarios::DefenseSpec;
-use crate::sharded::{pump, QUEUE_DEPTH};
-use crate::spsc;
+use crate::sharded;
 
 /// Schema tag of the checkpoint header line.
 pub const FLEET_CKPT_SCHEMA: &str = "fleetckpt.v2";
@@ -582,16 +579,16 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
     })
 }
 
-/// Streams exactly `n` accesses from `reader` through the split pipeline:
-/// the router rides the calling thread, shards drain their queues on
-/// `threads` pool workers. Identical mechanics to
-/// [`run_system_sharded`](crate::run_system_sharded), minus the workload
-/// factory: the reader IS the stream.
+/// Streams exactly `n` accesses from `reader` through the lanes of the
+/// sharded pipeline: the router rides the calling thread and runs batches
+/// whenever a ring is full, and `threads` workers run the rest. The same
+/// streaming core as [`run_system_sharded`](crate::run_system_sharded),
+/// minus the workload factory: the reader IS the stream.
 ///
 /// On a mid-segment failure (trace corruption, routing rejection) the
-/// producers are dropped, the pumps drain what was already queued and exit,
-/// and the typed error propagates — the system is left partially advanced
-/// and must be rolled back by the caller before retrying.
+/// rings close, the batches already queued run, and the typed error
+/// propagates — the system is left partially advanced and must be rolled
+/// back by the caller before retrying.
 fn stream_segment(
     system: &mut SystemController,
     reader: &mut TraceReader,
@@ -599,47 +596,13 @@ fn stream_segment(
     threads: usize,
     batch: usize,
 ) -> Result<(), FleetError> {
-    let channels = system.geometry().channels as usize;
-    let mut queues: Vec<spsc::SpscQueue<Vec<StampedAccess>>> =
-        (0..channels).map(|_| spsc::SpscQueue::new(QUEUE_DEPTH)).collect();
-    let (mut router, shards) = system.split_streaming();
-    let mut producers = Vec::with_capacity(channels);
-    let mut consumers = Vec::with_capacity(channels);
-    for q in &mut queues {
-        let (tx, rx) = q.split();
-        producers.push(tx);
-        consumers.push(rx);
-    }
-    let jobs: Vec<pool::Job<'_>> = shards
-        .iter_mut()
-        .zip(consumers)
-        .map(|(shard, rx)| pool::job(move |sp| pump(shard, rx, sp)))
-        .collect();
-    pool::run_scoped_with_driver(threads, jobs, move || -> Result<(), FleetError> {
-        let mut pending: Vec<Vec<StampedAccess>> =
-            (0..channels).map(|_| Vec::with_capacity(batch)).collect();
-        for _ in 0..n {
-            let access = reader.try_next().map_err(|source| FleetError::TraceStream {
-                position: reader.position(),
-                source,
-            })?;
-            let (c, stamped) = router
-                .route_one(&access)
-                .map_err(|source| FleetError::Route { position: reader.position(), source })?;
-            pending[c].push(stamped);
-            if pending[c].len() == batch {
-                let full = std::mem::replace(&mut pending[c], Vec::with_capacity(batch));
-                producers[c].push_blocking(full);
-            }
-        }
-        for (c, buf) in pending.into_iter().enumerate() {
-            if !buf.is_empty() {
-                producers[c].push_blocking(buf);
-            }
-        }
-        // Dropping the producers closes the queues; pumps drain and exit —
-        // on the error paths above too.
-        Ok(())
+    sharded::stream(system, n, threads, batch, |router| {
+        let access = reader
+            .try_next()
+            .map_err(|source| FleetError::TraceStream { position: reader.position(), source })?;
+        router
+            .route_one(&access)
+            .map_err(|source| FleetError::Route { position: reader.position(), source })
     })
 }
 
@@ -655,7 +618,8 @@ pub struct FleetConfig {
     pub defense: DefenseSpec,
     /// Wrap every defense in the invariant-auditing shim.
     pub audit: bool,
-    /// Worker threads draining the channel queues.
+    /// Worker threads running the channel shards' batches. The router is
+    /// one more thread, and it runs batches too whenever a ring is full.
     pub threads: usize,
     /// Stamped accesses per SPSC batch.
     pub batch: usize,
@@ -1324,6 +1288,70 @@ mod tests {
         path
     }
 
+    /// A defense whose 50th activation panics, as a failed audit
+    /// certificate would.
+    struct PanicsOnAct50(u32);
+
+    impl mitigations::RowHammerDefense for PanicsOnAct50 {
+        fn name(&self) -> String {
+            "PanicsOnAct50".to_owned()
+        }
+
+        fn on_activation(
+            &mut self,
+            _row: dram_model::RowId,
+            _now: dram_model::Picoseconds,
+        ) -> Vec<mitigations::RefreshAction> {
+            self.0 += 1;
+            assert!(self.0 < 50, "defense panics on its 50th ACT");
+            Vec::new()
+        }
+
+        fn table_bits(&self) -> mitigations::TableBits {
+            mitigations::TableBits::default()
+        }
+
+        fn reset(&mut self) {
+            self.0 = 0;
+        }
+    }
+
+    #[test]
+    fn a_panicking_batch_stops_the_pipeline_and_re_raises_its_panic() {
+        // Regression: the panicking batch ended its consumer, the router
+        // spun forever on the channel's full ring, and the run never
+        // returned. Each run goes on a helper thread so a hang fails the
+        // test instead of the whole suite.
+        let cfg = small_cfg();
+        let trace = small_trace(&cfg, 200_000);
+        for workers in [1, 2] {
+            let (done, result) = std::sync::mpsc::channel();
+            let (cfg, trace) = (cfg.clone(), trace.clone());
+            std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(|| {
+                    let mut system = McBuilder::new(cfg.system.clone())
+                        .mapping(cfg.policy)
+                        .defenses_with(|_| Box::new(PanicsOnAct50(0)))
+                        .build_system();
+                    let mut reader =
+                        TraceReader::open_for_on(real_fs(), &trace, &cfg.system.geometry).unwrap();
+                    stream_segment(&mut system, &mut reader, 200_000, workers, 32)
+                });
+                let payload = run.expect_err("the defense's panic must reach the caller");
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned());
+                done.send(message).unwrap();
+            });
+            let message = result
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{workers} worker(s): the pipeline hung or panicked"));
+            assert_eq!(message.as_deref(), Some("defense panics on its 50th ACT"), "{workers}");
+        }
+        fs::remove_file(&trace).ok();
+    }
+
     #[test]
     fn synthesized_fleet_mixes_tenants_and_replays_fully() {
         let cfg = small_cfg();
@@ -1525,7 +1553,7 @@ mod tests {
         // Rotation left at most `keep` generation slots.
         let store = CheckpointStore::new(real_fs(), fleet.checkpoint.clone().unwrap(), 2);
         let existing = store.slots().iter().filter(|s| s.exists()).count();
-        assert!(existing >= 1 && existing <= 2, "found {existing} slots");
+        assert!((1..=2).contains(&existing), "found {existing} slots");
         for s in store.slots() {
             fs::remove_file(&s).ok();
         }

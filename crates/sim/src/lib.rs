@@ -14,9 +14,10 @@
 //! * [`pool`] — the std-only work-stealing thread pool the matrix sweep
 //!   fans its (workload × defense) grid out on.
 //! * [`sharded`] — the full-system path: accesses streamed through a
-//!   [`memctrl::MappingPolicy`] router into per-channel shards that drain
-//!   bounded [`spsc`] queues concurrently on the same pool, bit-identical
-//!   to sequential execution at every worker count.
+//!   [`memctrl::MappingPolicy`] router into bounded per-channel [`spsc`]
+//!   rings, whose batches worker threads and the router itself run one
+//!   lane at a time, bit-identical to sequential execution at every worker
+//!   count.
 //! * [`spsc`] — the std-only bounded single-producer/single-consumer ring
 //!   the streaming pipeline is built on.
 //! * [`faulted`] — the resilience matrix: seeded fault plans crossed with

@@ -239,60 +239,6 @@ pub fn run_scoped_watched<'env>(
     report
 }
 
-/// Runs `initial` jobs on `threads` workers while `driver` executes on the
-/// **calling thread** inside the same scope, returning the driver's result
-/// once both the driver and every job (including spawned ones) have
-/// finished.
-///
-/// This is the harness for producer/consumer pipelines: the caller's
-/// closure feeds bounded queues that the jobs drain (the streaming sharded
-/// runner routes accesses here while shard jobs execute them). Jobs that
-/// find their queue empty should re-enqueue themselves via
-/// [`Spawner::spawn`] and return, so a worker is never parked on a queue
-/// that a co-scheduled job must fill — that cooperative yield is what keeps
-/// the pipeline live even when `threads` is smaller than the number of
-/// consumer jobs.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`; re-raises a driver panic after the jobs drain
-/// (a driver that owns the producer halves closes its queues by unwinding,
-/// so consumers still terminate), or the first job panic otherwise.
-pub fn run_scoped_with_driver<'env, R>(
-    threads: usize,
-    initial: Vec<Job<'env>>,
-    driver: impl FnOnce() -> R,
-) -> R {
-    assert!(threads > 0, "pool needs at least one worker");
-    let mut shared = Shared {
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        pending: AtomicUsize::new(initial.len()),
-        completed: AtomicUsize::new(0),
-        observer: None,
-        idle: Mutex::new(()),
-        wakeup: Condvar::new(),
-        panic: Mutex::new(None),
-        watch: None,
-    };
-    for (i, job) in initial.into_iter().enumerate() {
-        shared.deques[i % threads].get_mut().expect("fresh mutex").push_back(job);
-    }
-    let result = std::thread::scope(|scope| {
-        let shared = &shared;
-        for worker in 0..threads {
-            scope.spawn(move || worker_loop(shared, worker));
-        }
-        // The driver runs on this thread; the scope joins the workers after
-        // it returns (or unwinds — dropping its producer handles closes the
-        // queues, so the workers drain and exit either way).
-        driver()
-    });
-    if let Some(payload) = shared.panic.get_mut().expect("fresh mutex").take() {
-        resume_unwind(payload);
-    }
-    result
-}
-
 /// The monitor: wakes every [`WatchdogConfig::poll`], flags any job running
 /// past the timeout (once per job — the flag resets when the job ends), and
 /// exits when the queue has drained.
@@ -547,52 +493,6 @@ mod tests {
         let report = run_scoped_watched(1, jobs, None, None);
         assert_eq!(report.jobs_completed, 1);
         assert_eq!(report.watchdog_trips, 0);
-    }
-
-    #[test]
-    fn driver_runs_alongside_jobs_and_returns_its_result() {
-        // The driver produces on the calling thread while a pool job
-        // consumes; both sides must make progress concurrently and the
-        // driver's return value must come back out.
-        let consumed = AtomicU64::new(0);
-        let consumed_ref = &consumed;
-        let flag = std::sync::atomic::AtomicBool::new(false);
-        let flag_ref = &flag;
-        let jobs: Vec<Job<'_>> = vec![job(move |_| {
-            while !flag_ref.load(Ordering::Acquire) {
-                // Yield, not spin: on a single-core box the driver thread
-                // needs the CPU to perform the store this job is awaiting.
-                std::thread::yield_now();
-            }
-            consumed_ref.fetch_add(1, Ordering::SeqCst);
-        })];
-        let answer = run_scoped_with_driver(2, jobs, move || {
-            // The job is blocked on this store: if the driver did not run
-            // concurrently with the pool, this would deadlock.
-            flag_ref.store(true, Ordering::Release);
-            42u64
-        });
-        assert_eq!(answer, 42);
-        assert_eq!(consumed.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn driver_panic_propagates_after_jobs_finish() {
-        let hits = AtomicU64::new(0);
-        let hits_ref = &hits;
-        let jobs: Vec<Job<'_>> = (0..4)
-            .map(|_| {
-                job(move |_| {
-                    hits_ref.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        let payload = catch_unwind(AssertUnwindSafe(|| {
-            run_scoped_with_driver(2, jobs, || -> u64 { panic!("driver boom") })
-        }))
-        .expect_err("driver panic must propagate");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"driver boom"));
-        assert_eq!(hits.load(Ordering::SeqCst), 4, "pool jobs still complete");
     }
 
     #[test]

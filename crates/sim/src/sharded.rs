@@ -5,76 +5,222 @@
 //! geometry. This module drives the channel-sharded [`SystemController`] as
 //! a **pipeline**: the routing front end runs on the calling thread,
 //! decoding accesses through the configured [`MappingPolicy`] and streaming
-//! `batch`-sized chunks of stamped accesses into one bounded SPSC queue per
-//! channel ([`crate::spsc`]); the shards — which share no state — drain
-//! their queues as long-lived cooperative jobs on the crate's work-stealing
-//! [`pool`]. Routing and execution overlap, nothing is materialized
-//! up front, and a shard job that finds its queue empty re-enqueues itself
-//! so fewer workers than channels can never deadlock the pipeline.
+//! `batch`-sized chunks of stamped accesses into one bounded SPSC ring per
+//! channel ([`crate::spsc`]). A channel's shard and the consumer half of its
+//! ring form a *lane* behind one mutex that is only ever taken with
+//! `try_lock`. One function runs work: it tries the lanes from a starting
+//! lane and runs one batch of the first free lane that has one. Scoped
+//! worker threads loop on it, and the router calls it whenever a push finds
+//! a ring full, so the router executes shard batches instead of waiting for
+//! a worker. Routing and execution overlap, and nothing is materialized up
+//! front.
 //!
-//! The two paths are interchangeable by construction: each channel's queue
-//! delivers that channel's accesses in routing order, stamped with the same
-//! absolute arrival times the sequential front end would have presented
-//! them, and per-shard stats/telemetry are merged deterministically (in
-//! channel order) after the pool drains. So [`run_system`] (sequential) and
+//! The two paths are interchangeable by construction. A batch leaves its
+//! ring only under its lane's lock and runs to completion before the lock
+//! is released, so each shard executes its channel's batches in routing
+//! order whichever thread runs them. Every access is stamped with the same
+//! absolute arrival time the sequential front end would have presented,
+//! and per-shard stats/telemetry are merged deterministically (in channel
+//! order) after the pipeline drains. So [`run_system`] (sequential) and
 //! [`run_system_sharded`] (parallel) produce **bit-identical**
 //! [`SystemStats`] at every worker count. The integration tests
 //! `sharded_equivalence` and `parallel_determinism` pin this against the
 //! legacy single-shard path and across 1/2/4/8-thread runs.
+//!
+//! A batch that panics poisons its lane. Every thread then stops at its
+//! next look at the lanes, and the panic is re-raised on the calling thread
+//! once all of them have stopped.
+
+use std::panic::resume_unwind;
+use std::sync::{Mutex, TryLockError};
 
 use memctrl::{
-    MappingPolicy, McBuilder, MemoryController, StampedAccess, SystemController, SystemStats,
-    TelemetryTap,
+    MappingPolicy, McBuilder, MemoryController, StampedAccess, SystemController, SystemRouter,
+    SystemStats, TelemetryTap,
 };
 use telemetry::{Cadence, Recorder, SharedSink, Snapshot};
 use workloads::Workload;
 
-use crate::pool;
 use crate::runner::{audit_run, sink_for, InstrumentedFactory, SimConfig};
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
 use crate::spsc;
 
-/// Batches in flight per channel queue: enough to decouple the router from
+/// Batches in flight per channel ring: enough to decouple the router from
 /// a momentarily busy shard without ballooning memory (depth × batch
 /// accesses buffered per channel).
-pub(crate) const QUEUE_DEPTH: usize = 16;
+const QUEUE_DEPTH: usize = 16;
 
-/// Empty polls a shard job tolerates before re-enqueueing itself and
-/// releasing its worker — the cooperative yield that keeps the pipeline
-/// live when fewer workers than channels are available. Each failed poll
-/// yields the timeslice rather than spinning: with fewer cores than
-/// pipeline threads (the extreme being a single-core host), a spinning
-/// consumer would burn the exact quantum the router needs to refill the
-/// queues.
-const PUMP_IDLE_POLLS: u32 = 4;
+type Batch = Vec<StampedAccess>;
 
-/// A shard's consumer loop: drain the channel queue batch by batch until
-/// the router closes it. On a dry spell the job re-enqueues itself (moving
-/// to the back of the worker's deque) instead of camping on the worker.
-pub(crate) fn pump<'env>(
-    shard: &'env mut MemoryController,
-    mut rx: spsc::Consumer<'env, Vec<StampedAccess>>,
-    sp: &pool::Spawner<'env, '_>,
-) {
-    let mut idle = 0u32;
-    loop {
+/// One channel's shard and the consumer half of its ring.
+struct Lane<'a> {
+    shard: &'a mut MemoryController,
+    rx: spsc::Consumer<'a, Batch>,
+}
+
+/// What one [`run_ready`] call did.
+#[derive(Debug, PartialEq, Eq)]
+enum Ready {
+    /// Ran one batch of this lane.
+    Ran(usize),
+    /// Nothing runnable: every lane is empty or busy on another thread.
+    Idle,
+    /// Every lane is closed and empty, or a batch panicked and poisoned
+    /// its lane.
+    Done,
+}
+
+/// Tries the lanes from `start` on and runs one batch of the first unlocked
+/// lane that has one.
+fn run_ready(lanes: &[Mutex<Lane<'_>>], start: usize) -> Ready {
+    let mut open = false;
+    for i in (start..lanes.len()).chain(0..start) {
+        let mut lane = match lanes[i].try_lock() {
+            Ok(lane) => lane,
+            Err(TryLockError::WouldBlock) => {
+                open = true;
+                continue;
+            }
+            Err(TryLockError::Poisoned(_)) => return Ready::Done,
+        };
         // Read `closed` before the pop: closed + empty means end-of-stream,
         // in that order only (see [`spsc::Consumer::is_closed`]).
-        let closed = rx.is_closed();
-        if let Some(batch) = rx.try_pop() {
-            idle = 0;
-            shard.try_run_batch(&batch).expect("routed access is in shard range");
-        } else if closed {
-            return;
-        } else {
-            idle += 1;
-            if idle >= PUMP_IDLE_POLLS {
-                sp.spawn(move |sp2| pump(shard, rx, sp2));
-                return;
-            }
-            std::thread::yield_now();
+        let closed = lane.rx.is_closed();
+        if let Some(batch) = lane.rx.try_pop() {
+            // invariant: the router validated every access against the
+            // geometry before batching it.
+            lane.shard.try_run_batch(&batch).expect("routed access is in shard range");
+            return Ready::Ran(i);
+        }
+        open |= !closed;
+    }
+    if open {
+        Ready::Idle
+    } else {
+        Ready::Done
+    }
+}
+
+/// The lane loop: runs batches until the lanes are done, restarting each
+/// search from the lane last run so a channel's tables stay in one core's
+/// cache.
+fn work(lanes: &[Mutex<Lane<'_>>], mut start: usize) {
+    loop {
+        match run_ready(lanes, start) {
+            Ready::Ran(lane) => start = lane,
+            Ready::Idle => std::thread::yield_now(),
+            Ready::Done => return,
         }
     }
+}
+
+/// The router's push into lane `c`'s ring. While the ring is full it runs
+/// queued batches itself, starting at `c`, and yields only when nothing is
+/// runnable. Returns `false`, dropping `batch`, once a lane is poisoned.
+fn push(
+    tx: &mut spsc::Producer<'_, Batch>,
+    lanes: &[Mutex<Lane<'_>>],
+    c: usize,
+    mut batch: Batch,
+) -> bool {
+    loop {
+        match tx.try_push(batch) {
+            Ok(()) => return true,
+            Err(back) => batch = back,
+        }
+        match run_ready(lanes, c) {
+            Ready::Ran(_) => {}
+            Ready::Idle => std::thread::yield_now(),
+            Ready::Done => return false,
+        }
+    }
+}
+
+/// The router's loop: takes `n` routed accesses from `next`, batches them
+/// per channel and pushes each full batch, then the ragged tails. Stops
+/// early once a lane is poisoned; the caller's join re-raises that panic.
+fn route_into<E>(
+    producers: &mut [spsc::Producer<'_, Batch>],
+    lanes: &[Mutex<Lane<'_>>],
+    n: u64,
+    batch: usize,
+    mut next: impl FnMut() -> Result<(usize, StampedAccess), E>,
+) -> Result<(), E> {
+    let mut pending: Vec<Batch> = (0..lanes.len()).map(|_| Vec::with_capacity(batch)).collect();
+    for _ in 0..n {
+        let (c, stamped) = next()?;
+        pending[c].push(stamped);
+        if pending[c].len() == batch {
+            let full = std::mem::replace(&mut pending[c], Vec::with_capacity(batch));
+            if !push(&mut producers[c], lanes, c, full) {
+                return Ok(());
+            }
+        }
+    }
+    for (c, tail) in pending.into_iter().enumerate() {
+        if !tail.is_empty() && !push(&mut producers[c], lanes, c, tail) {
+            return Ok(());
+        }
+    }
+    Ok(())
+}
+
+/// The streaming core both runners share: `route` produces `n` routed
+/// accesses on the calling thread, which batches them into the channel
+/// rings while `threads` scoped workers run the lane loop. When routing
+/// ends, or `route` fails, the rings close and the calling thread joins
+/// the lane loop until every ring is drained.
+///
+/// # Errors
+///
+/// The first error `route` returns. The batches pushed before it have run
+/// and the rest are dropped, so the system is left partially advanced.
+///
+/// # Panics
+///
+/// Re-raises the first panic a batch or `route` hit, once every thread has
+/// stopped.
+pub(crate) fn stream<E>(
+    system: &mut SystemController,
+    n: u64,
+    threads: usize,
+    batch: usize,
+    mut route: impl FnMut(&mut SystemRouter<'_>) -> Result<(usize, StampedAccess), E>,
+) -> Result<(), E> {
+    let channels = system.geometry().channels as usize;
+    let mut rings: Vec<spsc::SpscQueue<Batch>> =
+        (0..channels).map(|_| spsc::SpscQueue::new(QUEUE_DEPTH)).collect();
+    let (mut router, shards) = system.split_streaming();
+    let (mut producers, lanes): (Vec<_>, Vec<_>) = rings
+        .iter_mut()
+        .zip(shards)
+        .map(|(ring, shard)| {
+            let (tx, rx) = ring.split();
+            (tx, Mutex::new(Lane { shard, rx }))
+        })
+        .unzip();
+    let lanes = &lanes[..];
+    let (routed, panic) = std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            (0..threads).map(|w| scope.spawn(move || work(lanes, w % channels))).collect();
+        let routed = route_into(&mut producers, lanes, n, batch, || route(&mut router));
+        // Dropping the producers closes the rings. (If this thread unwinds
+        // instead, the scope drops them, the workers stop, and the scope
+        // re-raises this thread's panic.)
+        drop(producers);
+        work(lanes, 0);
+        let mut panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        (routed, panic)
+    });
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+    routed
 }
 
 /// Result of one full-system run (sequential or sharded).
@@ -86,7 +232,9 @@ pub struct SystemReport {
     pub workload: String,
     /// The address-mapping policy the front end routed with.
     pub policy: MappingPolicy,
-    /// Worker threads the shards ran on (1 for the sequential path).
+    /// Worker threads that ran shard batches (1 for the sequential path).
+    /// The router is one more thread, and it runs batches too whenever a
+    /// ring is full.
     pub threads: usize,
     /// Batch size of the shard dispatch (accesses per `try_run_batch`).
     pub batch: usize,
@@ -193,11 +341,12 @@ pub fn run_system(
 
 /// Runs one (defense, workload) pair through the sharded system in
 /// **parallel**: the routing front end streams `batch`-sized chunks of
-/// stamped accesses into one bounded SPSC queue per channel while the
-/// shards drain their queues concurrently on `threads` pool workers (the
-/// router itself rides the calling thread). Routing and execution overlap;
-/// nothing is materialized up front. Produces [`SystemStats`] bit-identical
-/// to [`run_system`] on the same campaign, at every worker count.
+/// stamped accesses into one bounded SPSC ring per channel while `threads`
+/// worker threads run the shards' batches. The router rides the calling
+/// thread and runs batches too whenever a ring is full. Routing and
+/// execution overlap; nothing is materialized up front. Produces
+/// [`SystemStats`] bit-identical to [`run_system`] on the same campaign, at
+/// every worker count.
 ///
 /// # Panics
 ///
@@ -218,46 +367,8 @@ pub fn run_system_sharded(
     let mut system = build_system(sim, policy, defense, audit, &shared);
     let geometry = *system.geometry();
     let mut w = workload.build(geometry.total_banks() as u16, geometry.rows_per_bank, sim.seed);
-    let channels = geometry.channels as usize;
-    let mut queues: Vec<spsc::SpscQueue<Vec<StampedAccess>>> =
-        (0..channels).map(|_| spsc::SpscQueue::new(QUEUE_DEPTH)).collect();
-    {
-        let (mut router, shards) = system.split_streaming();
-        let mut producers = Vec::with_capacity(channels);
-        let mut consumers = Vec::with_capacity(channels);
-        for q in &mut queues {
-            let (tx, rx) = q.split();
-            producers.push(tx);
-            consumers.push(rx);
-        }
-        let jobs: Vec<pool::Job<'_>> = shards
-            .iter_mut()
-            .zip(consumers)
-            .map(|(shard, rx)| pool::job(move |sp| pump(shard, rx, sp)))
-            .collect();
-        pool::run_scoped_with_driver(threads, jobs, move || {
-            let mut pending: Vec<Vec<StampedAccess>> =
-                (0..channels).map(|_| Vec::with_capacity(batch)).collect();
-            for _ in 0..sim.accesses {
-                let access = w.next_access();
-                let (c, stamped) = router
-                    .route_one(&access)
-                    .unwrap_or_else(|e| panic!("{}/{}: {e}", defense.name(), workload.name()));
-                pending[c].push(stamped);
-                if pending[c].len() == batch {
-                    let full = std::mem::replace(&mut pending[c], Vec::with_capacity(batch));
-                    producers[c].push_blocking(full);
-                }
-            }
-            for (c, buf) in pending.into_iter().enumerate() {
-                if !buf.is_empty() {
-                    producers[c].push_blocking(buf);
-                }
-            }
-            // Dropping the producers closes every queue; the shard jobs
-            // drain what remains and the pool winds down.
-        });
-    }
+    stream(&mut system, sim.accesses, threads, batch, |router| router.route_one(&w.next_access()))
+        .unwrap_or_else(|e| panic!("{}/{}: {e}", defense.name(), workload.name()));
     let (stats, snapshot) = seal(system, defense, workload, audit, shared);
     SystemReport {
         defense: defense.name(),
@@ -273,7 +384,7 @@ pub fn run_system_sharded(
 /// The full-system matrix: every (workload, defense) pair through
 /// [`run_system_sharded`]. Pairs run back-to-back — each run already
 /// parallelizes internally across channels, so nesting another fan-out
-/// would only thrash the worker pool.
+/// would only oversubscribe the host's cores.
 pub fn run_system_matrix(
     sim: &SimConfig,
     policy: MappingPolicy,
@@ -297,6 +408,8 @@ mod tests {
     use crate::runner::TelemetrySpec;
     use dram_model::fault::DisturbanceModel;
     use dram_model::geometry::DramGeometry;
+    use dram_model::RowId;
+    use memctrl::McConfig;
 
     fn small_system(accesses: u64) -> SimConfig {
         let mut sim = SimConfig::micro2020(accesses);
@@ -331,6 +444,42 @@ mod tests {
         }
         assert!(seq.stats.merged.accesses == 30_000);
         assert!(seq.stats.per_channel.iter().all(|s| s.accesses > 0));
+    }
+
+    #[test]
+    fn router_runs_the_queued_batch_when_its_ring_is_full() {
+        // No worker thread runs: with a one-slot ring the second push only
+        // returns if the router ran the first batch on this thread.
+        let build = || {
+            McBuilder::new(McConfig::single_bank(4_096, None))
+                .defenses(&DefenseSpec::Graphene { t_rh: 2_000, k: 2 })
+                .build()
+        };
+        let accesses: Vec<StampedAccess> = (0..128u64)
+            .map(|i| StampedAccess {
+                bank: 0,
+                row: RowId((i * 37 % 4_096) as u32),
+                at: i * 40_000,
+                stream: 0,
+            })
+            .collect();
+        let (first, second) = accesses.split_at(64);
+        let mut shard = build();
+        let mut ring = spsc::SpscQueue::new(1);
+        let (mut tx, rx) = ring.split();
+        let lanes = [Mutex::new(Lane { shard: &mut shard, rx })];
+        assert!(push(&mut tx, &lanes, 0, first.to_vec()));
+        assert!(push(&mut tx, &lanes, 0, second.to_vec()));
+        let mut reference = build();
+        reference.try_run_batch(first).unwrap();
+        let ran = lanes[0].lock().unwrap().shard.stats().clone();
+        assert_eq!(ran.accesses, 64);
+        assert_eq!(&ran, reference.stats(), "the router must have run exactly the first batch");
+        drop(tx);
+        assert_eq!(run_ready(&lanes, 0), Ready::Ran(0));
+        assert_eq!(run_ready(&lanes, 0), Ready::Done);
+        reference.try_run_batch(second).unwrap();
+        assert_eq!(shard.finish_run(), reference.finish_run());
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! A bounded single-producer single-consumer ring buffer (std-only).
 //!
 //! The streaming sharded runner ([`crate::run_system_sharded`]) pipes
-//! per-channel batches of stamped accesses from the routing thread to the
-//! shard workers through one of these per channel. The requirements are
-//! narrow — one producer, one consumer, bounded capacity, no allocation
-//! per transfer, no external crates — so the implementation is the classic
-//! two-counter ring: free-running head/tail indices over a power-of-two
-//! slot array, `Release`/`Acquire` pairs ordering the slot writes against
-//! the index publications.
+//! per-channel batches of stamped accesses from the routing thread to
+//! whichever thread runs that channel's shard next, through one of these
+//! per channel. The requirements are narrow — one producer, one consumer,
+//! bounded capacity, no allocation per transfer, no external crates — so
+//! the implementation is the classic two-counter ring: free-running
+//! head/tail indices over a power-of-two slot array, `Release`/`Acquire`
+//! pairs ordering the slot writes against the index publications.
 //!
 //! Single-producer/single-consumer is enforced at compile time:
 //! [`SpscQueue::split`] hands out exactly one [`Producer`] and one
 //! [`Consumer`], neither of which is `Clone`, and the `&mut` borrow it
-//! takes pins the queue until both halves are gone.
+//! takes pins the queue until both halves are gone. A half may move
+//! between threads; the pipeline keeps each consumer behind its lane's
+//! mutex, which orders one thread's pops before the next thread's.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -142,32 +144,6 @@ impl<T> Producer<'_, T> {
         self.queue.tail.store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
     }
-
-    /// Enqueues `item`, spinning (with escalation to `yield_now`) while the
-    /// ring is full. The consumer side never blocks indefinitely — workers
-    /// cooperatively reschedule — so the wait is bounded by one batch's
-    /// execution time.
-    pub fn push_blocking(&mut self, mut item: T) {
-        let mut spins = 0u32;
-        loop {
-            match self.try_push(item) {
-                Ok(()) => return,
-                Err(back) => {
-                    item = back;
-                    spins += 1;
-                    if spins > 16 {
-                        // A full ring means the consumer is behind; hand it
-                        // the timeslice instead of spinning it away (on a
-                        // host with fewer cores than pipeline threads the
-                        // consumer cannot run until we yield).
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl<T> Drop for Producer<'_, T> {
@@ -282,7 +258,11 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 for i in 0..N {
-                    tx.push_blocking(i);
+                    let mut item = i;
+                    while let Err(back) = tx.try_push(item) {
+                        item = back;
+                        std::thread::yield_now();
+                    }
                 }
             });
             let mut expected = 0;

@@ -22,7 +22,7 @@ fn matrix_matches_individual_pairs() {
     let cfg = SimConfig::attack_bank(5_000, 6_000);
     let defense = DefenseSpec::Graphene { t_rh: 5_000, k: 2 };
     let workload = WorkloadSpec::S1 { n: 10 };
-    let from_matrix = &run_matrix(&cfg, &[defense], &[workload.clone()])[0];
+    let from_matrix = &run_matrix(&cfg, &[defense], std::slice::from_ref(&workload))[0];
     let from_pair = run_pair(&cfg, &defense, &workload);
     assert_eq!(from_matrix.stats, from_pair.stats);
     assert_eq!(from_matrix.slowdown, from_pair.slowdown);

@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn striped_covers_every_bank_fairly() {
         let mut atk = StripedNSided::new(200, 4, 16, 65_536);
-        let mut per_bank = vec![0u32; 16];
+        let mut per_bank = [0u32; 16];
         for _ in 0..16 * 40 {
             per_bank[atk.next_access().bank as usize] += 1;
         }

@@ -125,8 +125,8 @@ mod tests {
         for _ in 0..n {
             counts[z.sample(&mut rng)] += 1;
         }
-        for k in 0..10 {
-            let freq = counts[k] as f64 / n as f64;
+        for (k, &count) in counts.iter().enumerate() {
+            let freq = count as f64 / n as f64;
             assert!((freq - z.pmf(k)).abs() < 0.01, "rank {k}: {freq} vs {}", z.pmf(k));
         }
     }
