@@ -13,8 +13,9 @@
 //!    **monotone-ish**: a bigger table scans more, so throughput must not
 //!    *rise* with size beyond noise ([`MONOTONE_SLACK`]) — the regression
 //!    shape the old shadow-indexed table exhibited at `N_entry = 672`.
-//! 2. **Sweep wall time** — a small `run_matrix` grid on the work-stealing
-//!    pool, as an end-to-end smoke number.
+//! 2. **Sweep wall time** — a small `run_matrix` grid (the baselines, then
+//!    the cells, each fanned out with `rh_sim::pool::map`), as an
+//!    end-to-end smoke number.
 //! 3. **Telemetry noop overhead** — the Graphene defense hot loop bare
 //!    versus wrapped in [`fn@mitigations::instrumented`] with a
 //!    [`telemetry::NoopSink`]. The wrapper must be observation-only: the

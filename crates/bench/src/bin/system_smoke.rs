@@ -12,9 +12,7 @@
 
 use memctrl::MappingPolicy;
 use rh_bench::{audit_mode, banner, fast_mode, propagate_audit_mode};
-use rh_sim::{
-    run_system, run_system_matrix, run_system_sharded, DefenseSpec, SimConfig, WorkloadSpec,
-};
+use rh_sim::{run_system, run_system_sharded, DefenseSpec, SimConfig, WorkloadSpec};
 
 fn main() {
     let fast = fast_mode();
@@ -44,9 +42,13 @@ fn main() {
     let policies =
         [MappingPolicy::RowInterleaved, MappingPolicy::BankInterleaved, MappingPolicy::ChannelXor];
 
+    // Cells run back to back: each already spreads its channels over the
+    // host's cores.
     for policy in policies {
         println!("--- {} ---", policy.name());
-        for r in run_system_matrix(&sim, policy, &defenses, &workloads, threads, 256) {
+        let cells = workloads.iter().flat_map(|w| defenses.iter().map(move |d| (w, d)));
+        for (workload, defense) in cells {
+            let r = run_system_sharded(&sim, policy, defense, workload, threads, 256);
             assert_eq!(
                 r.stats.merged.accesses, accesses,
                 "{}/{} dropped accesses",
@@ -88,7 +90,7 @@ fn main() {
         }
     }
 
-    // One cell both ways: the sharded pool execution must reproduce the
+    // One cell both ways: the sharded execution must reproduce the
     // sequential front end bit for bit.
     let seq = run_system(&sim, MappingPolicy::BankInterleaved, &defenses[0], &workloads[0]);
     let par = run_system_sharded(

@@ -24,7 +24,8 @@ use memctrl::{McBuilder, McConfig, RunStats};
 use rh_analysis::export::{output_dir, Csv};
 use rh_analysis::TablePrinter;
 use rh_sim::{
-    run_generation_matrix, DefenseSpec, GenerationCell, GenerationMatrixConfig, WorkloadSpec,
+    generation_lineup, run_generation_matrix, DefenseSpec, GenerationCell, GenerationMatrixConfig,
+    WorkloadSpec,
 };
 
 /// Runs the cross-generation sweep, asserts the matrix claims, diffs the
@@ -51,8 +52,9 @@ pub fn run(fast: bool) {
     let cell_count: usize = cfg
         .generations
         .iter()
-        .map(|&g| cfg.thresholds_for(g).len() * cfg.workloads.len() * 6)
-        .sum();
+        .flat_map(|&g| cfg.thresholds_for(g).iter().map(move |&t| generation_lineup(g, t).len()))
+        .sum::<usize>()
+        * cfg.workloads.len();
     println!(
         "{} generations, {} workloads, {} accesses per cell, {} audited cells",
         cfg.generations.len(),
@@ -156,13 +158,13 @@ fn diff_ddr4_against_legacy(cfg: &GenerationMatrixConfig, cells: &[GenerationCel
     let mut diffed = 0usize;
     for &t_rh in cfg.thresholds_for(dram_model::Generation::Ddr4_2400) {
         for workload in &cfg.workloads {
-            let (baseline, _) = legacy_run(cfg, t_rh, workload, &DefenseSpec::None);
+            let (baseline, baseline_dist) = legacy_run(cfg, t_rh, workload, &DefenseSpec::None);
             for cell in ddr4.iter().filter(|c| c.t_rh == t_rh && c.workload == workload.name()) {
                 assert!(!cell.spec.contains('/'), "{}: DDR4 specs stay bare", cell.spec);
                 let defense =
                     DefenseSpec::parse(&cell.spec).unwrap_or_else(|e| panic!("{}: {e}", cell.spec));
                 let (stats, max_disturbance) = if matches!(defense, DefenseSpec::None) {
-                    (baseline.clone(), legacy_run(cfg, t_rh, workload, &defense).1)
+                    (baseline.clone(), baseline_dist)
                 } else {
                     legacy_run(cfg, t_rh, workload, &defense)
                 };

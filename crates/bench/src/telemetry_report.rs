@@ -1,13 +1,15 @@
 //! `telemetry-report`: instrumented sweep + per-defense summary tables +
 //! trajectory exports.
 //!
-//! Runs an instrumented `run_matrix_telemetry` sweep (attack and normal
+//! Runs an instrumented [`rh_sim::try_run_matrix`] sweep (attack and normal
 //! workloads against Graphene, PARA, and TWiCe), prints per-defense action
 //! rates the way Table 3 summarizes overheads, and exports:
 //!
 //! * `telemetry/snapshot.jsonl` — the full merged [`Snapshot`] (versioned
 //!   `rh-telemetry` schema), every cell's series prefixed
-//!   `"{workload}/{defense}/"` plus the pool's `sweep.jobs_done` progress;
+//!   `"{workload}/{defense}/"` plus the sweep's `sweep.jobs_done` progress
+//!   (stamped with wall-clock time: the one part of the export that
+//!   differs between runs);
 //! * `telemetry/snapshot.csv` — the same data in long form
 //!   (`metric,bank,t_ps,value`) for direct plotting;
 //! * `telemetry/graphene_<workload>.csv` — Graphene's spillover / occupancy
@@ -17,7 +19,7 @@
 use rh_analysis::export::{output_dir, Csv};
 use rh_analysis::report::pct;
 use rh_analysis::TablePrinter;
-use rh_sim::{run_matrix_telemetry, DefenseSpec, SimConfig, TelemetrySpec, WorkloadSpec};
+use rh_sim::{try_run_matrix, DefenseSpec, SimConfig, TelemetrySpec, WorkloadSpec};
 use telemetry::Snapshot;
 
 /// Runs the instrumented sweep and writes the exports.
@@ -43,7 +45,7 @@ pub fn run(fast: bool) {
         DefenseSpec::Twice { t_rh: 5_000 },
     ];
     let workloads = [WorkloadSpec::S3, WorkloadSpec::S1 { n: 10 }];
-    let m = run_matrix_telemetry(&cfg, &defenses, &workloads);
+    let m = try_run_matrix(&cfg, &defenses, &workloads).unwrap_or_else(|e| panic!("{e}"));
 
     let mut table = TablePrinter::new(vec![
         "workload",

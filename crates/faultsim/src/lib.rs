@@ -19,7 +19,8 @@
 //!   8 tREFI, JESD79-4 §4.24), and command duplication at the shard boundary;
 //! * [`HarnessFault`] — failures of the experiment harness itself: telemetry
 //!   sink write failures and sweep-worker stalls, which the harness must
-//!   absorb via retry/backoff and watchdog rather than aborting.
+//!   absorb via retry/backoff and a bounded per-cell stall budget rather
+//!   than aborting.
 //!
 //! A plan is pure data: [`FaultPlan::generate`] derives every event from
 //! `StdRng::seed_from_u64(spec.seed)` with no dependence on wall-clock time,

@@ -21,15 +21,19 @@
 //!   lookup/leakage energy ([`EnergyModel::tracker_energy_overhead`]), with
 //!   per-ACT touched bits modeling the structural difference between a CAM
 //!   search (whole table) and a sketch probe (`depth` counters).
+//!
+//! The sweep is one [`pool::map`] over (threshold, workload) groups on the
+//! generation matrix's DDR4-2400 config; each group runs its baseline and
+//! then its lineup through `runner::execute`.
 
-use std::sync::Mutex;
-
-use dram_model::fault::DisturbanceModel;
-use memctrl::{McBuilder, McConfig, RunStats};
+use dram_model::Generation;
+use memctrl::{McBuilder, RunStats};
 use mitigations::{BlockHammerConfig, CometConfig, TableBits};
 use rh_analysis::{ArenaAreaComparison, EnergyModel, FnCertificate};
 
+use crate::generations::mc_config;
 use crate::pool;
+use crate::runner::{execute, worst_disturbance};
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
 
 /// Configuration of one arena sweep.
@@ -81,15 +85,6 @@ impl ArenaConfig {
             rows_per_bank: 65_536,
             system_banks: 4,
         }
-    }
-
-    fn mc_config(&self, t_rh: u64, workload: &WorkloadSpec) -> McConfig {
-        let model = DisturbanceModel { t_rh, ..DisturbanceModel::ddr4_50k() };
-        let mut cfg = McConfig::single_bank(self.rows_per_bank, Some(model));
-        if workload.is_system_scale() {
-            cfg.geometry.banks_per_rank = self.system_banks;
-        }
-        cfg
     }
 }
 
@@ -144,72 +139,39 @@ pub struct ArenaCell {
     pub energy_overhead: f64,
 }
 
-/// Runs the full arena sweep, one worker-pool job per (threshold, workload)
-/// group, and returns the cells in deterministic
+/// Runs the full arena sweep, one [`pool::map`] item per (threshold,
+/// workload) group, and returns the cells in deterministic
 /// threshold-major/workload/lineup order.
 pub fn run_arena(cfg: &ArenaConfig) -> Vec<ArenaCell> {
-    let groups: Vec<(u64, WorkloadSpec)> = cfg
+    let groups: Vec<(u64, &WorkloadSpec)> = cfg
         .thresholds
         .iter()
-        .flat_map(|&t_rh| cfg.workloads.iter().map(move |w| (t_rh, w.clone())))
+        .flat_map(|&t_rh| cfg.workloads.iter().map(move |w| (t_rh, w)))
         .collect();
-    let results: Mutex<Vec<(usize, Vec<ArenaCell>)>> = Mutex::new(Vec::new());
-    let jobs: Vec<pool::Job> = groups
-        .iter()
-        .enumerate()
-        .map(|(idx, (t_rh, workload))| {
-            let results = &results;
-            let t_rh = *t_rh;
-            pool::job(move |_spawner| {
-                let cells = run_group(cfg, t_rh, workload);
-                results.lock().unwrap().push((idx, cells));
-            })
-        })
-        .collect();
-    let threads =
-        std::thread::available_parallelism().map_or(4, usize::from).min(jobs.len()).max(1);
-    pool::run_scoped(threads, jobs);
-    let mut grouped = results.into_inner().unwrap();
-    grouped.sort_by_key(|(idx, _)| *idx);
-    grouped.into_iter().flat_map(|(_, cells)| cells).collect()
+    pool::map(&groups, |&(t_rh, w)| run_group(cfg, t_rh, w)).into_iter().flatten().collect()
 }
 
 /// One (threshold, workload) group: the defense-free baseline plus every
 /// lineup tracker on the identical trace.
 fn run_group(cfg: &ArenaConfig, t_rh: u64, workload: &WorkloadSpec) -> Vec<ArenaCell> {
-    let mc_cfg = cfg.mc_config(t_rh, workload);
+    let mc_cfg =
+        mc_config(Generation::Ddr4_2400, t_rh, cfg.rows_per_bank, cfg.system_banks, workload);
     let banks = mc_cfg.geometry.total_banks();
     let area = ArenaAreaComparison::at_threshold(t_rh, banks, cfg.rows_per_bank)
         .expect("arena thresholds must derive");
-    let (baseline, _) = run_cell(&mc_cfg, &DefenseSpec::None, workload, cfg.accesses, cfg.seed);
+    let run = |spec: &DefenseSpec| {
+        let mc = McBuilder::new(mc_cfg.clone()).defenses(spec).audit(true).build();
+        let (mc, stats) = execute(mc, workload, cfg.accesses, cfg.seed, true);
+        (stats, worst_disturbance(&mc))
+    };
+    let (baseline, _) = run(&DefenseSpec::None);
     arena_lineup(t_rh)
         .into_iter()
         .map(|spec| {
-            let (stats, max_disturbance) =
-                run_cell(&mc_cfg, &spec, workload, cfg.accesses, cfg.seed);
+            let (stats, max_disturbance) = run(&spec);
             score_cell(cfg, &spec, workload, t_rh, banks, &area, &stats, &baseline, max_disturbance)
         })
         .collect()
-}
-
-/// Executes one audited run and extracts the ground-truth worst-case
-/// disturbance from the per-bank oracles before the controller drops.
-fn run_cell(
-    mc_cfg: &McConfig,
-    spec: &DefenseSpec,
-    workload: &WorkloadSpec,
-    accesses: u64,
-    seed: u64,
-) -> (RunStats, u64) {
-    let rows = mc_cfg.geometry.rows_per_bank;
-    let mut mc = McBuilder::new(mc_cfg.clone()).defenses(spec).audit(true).build();
-    let mut w = workload.build(mc_cfg.geometry.total_banks() as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
-    crate::runner::audit_run(&mc, &stats, spec, workload);
-    let max_disturbance = (0..mc_cfg.geometry.total_banks() as usize)
-        .map(|bank| mc.oracle(bank).expect("arena runs arm the fault oracle").max_disturbance())
-        .fold(0.0_f64, f64::max);
-    (stats, max_disturbance.ceil() as u64)
 }
 
 #[allow(clippy::too_many_arguments)]

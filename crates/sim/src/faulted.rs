@@ -8,9 +8,10 @@
 //! * **controller faults** drop/defer NRRs, postpone refresh, and duplicate
 //!   commands inside [`memctrl::FaultInjector`];
 //! * **harness faults** hit the sweep itself: telemetry sink outages are
-//!   ridden out by a [`RetrySink`] over a scripted [`FlakySink`], and
-//!   injected worker stalls are cut short by the pool's cooperative
-//!   watchdog ([`crate::pool::run_scoped_watched`]).
+//!   ridden out by a [`RetrySink`] over a scripted [`FlakySink`], and a
+//!   cell's injected worker stalls hold its thread for at most a 50 ms
+//!   stall budget, so the sweep drains instead of serializing behind a
+//!   stalled worker.
 //!
 //! Unlike [`crate::try_run_matrix`], cells are *standalone*: no
 //! defense-free baseline and no cross-run audit, because duplicated
@@ -22,39 +23,38 @@
 //!   shows up here;
 //! * **detection** — with the audit armed ([`SimConfig::audit_enabled`]),
 //!   a defense whose certificate breaks mid-run is killed by the
-//!   [`mitigations::AuditedDefense`] asserts and the cell is recorded as
-//!   [`CellOutcome::AuditViolation`] — a *detected* failure, never a
-//!   silent one;
+//!   [`mitigations::AuditedDefense`] asserts, and a run whose counters or
+//!   oracles disagree fails the end-of-run invariant audit; either way the
+//!   cell is recorded as [`CellOutcome::AuditViolation`] — a *detected*
+//!   failure, never a silent one;
 //! * **degradation** — `HardenedGraphene`'s parity detections and repair
 //!   NRRs, read back from its `fault.*` telemetry series.
 //!
 //! Everything in [`ResilienceReport::cells`] is bit-reproducible from the
 //! plan seeds: injection schedules, retry accounting (the write-attempt
 //! clock is deterministic), and telemetry snapshots (timestamps come from
-//! the simulated clock). Only [`ResilienceReport::pool`] depends on
-//! wall-clock scheduling and is excluded from that guarantee.
+//! the simulated clock). The sweep is one [`pool::map`] over (plan,
+//! workload, defense) cells, each run through `runner::execute`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use faultsim::{FaultKind, FaultPlan, FaultSpec, HarnessFault};
-use memctrl::{FaultStats, McBuilder, McConfig, RunStats, TelemetryTap};
+use memctrl::{FaultStats, McBuilder, RunStats, TelemetryTap};
 use telemetry::{
     Cadence, FailureSpan, FlakySink, MetricsSink, RetryPolicy, RetrySink, RetryStats, SharedSink,
     Snapshot,
 };
 
-use crate::pool::{self, PoolReport, Spawner, WatchdogConfig};
-use crate::runner::{payload_message, SimConfig};
+use crate::pool;
+use crate::runner::{execute, payload_message, SimConfig};
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
 
-/// Watchdog for the resilience sweep: injected stalls reach 120 ms, so a
-/// 50 ms timeout reliably trips them while staying invisible to healthy
-/// sub-millisecond bookkeeping. (A tripped flag only cuts cooperative
-/// waits short; it never kills a computing cell.)
-const SWEEP_WATCHDOG: WatchdogConfig =
-    WatchdogConfig { timeout: Duration::from_millis(50), poll: Duration::from_millis(5) };
+/// The longest a cell sleeps for its injected worker stalls. Stalls reach
+/// 120 ms each, so the budget cuts every long plan short while a plan's
+/// stalls still cost real time on the worker that drew them.
+const STALL_BUDGET: Duration = Duration::from_millis(50);
 
 /// Short human label for a plan, used in [`ResilienceCell::plan`].
 pub fn plan_label(spec: &FaultSpec) -> String {
@@ -143,9 +143,6 @@ pub struct ResilienceReport {
     /// Cells in (plan-major, workload, defense-minor) order —
     /// bit-reproducible from the plan seeds.
     pub cells: Vec<ResilienceCell>,
-    /// Pool accounting (jobs, watchdog trips). Wall-clock dependent and
-    /// therefore **excluded** from the reproducibility guarantee.
-    pub pool: PoolReport,
 }
 
 impl ResilienceReport {
@@ -217,19 +214,17 @@ fn sink_failure_spans(plan: &FaultPlan) -> Vec<FailureSpan> {
         .collect()
 }
 
-/// Executes the plan's injected worker stalls: each stall sleeps its
-/// scripted duration in short slices, abandoning the wait as soon as the
-/// pool watchdog trips — the sweep drains instead of serializing behind a
-/// stalled worker.
-fn perform_stalls(plan: &FaultPlan, spawner: &Spawner<'_, '_>) {
-    for event in plan.harness_events() {
-        if let FaultKind::Harness(HarnessFault::WorkerStall { millis }) = event.kind {
-            let deadline = Instant::now() + Duration::from_millis(millis);
-            while Instant::now() < deadline && !spawner.watchdog_tripped() {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
+/// How long a cell sleeps for `plan`'s injected worker stalls: their
+/// scripted total, capped at [`STALL_BUDGET`].
+fn stall_budget(plan: &FaultPlan) -> Duration {
+    let scripted: u64 = plan
+        .harness_events()
+        .filter_map(|e| match e.kind {
+            FaultKind::Harness(HarnessFault::WorkerStall { millis }) => Some(millis),
+            _ => None,
+        })
+        .sum();
+    Duration::from_millis(scripted).min(STALL_BUDGET)
 }
 
 /// Sums the last sampled value of `series` across all banks — the cumulative
@@ -245,32 +240,28 @@ fn last_sample_sum(snapshot: &Snapshot, series: &str, banks: u32) -> u64 {
 /// One fault-injected cell: build, run, and fold the controller's fault
 /// accounting plus the defense's degradation telemetry into a
 /// [`FaultedRun`]. Panics (audit kills) propagate to the caller.
-#[allow(clippy::too_many_arguments)]
 fn execute_faulted(
-    mc_cfg: &McConfig,
-    every_acts: u64,
+    cfg: &SimConfig,
     plan: &FaultPlan,
     defense: &DefenseSpec,
     workload: &WorkloadSpec,
-    accesses: u64,
-    seed: u64,
-    audit: bool,
 ) -> FaultedRun {
-    let rows = mc_cfg.geometry.rows_per_bank;
+    let mc_cfg = cfg.mc_config_for(workload);
+    let audit = cfg.audit_enabled();
+    let every_acts = cfg.telemetry.map_or(1_000, |t| t.every_acts);
     let banks = mc_cfg.geometry.total_banks();
     let shared = SharedSink::new();
     let retry = SharedRetrySink(Arc::new(Mutex::new(RetrySink::new(
         FlakySink::new(shared.clone(), sink_failure_spans(plan)),
         RetryPolicy::default_bounded(),
     ))));
-    let mut mc = McBuilder::new(mc_cfg.clone())
+    let mc = McBuilder::new(mc_cfg.clone())
         .defenses(defense)
         .audit(audit)
         .telemetry(TelemetryTap::new(Box::new(retry.clone()), Cadence::EveryActs(every_acts)))
         .faults(plan.clone())
         .build();
-    let mut w = workload.build(banks as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
+    let (mc, stats) = execute(mc, workload, cfg.accesses, cfg.seed, audit);
     let faults = mc.fault_stats().copied().unwrap_or_default();
     let sink = retry.with(|s| *s.stats());
     // End-of-run bookkeeping goes straight into the recorder: these writes
@@ -310,77 +301,44 @@ fn execute_faulted(
     }
 }
 
-/// Runs the full (plans × workloads × defenses) resilience matrix on the
-/// watched work-stealing pool and returns every cell in (plan-major,
+/// Runs the full (plans × workloads × defenses) resilience matrix, one
+/// [`pool::map`] item per cell, and returns every cell in (plan-major,
 /// workload, defense-minor) order.
 ///
 /// Each cell runs standalone under its generated [`FaultPlan`] (see the
 /// module docs for why there is no baseline). A cell killed mid-run by the
 /// audit layer becomes [`CellOutcome::AuditViolation`]; the rest of the
 /// sweep continues. Harness faults are realized here: sink outages through
-/// the retry stack, worker stalls cut short by the pool watchdog.
+/// the retry stack, worker stalls as a sleep before the cell runs: the
+/// plan's scripted stall total, capped at 50 ms.
 pub fn run_matrix_faulted(
     cfg: &SimConfig,
     plans: &[FaultSpec],
     defenses: &[DefenseSpec],
     workloads: &[WorkloadSpec],
 ) -> ResilienceReport {
-    let audit = cfg.audit_enabled();
-    let every_acts = cfg.telemetry.map_or(1_000, |t| t.every_acts);
-    let n_def = defenses.len();
-    let n_wl = workloads.len();
     let generated: Vec<FaultPlan> = plans.iter().map(FaultPlan::generate).collect();
-    let slots: Vec<Mutex<Option<ResilienceCell>>> =
-        (0..plans.len() * n_wl * n_def).map(|_| Mutex::new(None)).collect();
-
-    let slots_ref = &slots;
-    let mut jobs: Vec<pool::Job<'_>> = Vec::with_capacity(slots.len());
-    for (pi, plan) in generated.iter().enumerate() {
-        for (wi, workload) in workloads.iter().enumerate() {
-            for (di, defense) in defenses.iter().enumerate() {
-                let idx = (pi * n_wl + wi) * n_def + di;
-                jobs.push(pool::job(move |spawner| {
-                    perform_stalls(plan, spawner);
-                    let mc_cfg = cfg.mc_config_for(workload);
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                        execute_faulted(
-                            mc_cfg,
-                            every_acts,
-                            plan,
-                            defense,
-                            workload,
-                            cfg.accesses,
-                            cfg.seed,
-                            audit,
-                        )
-                    })) {
-                        Ok(run) => CellOutcome::Completed(Box::new(run)),
-                        Err(payload) => {
-                            CellOutcome::AuditViolation { message: payload_message(&*payload) }
-                        }
-                    };
-                    *slots_ref[idx].lock().expect("result slot poisoned") = Some(ResilienceCell {
-                        plan: plan_label(plan.spec()),
-                        workload: workload.name(),
-                        defense: defense.name(),
-                        outcome,
-                    });
-                }));
-            }
-        }
-    }
-    let threads =
-        std::thread::available_parallelism().map_or(4, usize::from).min(jobs.len()).max(1);
-    let pool_report = pool::run_scoped_watched(threads, jobs, None, Some(SWEEP_WATCHDOG));
-    let cells = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every matrix cell filled by the pool")
+    let grid: Vec<(&FaultPlan, &WorkloadSpec, &DefenseSpec)> = generated
+        .iter()
+        .flat_map(|plan| {
+            workloads.iter().flat_map(move |w| defenses.iter().map(move |d| (plan, w, d)))
         })
         .collect();
-    ResilienceReport { cells, pool: pool_report }
+    let cells = pool::map(&grid, |&(plan, workload, defense)| {
+        std::thread::sleep(stall_budget(plan));
+        let run = catch_unwind(AssertUnwindSafe(|| execute_faulted(cfg, plan, defense, workload)));
+        let outcome = match run {
+            Ok(run) => CellOutcome::Completed(Box::new(run)),
+            Err(payload) => CellOutcome::AuditViolation { message: payload_message(&*payload) },
+        };
+        ResilienceCell {
+            plan: plan_label(plan.spec()),
+            workload: workload.name(),
+            defense: defense.name(),
+            outcome,
+        }
+    });
+    ResilienceReport { cells }
 }
 
 #[cfg(test)]
@@ -475,8 +433,28 @@ mod tests {
             &[DefenseSpec::Graphene { t_rh: 5_000, k: 2 }],
             &[WorkloadSpec::S3],
         );
+        assert_eq!(report.cells.len(), 1);
         assert!(report.cells[0].completed().is_some());
-        assert_eq!(report.pool.jobs_completed, 1);
+    }
+
+    #[test]
+    fn stall_budget_is_the_scripted_total_capped_at_fifty_millis() {
+        // (seed, stalls, the plan's scripted stalls in ms, expected budget)
+        let cases: [(u64, u32, &[u64], u64); 4] =
+            [(1, 0, &[], 0), (1, 1, &[35], 35), (21, 2, &[23, 29], 50), (4, 1, &[104], 50)];
+        for (seed, stalls, scripted, budget) in cases {
+            let spec = FaultSpec { accesses: 2_000, worker_stalls: stalls, ..FaultSpec::new(seed) };
+            let plan = FaultPlan::generate(&spec);
+            let drawn: Vec<u64> = plan
+                .harness_events()
+                .filter_map(|e| match e.kind {
+                    FaultKind::Harness(HarnessFault::WorkerStall { millis }) => Some(millis),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(drawn, scripted, "seed {seed}");
+            assert_eq!(stall_budget(&plan), Duration::from_millis(budget), "seed {seed}");
+        }
     }
 
     #[test]
@@ -498,7 +476,7 @@ mod tests {
         let a = run();
         let b = run();
         // Cells (runs, fault accounting, retry stats, snapshots) must be
-        // identical; only the pool report may differ.
+        // identical.
         assert_eq!(a.cells, b.cells);
         assert_eq!(a.cells.len(), 4);
     }

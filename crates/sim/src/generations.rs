@@ -13,16 +13,17 @@
 //! Like the tracker arena, every cell runs fully audited: the action audit
 //! validates each refresh (RFM or NRR spelling), the fault oracle records
 //! ground-truth disturbance, and the end-of-run invariant audit
-//! cross-checks both.
-
-use std::sync::Mutex;
+//! cross-checks both. The sweep is one [`pool::map`] over (generation,
+//! threshold, workload) groups; each group runs its baseline and then its
+//! lineup through `runner::execute`.
 
 use dram_model::fault::DisturbanceModel;
 use dram_model::Generation;
-use memctrl::{McBuilder, McConfig, RunStats};
+use memctrl::{McBuilder, McConfig};
 use rh_analysis::EnergyModel;
 
 use crate::pool;
+use crate::runner::{execute, worst_disturbance};
 use crate::scenarios::{DefenseSpec, GenSpec, WorkloadSpec};
 
 /// Configuration of one cross-generation sweep.
@@ -82,16 +83,25 @@ impl GenerationMatrixConfig {
         let presets = generation.t_rh_presets();
         &presets[presets.len().saturating_sub(self.preset_tail)..]
     }
+}
 
-    fn mc_config(&self, generation: Generation, t_rh: u64, workload: &WorkloadSpec) -> McConfig {
-        let model = DisturbanceModel { t_rh, ..DisturbanceModel::ddr4_50k() };
-        let mut cfg =
-            McConfig::single_bank_for_generation(generation, self.rows_per_bank, Some(model));
-        if workload.is_system_scale() {
-            cfg.geometry.banks_per_rank = self.system_banks;
-        }
-        cfg
+/// The controller config of one sweep group: a single `generation` bank of
+/// `rows_per_bank` rows with the fault oracle armed at `t_rh`, widened to
+/// `system_banks` banks for system-scale workloads. The tracker arena
+/// shares it at DDR4-2400.
+pub(crate) fn mc_config(
+    generation: Generation,
+    t_rh: u64,
+    rows_per_bank: u32,
+    system_banks: u8,
+    workload: &WorkloadSpec,
+) -> McConfig {
+    let model = DisturbanceModel { t_rh, ..DisturbanceModel::ddr4_50k() };
+    let mut cfg = McConfig::single_bank_for_generation(generation, rows_per_bank, Some(model));
+    if workload.is_system_scale() {
+        cfg.geometry.banks_per_rank = system_banks;
     }
+    cfg
 }
 
 /// The defense lineup of one matrix column: the defense-free baseline,
@@ -153,38 +163,20 @@ pub struct GenerationCell {
     pub energy_overhead: f64,
 }
 
-/// Runs the cross-generation sweep, one worker-pool job per (generation,
-/// threshold, workload) group, and returns the cells in deterministic
-/// generation-major/threshold/workload/lineup order.
+/// Runs the cross-generation sweep, one [`pool::map`] item per
+/// (generation, threshold, workload) group, and returns the cells in
+/// deterministic generation-major/threshold/workload/lineup order.
 pub fn run_generation_matrix(cfg: &GenerationMatrixConfig) -> Vec<GenerationCell> {
-    let groups: Vec<(Generation, u64, WorkloadSpec)> = cfg
+    let groups: Vec<(Generation, u64, &WorkloadSpec)> = cfg
         .generations
         .iter()
         .flat_map(|&g| {
             cfg.thresholds_for(g)
                 .iter()
-                .flat_map(move |&t_rh| cfg.workloads.iter().map(move |w| (g, t_rh, w.clone())))
+                .flat_map(move |&t_rh| cfg.workloads.iter().map(move |w| (g, t_rh, w)))
         })
         .collect();
-    let results: Mutex<Vec<(usize, Vec<GenerationCell>)>> = Mutex::new(Vec::new());
-    let jobs: Vec<pool::Job> = groups
-        .iter()
-        .enumerate()
-        .map(|(idx, (generation, t_rh, workload))| {
-            let results = &results;
-            let (generation, t_rh) = (*generation, *t_rh);
-            pool::job(move |_spawner| {
-                let cells = run_group(cfg, generation, t_rh, workload);
-                results.lock().unwrap().push((idx, cells));
-            })
-        })
-        .collect();
-    let threads =
-        std::thread::available_parallelism().map_or(4, usize::from).min(jobs.len()).max(1);
-    pool::run_scoped(threads, jobs);
-    let mut grouped = results.into_inner().unwrap();
-    grouped.sort_by_key(|(idx, _)| *idx);
-    grouped.into_iter().flat_map(|(_, cells)| cells).collect()
+    pool::map(&groups, |&(g, t_rh, w)| run_group(cfg, g, t_rh, w)).into_iter().flatten().collect()
 }
 
 /// One (generation, threshold, workload) group: the defense-free baseline
@@ -195,18 +187,23 @@ fn run_group(
     t_rh: u64,
     workload: &WorkloadSpec,
 ) -> Vec<GenerationCell> {
-    let mc_cfg = cfg.mc_config(generation, t_rh, workload);
+    let mc_cfg = mc_config(generation, t_rh, cfg.rows_per_bank, cfg.system_banks, workload);
     let energy = EnergyModel::for_timing(&generation.timing());
     let banks = mc_cfg.geometry.total_banks();
     let lineup = generation_lineup(generation, t_rh);
-    let (baseline, baseline_dist) = run_cell(&mc_cfg, &lineup[0], workload, cfg.accesses, cfg.seed);
+    let run = |spec: &GenSpec| {
+        let mc = McBuilder::new(mc_cfg.clone()).defenses(spec).audit(true).build();
+        let (mc, stats) = execute(mc, workload, cfg.accesses, cfg.seed, true);
+        (stats, worst_disturbance(&mc))
+    };
+    let (baseline, baseline_dist) = run(&lineup[0]);
     lineup
         .iter()
         .map(|spec| {
             let (stats, max_disturbance) = if matches!(spec.defense, DefenseSpec::None) {
                 (baseline.clone(), baseline_dist)
             } else {
-                run_cell(&mc_cfg, spec, workload, cfg.accesses, cfg.seed)
+                run(spec)
             };
             GenerationCell {
                 generation: generation.name().to_owned(),
@@ -232,26 +229,6 @@ fn run_group(
             }
         })
         .collect()
-}
-
-/// Executes one audited run and extracts the ground-truth worst-case
-/// disturbance from the per-bank oracles before the controller drops.
-fn run_cell(
-    mc_cfg: &McConfig,
-    spec: &GenSpec,
-    workload: &WorkloadSpec,
-    accesses: u64,
-    seed: u64,
-) -> (RunStats, u64) {
-    let rows = mc_cfg.geometry.rows_per_bank;
-    let mut mc = McBuilder::new(mc_cfg.clone()).defenses(spec).audit(true).build();
-    let mut w = workload.build(mc_cfg.geometry.total_banks() as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
-    crate::runner::audit_run(&mc, &stats, &spec.defense, workload);
-    let max_disturbance = (0..mc_cfg.geometry.total_banks() as usize)
-        .map(|bank| mc.oracle(bank).expect("matrix runs arm the fault oracle").max_disturbance())
-        .fold(0.0_f64, f64::max);
-    (stats, max_disturbance.ceil() as u64)
 }
 
 #[cfg(test)]
@@ -298,8 +275,11 @@ mod tests {
                 let mut w = workload.build(1, rows, 42);
                 mc.run(w.as_mut(), 30_000)
             };
-            let (generational, _) =
-                run_cell(&gen_cfg, &GenSpec::ddr4(defense), &workload, 30_000, 42);
+            let mc = McBuilder::new(gen_cfg.clone())
+                .defenses(&GenSpec::ddr4(defense))
+                .audit(true)
+                .build();
+            let (_, generational) = execute(mc, &workload, 30_000, 42, true);
             assert_eq!(legacy, generational, "{} diverged on DDR4", defense.name());
         }
     }

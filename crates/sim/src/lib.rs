@@ -9,10 +9,10 @@
 //! * [`scenarios`] — the catalog: [`DefenseSpec`] (Graphene, PARA, PRoHIT,
 //!   MRLoc, CBT, TWiCe, Ideal, None) and [`WorkloadSpec`] (S1–S4, the
 //!   Figure 7 patterns, SPEC-like mixes).
-//! * [`runner`] — baseline-relative execution of one (defense, workload)
-//!   pair and parallel matrices of pairs.
-//! * [`pool`] — the std-only work-stealing thread pool the matrix sweep
-//!   fans its (workload × defense) grid out on.
+//! * [`runner`] — the one cell runner every sweep shares, and the
+//!   baseline-relative (workload × defense) matrix built on it.
+//! * [`pool`] — the std-only ordered parallel map every sweep fans its
+//!   groups or cells out on.
 //! * [`sharded`] — the full-system path: accesses streamed through a
 //!   [`memctrl::MappingPolicy`] router into bounded per-channel [`spsc`]
 //!   rings, whose batches worker threads and the router itself run one
@@ -74,10 +74,9 @@ pub use fleet::{
 pub use generations::{
     generation_lineup, run_generation_matrix, GenerationCell, GenerationMatrixConfig,
 };
-pub use pool::{PoolReport, WatchdogConfig};
 pub use runner::{
-    run_matrix, run_matrix_telemetry, run_pair, try_run_matrix, try_run_matrix_telemetry,
-    CellFailure, CellTelemetry, MatrixError, MatrixTelemetry, SimConfig, SimReport, TelemetrySpec,
+    run_matrix, run_pair, try_run_matrix, CellFailure, CellTelemetry, MatrixError, MatrixTelemetry,
+    SimConfig, SimReport, TelemetrySpec,
 };
 pub use scenarios::{DefenseSpec, GenSpec, SpecParseError, WorkloadSpec};
-pub use sharded::{run_system, run_system_matrix, run_system_sharded, SystemReport};
+pub use sharded::{run_system, run_system_sharded, SystemReport};

@@ -1,7 +1,15 @@
 //! Baseline-relative execution and parallel sweeps.
+//!
+//! `execute` is the one cell runner every sweep in the crate shares: it
+//! drives a seeded workload through a controller its caller built and
+//! audits the run. [`try_run_matrix`] runs the Figure 8/9 grid on it: each
+//! workload's defense-free baseline once, then every (workload, defense)
+//! cell against that baseline, both fanned out with [`pool::map`].
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use dram_model::fault::DisturbanceModel;
 use memctrl::{
@@ -11,6 +19,7 @@ use mitigations::RowHammerDefense;
 use rh_analysis::EnergyModel;
 use telemetry::{Cadence, MetricsSink, NoopSink, Recorder, SharedSink, Snapshot};
 
+use crate::pool;
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
 
 /// Telemetry wiring for a campaign: how often instrumented defenses and the
@@ -160,22 +169,40 @@ impl SimReport {
     }
 }
 
-fn execute(
-    cfg: &McConfig,
-    defense: &DefenseSpec,
+/// Runs one sweep cell: drives `workload`, built from `seed` over `mc`'s
+/// geometry, for `accesses` accesses through `mc`, and with `audit` checks
+/// the finished run with [`audit_run`]. Returns the controller, so the
+/// caller can read its oracles and defenses, with the run's stats. Callers
+/// build `mc` themselves: the builder chain (instrumentation, fault plan,
+/// telemetry tap) is what differs between sweeps.
+pub(crate) fn execute(
+    mut mc: MemoryController,
     workload: &WorkloadSpec,
     accesses: u64,
     seed: u64,
     audit: bool,
-) -> RunStats {
-    let rows = cfg.geometry.rows_per_bank;
-    let mut mc = McBuilder::new(cfg.clone()).defenses(defense).audit(audit).build();
-    let mut w = workload.build(cfg.geometry.total_banks() as u16, rows, seed);
+) -> (MemoryController, RunStats) {
+    let geometry = mc.config().geometry;
+    let mut w = workload.build(geometry.total_banks() as u16, geometry.rows_per_bank, seed);
     let stats = mc.run(w.as_mut(), accesses);
     if audit {
-        audit_run(&mc, &stats, defense, workload);
+        audit_run(&mc, &stats, workload);
     }
-    stats
+    (mc, stats)
+}
+
+/// The hottest victim's ACT-equivalent disturbance across `mc`'s banks,
+/// ceiled: the worst any per-bank fault oracle recorded.
+///
+/// # Panics
+///
+/// Panics if `mc` runs without the fault oracle.
+pub(crate) fn worst_disturbance(mc: &MemoryController) -> u64 {
+    let banks = mc.config().geometry.total_banks() as usize;
+    (0..banks)
+        .map(|bank| mc.oracle(bank).expect("sweep cells arm the fault oracle").max_disturbance())
+        .fold(0.0_f64, f64::max)
+        .ceil() as u64
 }
 
 /// The sink an instrumented component reports to: the cell's shared
@@ -233,48 +260,65 @@ impl DefenseFactory for InstrumentedFactory<'_> {
     }
 }
 
-/// [`execute`] with the telemetry wiring of `spec`: every defense goes
-/// through [`mitigations::instrumented`] and the controller gets a
-/// [`TelemetryTap`], all feeding one shared recorder per cell. With
-/// `spec.noop` (or `spec == None`, which skips the wiring entirely) no
-/// snapshot is produced.
-fn execute_cell(
-    cfg: &McConfig,
-    spec: Option<&TelemetrySpec>,
+/// One defended cell of [`try_run_matrix`]: builds the controller, with
+/// the telemetry wiring of `cfg.telemetry` when there is one, runs it
+/// through [`execute`], and scores it against `baseline`. Under telemetry
+/// every defense goes through [`mitigations::instrumented`] and the
+/// controller gets a [`TelemetryTap`], all feeding one shared recorder per
+/// cell; a noop spec (or no spec) yields no snapshot.
+fn run_cell(
+    cfg: &SimConfig,
     defense: &DefenseSpec,
     workload: &WorkloadSpec,
-    accesses: u64,
-    seed: u64,
+    baseline: &RunStats,
     audit: bool,
-) -> (RunStats, Option<Snapshot>) {
-    let Some(spec) = spec else {
-        return (execute(cfg, defense, workload, accesses, seed, audit), None);
+) -> (SimReport, Option<Snapshot>) {
+    let mc_cfg = cfg.mc_config_for(workload);
+    let builder = McBuilder::new(mc_cfg.clone()).audit(audit);
+    let (mc, shared) = match &cfg.telemetry {
+        None => (builder.defenses(defense).build(), None),
+        Some(spec) => {
+            let shared = (!spec.noop).then(|| {
+                SharedSink::with_recorder(Recorder::with_ring_capacity(spec.ring_capacity))
+            });
+            let cadence = Cadence::EveryActs(spec.every_acts);
+            let mc = builder
+                .defenses(&InstrumentedFactory { inner: defense, shared: &shared, cadence })
+                .telemetry(TelemetryTap::new(sink_for(&shared), cadence))
+                .build();
+            (mc, shared)
+        }
     };
-    let rows = cfg.geometry.rows_per_bank;
-    let shared = (!spec.noop)
-        .then(|| SharedSink::with_recorder(Recorder::with_ring_capacity(spec.ring_capacity)));
-    let cadence = Cadence::EveryActs(spec.every_acts);
-    let mut mc = McBuilder::new(cfg.clone())
-        .defenses(&InstrumentedFactory { inner: defense, shared: &shared, cadence })
-        .audit(audit)
-        .telemetry(TelemetryTap::new(sink_for(&shared), cadence))
-        .build();
-    let mut w = workload.build(cfg.geometry.total_banks() as u16, rows, seed);
-    let stats = mc.run(w.as_mut(), accesses);
+    let (mc, stats) = execute(mc, workload, cfg.accesses, cfg.seed, audit);
     if audit {
-        audit_run(&mc, &stats, defense, workload);
+        audit_cross(&stats, baseline, defense, workload);
     }
+    let banks = mc_cfg.geometry.total_banks();
     let snapshot = shared.map(|s| {
         // One final scheme-state sample at completion time — the trajectory
         // would otherwise stop at the last cadence boundary.
         s.with(|rec| {
-            for bank in 0..cfg.geometry.total_banks() as usize {
+            for bank in 0..banks as usize {
                 mc.defense(bank).emit_telemetry(bank as u16, stats.completion, rec);
             }
         });
         s.snapshot(&format!("{}/{}", workload.name(), defense.name()))
     });
-    (stats, snapshot)
+    let energy_overhead = EnergyModel::micro2020().refresh_energy_overhead(
+        stats.victim_rows_refreshed,
+        stats.completion,
+        banks,
+    );
+    let report = SimReport {
+        defense: defense.name(),
+        workload: workload.name(),
+        energy_overhead,
+        slowdown: stats.slowdown_vs(baseline),
+        latency_increase: latency_increase(&stats, baseline),
+        weighted_speedup_loss: stats.weighted_speedup_loss_vs(baseline),
+        stats,
+    };
+    (report, snapshot)
 }
 
 /// End-of-run invariant audit: the cross-counter checks of [`StatsAudit`]
@@ -282,20 +326,11 @@ fn execute_cell(
 /// the per-bank flip counts must sum to the reported total, and a
 /// zero-flip verdict must be backed by every bank's worst disturbance
 /// staying below `T_RH`.
-pub(crate) fn audit_run(
-    mc: &MemoryController,
-    stats: &RunStats,
-    defense: &DefenseSpec,
-    workload: &WorkloadSpec,
-) {
+pub(crate) fn audit_run(mc: &MemoryController, stats: &RunStats, workload: &WorkloadSpec) {
+    let defense = mc.defense(0).name();
     if let Err(findings) = StatsAudit::check_at(stats, mc.clock()) {
         let list: Vec<String> = findings.iter().map(ToString::to_string).collect();
-        panic!(
-            "stats audit failed for {} on {}: {}",
-            defense.name(),
-            workload.name(),
-            list.join("; ")
-        );
+        panic!("stats audit failed for {defense} on {}: {}", workload.name(), list.join("; "));
     }
     if mc.config().fault_model.is_none() {
         return;
@@ -310,9 +345,8 @@ pub(crate) fn audit_run(
             let t_rh = oracle.threshold_acts();
             assert!(
                 margin < t_rh,
-                "ground-truth audit failed for {} on {}: zero flips reported but bank \
+                "ground-truth audit failed for {defense} on {}: zero flips reported but bank \
                  {bank}'s hottest victim accumulated {margin:.1} of {t_rh:.1} ACT-equivalents",
-                defense.name(),
                 workload.name()
             );
         }
@@ -320,9 +354,8 @@ pub(crate) fn audit_run(
     assert_eq!(
         oracle_flips,
         stats.bit_flips,
-        "ground-truth audit failed for {} on {}: oracles saw {oracle_flips} flip(s) but the \
-         run reported {}",
-        defense.name(),
+        "ground-truth audit failed for {defense} on {}: oracles saw {oracle_flips} flip(s) but \
+         the run reported {}",
         workload.name(),
         stats.bit_flips
     );
@@ -343,50 +376,17 @@ fn audit_cross(stats: &RunStats, baseline: &RunStats, defense: &DefenseSpec, w: 
     }
 }
 
-/// Builds the baseline-relative report for one finished run — the single
-/// place the report recipe lives, shared by [`run_pair`] and [`run_matrix`].
-fn report_for(
-    defense: &DefenseSpec,
-    workload: &WorkloadSpec,
-    stats: RunStats,
-    baseline: &RunStats,
-    energy: EnergyModel,
-    banks: u32,
-) -> SimReport {
-    let energy_overhead =
-        energy.refresh_energy_overhead(stats.victim_rows_refreshed, stats.completion, banks);
-    let slowdown = stats.slowdown_vs(baseline);
-    let latency_increase = latency_increase(&stats, baseline);
-    let weighted_speedup_loss = stats.weighted_speedup_loss_vs(baseline);
-    SimReport {
-        defense: defense.name(),
-        workload: workload.name(),
-        stats,
-        energy_overhead,
-        slowdown,
-        latency_increase,
-        weighted_speedup_loss,
-    }
-}
-
 /// Runs one (defense, workload) pair plus its defense-free baseline and
-/// returns the relative report.
+/// returns the relative report: the one-cell [`run_matrix`].
+///
+/// # Panics
+///
+/// Panics with the [`MatrixError`] rendering when the baseline or the
+/// cell panics.
 pub fn run_pair(cfg: &SimConfig, defense: &DefenseSpec, workload: &WorkloadSpec) -> SimReport {
-    let audit = cfg.audit_enabled();
-    let mc_cfg = cfg.mc_config_for(workload);
-    let baseline = execute(mc_cfg, &DefenseSpec::None, workload, cfg.accesses, cfg.seed, audit);
-    let stats = execute(mc_cfg, defense, workload, cfg.accesses, cfg.seed, audit);
-    if audit {
-        audit_cross(&stats, &baseline, defense, workload);
-    }
-    report_for(
-        defense,
-        workload,
-        stats,
-        &baseline,
-        EnergyModel::micro2020(),
-        mc_cfg.geometry.total_banks(),
-    )
+    let mut reports =
+        run_matrix(cfg, std::slice::from_ref(defense), std::slice::from_ref(workload));
+    reports.pop().expect("a one-cell matrix returns one report")
 }
 
 fn latency_increase(stats: &memctrl::RunStats, baseline: &memctrl::RunStats) -> f64 {
@@ -453,14 +453,14 @@ pub struct CellTelemetry {
 /// Reports plus telemetry from a matrix sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixTelemetry {
-    /// Per-cell reports, (workload-major, defense-minor) as in
-    /// [`try_run_matrix`].
+    /// Per-cell reports, (workload-major, defense-minor).
     pub reports: Vec<SimReport>,
     /// Per-cell snapshots (empty when the campaign ran without a recording
     /// sink, i.e. `telemetry: None` or a noop spec).
     pub cells: Vec<CellTelemetry>,
     /// Live sweep progress: series `sweep.jobs_done` over wall-clock time
-    /// (ps since sweep start), one sample per finished pool job.
+    /// (ps since sweep start), one sample per finished baseline or cell
+    /// (empty without a recording sink).
     pub sweep: Snapshot,
 }
 
@@ -478,25 +478,22 @@ impl MatrixTelemetry {
     }
 }
 
-/// Runs the full (defenses × workloads) matrix in parallel and returns the
-/// reports in (workload-major, defense-minor) order.
+/// Runs the full (defenses × workloads) matrix in parallel: reports in
+/// (workload-major, defense-minor) order, plus the telemetry of
+/// `cfg.telemetry` — per-cell snapshots under a recording spec, and the
+/// sweep's progress series.
 ///
-/// Every cell of the grid is an independent job on a work-stealing pool
-/// ([`crate::pool`]): one baseline job per workload, which on completion
-/// fans out one job per defense sharing that baseline. Compared to the old
-/// one-thread-per-workload scheme (defenses serial within each thread), a
-/// slow workload no longer serializes its D defense runs on a single core,
-/// and the thread count is bounded by the host's parallelism rather than
-/// the number of workloads.
+/// The sweep is two [`pool::map`]s. The first runs each workload's
+/// defense-free baseline once; the second runs every (workload, defense)
+/// cell against its workload's baseline, so even a one-workload matrix
+/// (Figure 9) spreads its defenses across the host's cores. Baselines run
+/// uninstrumented: they define the reference timing and should not appear
+/// in defense-labelled series.
 ///
-/// The defense-free baseline of each workload is executed once and shared by
-/// every defense of that workload (unlike repeated [`run_pair`] calls, which
-/// would re-run it per pair).
-///
-/// A panicking cell no longer aborts the whole sweep with a poisoned-slot
-/// panic: each cell runs under `catch_unwind`, the rest of the grid
-/// completes, and the error names every failing (workload, defense) pair.
-/// A panicking *baseline* fails all of that workload's cells, since they
+/// A panicking cell does not abort the sweep: each baseline and cell runs
+/// under `catch_unwind`, the rest of the grid completes, and the error
+/// names every failing (workload, defense) pair. A panicking *baseline*
+/// fails all of that workload's cells without running them, since they
 /// have nothing to compare against.
 ///
 /// # Errors
@@ -506,116 +503,53 @@ pub fn try_run_matrix(
     cfg: &SimConfig,
     defenses: &[DefenseSpec],
     workloads: &[WorkloadSpec],
-) -> Result<Vec<SimReport>, MatrixError> {
-    try_run_matrix_telemetry(cfg, defenses, workloads).map(|m| m.reports)
-}
-
-/// [`try_run_matrix`] keeping the telemetry: per-cell snapshots (when
-/// `cfg.telemetry` is a recording spec) and the live sweep-progress series
-/// sampled from the work-stealing pool's completion stream.
-///
-/// The defense-free baselines run uninstrumented — they define the
-/// reference timing and should not appear in defense-labelled series.
-///
-/// # Errors
-///
-/// Returns [`MatrixError`] listing each failed cell, like
-/// [`try_run_matrix`].
-pub fn try_run_matrix_telemetry(
-    cfg: &SimConfig,
-    defenses: &[DefenseSpec],
-    workloads: &[WorkloadSpec],
 ) -> Result<MatrixTelemetry, MatrixError> {
-    use std::sync::{Arc, Mutex};
-
     let audit = cfg.audit_enabled();
-    let energy = EnergyModel::micro2020();
-    let spec = cfg.telemetry.as_ref();
-    let n_def = defenses.len();
-    type CellResult = Result<(SimReport, Option<Snapshot>), String>;
-    let slots: Vec<Mutex<Option<CellResult>>> =
-        (0..workloads.len() * n_def).map(|_| Mutex::new(None)).collect();
 
-    // One job per grid cell plus one baseline per workload can be in flight;
-    // more threads than that (or than the host has cores) would only idle.
-    let jobs_upper_bound = workloads.len() * (n_def + 1);
-    let threads =
-        std::thread::available_parallelism().map_or(4, usize::from).min(jobs_upper_bound).max(1);
-
-    // Live sweep progress: one sample per finished pool job, timestamped in
-    // wall-clock picoseconds since sweep start.
-    let sweep_sink = spec.filter(|s| !s.noop).map(|_| SharedSink::new());
-    let sweep_start = std::time::Instant::now();
-    let observe = sweep_sink.clone().map(|sink| {
-        move |done: usize| {
-            let t_ps = sweep_start.elapsed().as_nanos() as u64 * 1_000;
-            sink.with(|rec| rec.sample("sweep.jobs_done", 0, t_ps, done as f64));
+    // Live sweep progress: one sample per finished baseline or cell,
+    // timestamped in wall-clock picoseconds since sweep start.
+    let sweep_sink = cfg.telemetry.filter(|s| !s.noop).map(|_| SharedSink::new());
+    let sweep_start = Instant::now();
+    let jobs_done = AtomicUsize::new(0);
+    let job_done = || {
+        if let Some(sink) = &sweep_sink {
+            sink.with(|rec| {
+                // Counted under the recorder's lock, so the series rises in
+                // step with the count.
+                let done = jobs_done.fetch_add(1, Ordering::Relaxed) + 1;
+                let t_ps = sweep_start.elapsed().as_nanos() as u64 * 1_000;
+                rec.sample("sweep.jobs_done", 0, t_ps, done as f64);
+            });
         }
+    };
+
+    let baselines = pool::map(workloads, |workload| {
+        let baseline = catch_unwind(AssertUnwindSafe(|| {
+            let mc_cfg = cfg.mc_config_for(workload).clone();
+            let mc = McBuilder::new(mc_cfg).defenses(&DefenseSpec::None).audit(audit).build();
+            execute(mc, workload, cfg.accesses, cfg.seed, audit).1
+        }))
+        .map_err(|payload| format!("baseline panicked: {}", payload_message(&*payload)));
+        job_done();
+        baseline
+    });
+    let grid: Vec<(usize, &DefenseSpec)> =
+        (0..workloads.len()).flat_map(|wi| defenses.iter().map(move |d| (wi, d))).collect();
+    let results = pool::map(&grid, |&(wi, defense)| {
+        let baseline = baselines[wi].as_ref().map_err(Clone::clone)?;
+        let cell = catch_unwind(AssertUnwindSafe(|| {
+            run_cell(cfg, defense, &workloads[wi], baseline, audit)
+        }))
+        .map_err(|payload| payload_message(&*payload));
+        job_done();
+        cell
     });
 
-    let slots_ref = &slots;
-    let initial: Vec<crate::pool::Job<'_>> = workloads
-        .iter()
-        .enumerate()
-        .map(|(wi, workload)| {
-            crate::pool::job(move |spawner| {
-                let mc_cfg = cfg.mc_config_for(workload);
-                let banks = mc_cfg.geometry.total_banks();
-                let baseline = match catch_unwind(AssertUnwindSafe(|| {
-                    execute(mc_cfg, &DefenseSpec::None, workload, cfg.accesses, cfg.seed, audit)
-                })) {
-                    Ok(b) => Arc::new(b),
-                    Err(payload) => {
-                        let msg = format!("baseline panicked: {}", payload_message(&*payload));
-                        for di in 0..n_def {
-                            *slots_ref[wi * n_def + di].lock().expect("result slot poisoned") =
-                                Some(Err(msg.clone()));
-                        }
-                        return;
-                    }
-                };
-                for (di, defense) in defenses.iter().enumerate() {
-                    let baseline = Arc::clone(&baseline);
-                    spawner.spawn(move |_| {
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            let (stats, snapshot) = execute_cell(
-                                mc_cfg,
-                                spec,
-                                defense,
-                                workload,
-                                cfg.accesses,
-                                cfg.seed,
-                                audit,
-                            );
-                            if audit {
-                                audit_cross(&stats, &baseline, defense, workload);
-                            }
-                            (
-                                report_for(defense, workload, stats, &baseline, energy, banks),
-                                snapshot,
-                            )
-                        }))
-                        .map_err(|payload| payload_message(&*payload));
-                        *slots_ref[wi * n_def + di].lock().expect("result slot poisoned") =
-                            Some(result);
-                    });
-                }
-            })
-        })
-        .collect();
-    let observer: Option<&(dyn Fn(usize) + Sync)> =
-        observe.as_ref().map(|f| f as &(dyn Fn(usize) + Sync));
-    crate::pool::run_scoped_observed(threads, initial, observer);
-
-    let mut reports = Vec::with_capacity(slots.len());
+    let mut reports = Vec::with_capacity(results.len());
     let mut cells = Vec::new();
     let mut failures = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let cell = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("every grid cell filled by the pool");
-        match cell {
+    for (&(wi, defense), result) in grid.iter().zip(results) {
+        match result {
             Ok((report, snapshot)) => {
                 if let Some(snapshot) = snapshot {
                     cells.push(CellTelemetry {
@@ -627,8 +561,8 @@ pub fn try_run_matrix_telemetry(
                 reports.push(report);
             }
             Err(message) => failures.push(CellFailure {
-                workload: workloads[i / n_def].name(),
-                defense: defenses[i % n_def].name(),
+                workload: workloads[wi].name(),
+                defense: defense.name(),
                 message,
             }),
         }
@@ -640,8 +574,8 @@ pub fn try_run_matrix_telemetry(
     Ok(MatrixTelemetry { reports, cells, sweep })
 }
 
-/// [`try_run_matrix`], panicking with the full failure list if any cell
-/// failed.
+/// The reports of [`try_run_matrix`], panicking with the full failure list
+/// if any cell failed.
 ///
 /// # Panics
 ///
@@ -651,21 +585,7 @@ pub fn run_matrix(
     defenses: &[DefenseSpec],
     workloads: &[WorkloadSpec],
 ) -> Vec<SimReport> {
-    try_run_matrix(cfg, defenses, workloads).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_run_matrix_telemetry`], panicking with the full failure list if any
-/// cell failed.
-///
-/// # Panics
-///
-/// Panics with the [`MatrixError`] rendering when one or more cells panic.
-pub fn run_matrix_telemetry(
-    cfg: &SimConfig,
-    defenses: &[DefenseSpec],
-    workloads: &[WorkloadSpec],
-) -> MatrixTelemetry {
-    try_run_matrix_telemetry(cfg, defenses, workloads).unwrap_or_else(|e| panic!("{e}"))
+    try_run_matrix(cfg, defenses, workloads).map_or_else(|e| panic!("{e}"), |m| m.reports)
 }
 
 #[cfg(test)]
@@ -744,9 +664,9 @@ mod tests {
     #[test]
     fn healthy_matrix_returns_ok() {
         let cfg = SimConfig::attack_bank(5_000, 2_000);
-        let reports =
+        let m =
             try_run_matrix(&cfg, &[DefenseSpec::Para { p: 0.001 }], &[WorkloadSpec::S3]).unwrap();
-        assert_eq!(reports.len(), 1);
+        assert_eq!(m.reports.len(), 1);
     }
 
     #[test]

@@ -291,7 +291,7 @@ fn seal(
     let stats = system.finish();
     if audit {
         for (shard, st) in system.shards().iter().zip(&stats.per_channel) {
-            audit_run(shard, st, defense, workload);
+            audit_run(shard, st, workload);
         }
     }
     let per_channel = system.geometry().banks_per_channel() as usize;
@@ -379,27 +379,6 @@ pub fn run_system_sharded(
         stats,
         snapshot,
     }
-}
-
-/// The full-system matrix: every (workload, defense) pair through
-/// [`run_system_sharded`]. Pairs run back-to-back — each run already
-/// parallelizes internally across channels, so nesting another fan-out
-/// would only oversubscribe the host's cores.
-pub fn run_system_matrix(
-    sim: &SimConfig,
-    policy: MappingPolicy,
-    defenses: &[DefenseSpec],
-    workloads: &[WorkloadSpec],
-    threads: usize,
-    batch: usize,
-) -> Vec<SystemReport> {
-    let mut reports = Vec::with_capacity(defenses.len() * workloads.len());
-    for workload in workloads {
-        for defense in defenses {
-            reports.push(run_system_sharded(sim, policy, defense, workload, threads, batch));
-        }
-    }
-    reports
 }
 
 #[cfg(test)]
@@ -536,17 +515,5 @@ mod tests {
             let snap = b.snapshot.expect("recording campaign must yield a snapshot");
             assert!(!snap.series.is_empty());
         }
-    }
-
-    #[test]
-    fn matrix_covers_every_pair() {
-        let mut sim = small_system(2_000);
-        sim.audit = false;
-        let defenses = [DefenseSpec::None, DefenseSpec::Para { p: 0.001 }];
-        let workloads = WorkloadSpec::system_set(16);
-        let reports =
-            run_system_matrix(&sim, MappingPolicy::RowInterleaved, &defenses, &workloads, 2, 64);
-        assert_eq!(reports.len(), 6);
-        assert!(reports.iter().all(|r| r.stats.merged.accesses == 2_000));
     }
 }

@@ -2,9 +2,7 @@
 //! reports as uninstrumented ones, and recording sweeps actually contain the
 //! trajectory series the report tooling consumes.
 
-use rh_sim::{
-    run_matrix_telemetry, try_run_matrix, DefenseSpec, SimConfig, TelemetrySpec, WorkloadSpec,
-};
+use rh_sim::{try_run_matrix, DefenseSpec, SimConfig, TelemetrySpec, WorkloadSpec};
 
 fn defenses() -> Vec<DefenseSpec> {
     vec![
@@ -22,8 +20,8 @@ fn workloads() -> Vec<WorkloadSpec> {
 fn noop_instrumented_matrix_is_bit_identical() {
     let plain = SimConfig::attack_bank(5_000, 8_000);
     let noop = SimConfig { telemetry: Some(TelemetrySpec::noop()), ..plain.clone() };
-    let baseline = try_run_matrix(&plain, &defenses(), &workloads()).unwrap();
-    let instrumented = run_matrix_telemetry(&noop, &defenses(), &workloads());
+    let baseline = try_run_matrix(&plain, &defenses(), &workloads()).unwrap().reports;
+    let instrumented = try_run_matrix(&noop, &defenses(), &workloads()).unwrap();
     assert_eq!(instrumented.reports, baseline, "NoopSink wiring must not perturb any run");
     assert!(instrumented.cells.is_empty(), "noop spec records nothing");
     assert!(instrumented.sweep.series.is_empty(), "noop spec skips sweep progress too");
@@ -33,8 +31,8 @@ fn noop_instrumented_matrix_is_bit_identical() {
 fn recording_matrix_leaves_stats_unchanged() {
     let plain = SimConfig::attack_bank(5_000, 8_000);
     let recording = SimConfig { telemetry: Some(TelemetrySpec::every_acts(500)), ..plain.clone() };
-    let baseline = try_run_matrix(&plain, &defenses(), &workloads()).unwrap();
-    let recorded = run_matrix_telemetry(&recording, &defenses(), &workloads());
+    let baseline = try_run_matrix(&plain, &defenses(), &workloads()).unwrap().reports;
+    let recorded = try_run_matrix(&recording, &defenses(), &workloads()).unwrap();
     assert_eq!(recorded.reports, baseline, "recording must not perturb timing or counters");
 }
 
@@ -45,7 +43,7 @@ fn recording_matrix_captures_per_defense_series() {
         ..SimConfig::attack_bank(5_000, 8_000)
     };
     let defenses = defenses();
-    let m = run_matrix_telemetry(&cfg, &defenses, &workloads());
+    let m = try_run_matrix(&cfg, &defenses, &workloads()).unwrap();
     assert_eq!(m.cells.len(), m.reports.len(), "every cell snapshotted");
 
     // Graphene's scheme-specific trajectory is present per bank.
@@ -87,7 +85,7 @@ fn arena_trackers_report_their_scheme_series() {
         DefenseSpec::Abacus { t_rh: 5_000, k: 2 },
         DefenseSpec::BlockHammer { t_rh: 5_000 },
     ];
-    let m = run_matrix_telemetry(&cfg, &defenses, &[WorkloadSpec::S3]);
+    let m = try_run_matrix(&cfg, &defenses, &[WorkloadSpec::S3]).unwrap();
 
     // Tracker-specific trajectories: CMS occupancy, shared-table spillover,
     // and throttle accounting — plus the uniform wrapper series everywhere.

@@ -29,8 +29,8 @@
 //! occupancy, evictions, and per-window NRR triggers; `memctrl` taps
 //! ACT/REF/victim-refresh rates; `mitigations::instrumented()` wraps any
 //! defense so all nine schemes report action rates uniformly; `rh-sim`
-//! aggregates per-cell snapshots across a sweep and samples live pool
-//! progress.
+//! aggregates per-cell snapshots across a sweep and samples live sweep
+//! progress (`sweep.jobs_done`, one sample per finished baseline or cell).
 //!
 //! # Example
 //!
