@@ -26,7 +26,26 @@ pub fn run(fast: bool) {
     refresh_rate_baseline(fast);
 }
 
-fn tracker_choice(fast: bool) {
+/// One row of the tracker-choice table.
+#[derive(Debug)]
+struct TrackerChoice {
+    /// The tracker and its sizing.
+    tracker: &'static str,
+    /// Heavy rows (true count ≥ T) whose estimate reaches T.
+    tracked: usize,
+    /// Heavy rows in the stream.
+    heavy: usize,
+    /// Heavy rows whose estimate stays below T (false negatives).
+    missed: usize,
+    /// Reported heavy hitters whose true count is below T.
+    spurious: usize,
+    /// Mean estimate minus true count over the heavy rows.
+    bias: i64,
+}
+
+/// Races five streaming summaries as aggressor trackers on one
+/// adversarial stream, prints the table and returns its rows.
+fn tracker_choice(fast: bool) -> Vec<TrackerChoice> {
     crate::banner("Ablation — tracker choice at equal entry budget (81 entries)");
     let entries = 81;
     // Graphene's trigger threshold at k = 2; scaled down in fast mode so the
@@ -55,6 +74,32 @@ fn tracker_choice(fast: bool) {
     }
     let heavy: Vec<u32> = actual.iter().filter(|&(_, &c)| c >= t).map(|(&k, _)| k).collect();
 
+    let eval = |tracker: &'static str, est: &mut dyn FrequencyEstimator<u32>| {
+        for &x in &stream {
+            est.observe(x);
+        }
+        let hh = est.heavy_hitters(t);
+        let tracked = heavy.iter().filter(|&&h| est.estimate(&h) >= t).count();
+        TrackerChoice {
+            tracker,
+            tracked,
+            heavy: heavy.len(),
+            missed: heavy.len() - tracked,
+            spurious: hh.iter().filter(|(k, _)| actual.get(k).copied().unwrap_or(0) < t).count(),
+            bias: heavy.iter().map(|h| est.estimate(h) as i64 - actual[h] as i64).sum::<i64>()
+                / heavy.len().max(1) as i64,
+        }
+    };
+    let rows = vec![
+        eval("spillover Misra-Gries (Graphene)", &mut SpilloverSummary::new(entries)),
+        eval("classic Misra-Gries (decrement)", &mut MisraGries::new(entries)),
+        eval("Space-Saving", &mut SpaceSaving::new(entries)),
+        eval("Lossy Counting (eps=1/81)", &mut LossyCounting::new(1.0 / entries as f64)),
+        // CMS with a bit budget comparable to 81 × 31 bits ≈ 2.5 Kbit: 4×32
+        // counters of 20 bits ≈ 2.6 Kbit.
+        eval("Count-Min 4x32 + 16 candidates", &mut CountMinSketch::new(4, 32, 16)),
+    ];
+
     let mut table = TablePrinter::new(vec![
         "tracker",
         "heavy rows tracked",
@@ -62,39 +107,22 @@ fn tracker_choice(fast: bool) {
         "spurious above T",
         "est. bias",
     ]);
-    let mut eval = |name: &str, est: &mut dyn FrequencyEstimator<u32>| {
-        for &x in &stream {
-            est.observe(x);
-        }
-        let hh = est.heavy_hitters(t);
-        let tracked = heavy.iter().filter(|&&h| est.estimate(&h) >= t).count();
-        let missed = heavy.len() - tracked;
-        let spurious = hh.iter().filter(|(k, _)| actual.get(k).copied().unwrap_or(0) < t).count();
-        let bias: i64 =
-            heavy.iter().map(|h| est.estimate(h) as i64 - actual[h] as i64).sum::<i64>()
-                / heavy.len().max(1) as i64;
+    for r in &rows {
         table.row(vec![
-            name.into(),
-            format!("{tracked}/{}", heavy.len()),
-            missed.to_string(),
-            spurious.to_string(),
-            format!("{bias:+}"),
+            r.tracker.into(),
+            format!("{}/{}", r.tracked, r.heavy),
+            r.missed.to_string(),
+            r.spurious.to_string(),
+            format!("{:+}", r.bias),
         ]);
-    };
-
-    eval("spillover Misra-Gries (Graphene)", &mut SpilloverSummary::new(entries));
-    eval("classic Misra-Gries (decrement)", &mut MisraGries::new(entries));
-    eval("Space-Saving", &mut SpaceSaving::new(entries));
-    eval("Lossy Counting (eps=1/81)", &mut LossyCounting::new(1.0 / entries as f64));
-    // CMS with a bit budget comparable to 81 × 31 bits ≈ 2.5 Kbit: 4×32
-    // counters of 20 bits ≈ 2.6 Kbit.
-    eval("Count-Min 4x32 + 16 candidates", &mut CountMinSketch::new(4, 32, 16));
+    }
     table.print();
     println!(
         "Over-estimating trackers (spillover/Space-Saving/CMS) can never miss a heavy \
          row — the property the protection proof needs; under-estimating ones \
          (classic MG, Lossy Counting) can. CMS pays with spurious rows (extra refreshes)."
     );
+    rows
 }
 
 fn refresh_rate_baseline(fast: bool) {
@@ -205,4 +233,30 @@ fn overflow_bit() {
     ]);
     table.print();
     println!("Paper: 21 -> 14(+1) bits, saving 6 bits/entry; the saving grows as T shrinks.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The fast-mode table, row by row: (tracker, tracked, heavy, missed,
+    /// spurious, bias). The Count-Min row is the one consumer of the
+    /// sketch's heavy-hitter candidate set.
+    #[test]
+    fn fast_tracker_choice_table_is_pinned() {
+        let rows: Vec<_> = tracker_choice(true)
+            .into_iter()
+            .map(|r| (r.tracker, r.tracked, r.heavy, r.missed, r.spurious, r.bias))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("spillover Misra-Gries (Graphene)", 25, 25, 0, 0, 0),
+                ("classic Misra-Gries (decrement)", 0, 25, 25, 0, -2338),
+                ("Space-Saving", 25, 25, 0, 0, 0),
+                ("Lossy Counting (eps=1/81)", 25, 25, 0, 7, -5),
+                ("Count-Min 4x32 + 16 candidates", 25, 25, 0, 13, 4477),
+            ]
+        );
+    }
 }

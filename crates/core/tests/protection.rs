@@ -27,7 +27,7 @@ fn assert_protected(
     for i in 0..acts {
         let now = i * timing.t_rc;
         while now >= next_auto_refresh {
-            oracle.refresh_rows(auto.next_burst());
+            oracle.refresh_burst(auto.next_burst());
             next_auto_refresh += timing.t_refi;
         }
         let row = pick(i);

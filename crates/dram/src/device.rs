@@ -169,7 +169,7 @@ impl BankDevice {
                 // An explicit REF executes the next rotation burst immediately.
                 let rows = self.refresh.next_burst();
                 self.stats.refreshes += 1;
-                self.oracle.refresh_rows(rows);
+                self.oracle.refresh_burst(rows);
                 Ok(Vec::new())
             }
             DramCommand::NearbyRowRefresh { aggressor, radius } => {

@@ -17,6 +17,8 @@
 //! Internally the oracle uses 1/65536 fixed-point arithmetic so that
 //! accumulation is exact and deterministic across platforms.
 
+use std::ops::Range;
+
 use crate::error::DramError;
 use crate::geometry::RowId;
 use crate::timing::Picoseconds;
@@ -270,11 +272,31 @@ impl FaultOracle {
         self.flipped[idx] = false;
     }
 
-    /// Refreshes a contiguous range of rows (as an auto-refresh burst does).
+    /// Refreshes a list of rows, such as a victim refresh's neighbours,
+    /// one [`refresh_row`](Self::refresh_row) at a time.
     pub fn refresh_rows(&mut self, rows: impl IntoIterator<Item = RowId>) {
         for r in rows {
             self.refresh_row(r);
         }
+    }
+
+    /// Refreshes a contiguous range of rows, as an auto-refresh burst from
+    /// [`RefreshEngine::next_burst`](crate::refresh::RefreshEngine::next_burst)
+    /// does: the same as [`refresh_row`](Self::refresh_row) on each row of
+    /// the range, with one bounds check and two slice fills. An empty range
+    /// refreshes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty range reaches past the bank.
+    pub fn refresh_burst(&mut self, rows: Range<u32>) {
+        if rows.is_empty() {
+            return;
+        }
+        assert!(rows.end <= self.rows_per_bank, "rows {rows:?} outside bank");
+        let rows = rows.start as usize..rows.end as usize;
+        self.disturbance[rows.clone()].fill(0);
+        self.flipped[rows].fill(false);
     }
 
     /// Current accumulated disturbance of `row`, in adjacent-ACT units.
@@ -483,6 +505,39 @@ mod tests {
         }
         assert_eq!(o.flip_count(), 2);
         assert!(o.max_disturbance() >= o.threshold_acts());
+    }
+
+    #[test]
+    fn clearing_a_burst_equals_refreshing_each_of_its_rows() {
+        // Uniform radius 3 charges every row near the hammered ones; five
+        // ACTs each on rows 1 and 63 flip rows 0, 2..=4 and 60..=62.
+        let model = DisturbanceModel { t_rh: 5, mu: MuModel::Uniform { radius: 3 } };
+        let mut charged = FaultOracle::new(model, 64);
+        let acts = [[1u32; 5], [63; 5]].concat().into_iter().chain([20, 21, 58]);
+        for (t, row) in acts.enumerate() {
+            charged.activate(RowId(row), t as u64);
+        }
+        assert!(charged.flipped[0] && charged.flipped[62]);
+        // A middle range, one ending at the bank edge, and empty ranges
+        // (the surplus bursts at a window's end sit on the edge).
+        for rows in [18..24, 0..3, 60..64, 5..5, 64..64] {
+            let mut burst = charged.clone();
+            let mut per_row = charged.clone();
+            burst.refresh_burst(rows.clone());
+            per_row.refresh_rows(rows.clone().map(RowId));
+            assert_eq!(burst.disturbance, per_row.disturbance, "{rows:?}");
+            assert_eq!(burst.flipped, per_row.flipped, "{rows:?}");
+        }
+        let mut cleared = charged.clone();
+        cleared.refresh_burst(0..64);
+        assert!(cleared.disturbance.iter().all(|&d| d == 0));
+        assert!(cleared.flipped.iter().all(|&f| !f));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside bank")]
+    fn a_burst_past_the_bank_panics() {
+        small_oracle(10).refresh_burst(60..65);
     }
 
     #[test]

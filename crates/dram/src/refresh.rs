@@ -7,6 +7,15 @@
 //! oracle can clear exactly the rows a REF burst restores — the paper's
 //! protection argument depends on every row being auto-refreshed once per
 //! tREFW, at a time the memory controller cannot observe.
+//!
+//! A burst is a contiguous row range, so [`RefreshEngine::next_burst`]
+//! returns it as a `Range<u32>` and the oracle clears it with
+//! [`FaultOracle::refresh_burst`](crate::fault::FaultOracle::refresh_burst):
+//! a REF tick allocates nothing. [`RefreshEngine::catch_up`] and
+//! [`RefreshEngine::catch_up_postponed`] collect every due burst into one
+//! row list.
+
+use std::ops::Range;
 
 use crate::error::DramError;
 use crate::generation::Generation;
@@ -30,8 +39,8 @@ pub const MAX_POSTPONED_REFS: u32 = 8;
 /// use dram_model::timing::DramTiming;
 ///
 /// let mut eng = RefreshEngine::new(&DramTiming::ddr4_2400(), 65_536);
-/// let first_burst = eng.next_burst();
-/// assert_eq!(first_burst.len(), 8); // rows 0..8
+/// assert_eq!(eng.next_burst(), 0..8);
+/// assert_eq!(eng.next_burst(), 8..16);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefreshEngine {
@@ -161,7 +170,7 @@ impl RefreshEngine {
         self.next_ref_at = next_ref_at;
     }
 
-    /// Executes one REF command and returns the rows it restores.
+    /// Executes one REF command and returns the range of rows it restores.
     ///
     /// The rotation is aligned to the refresh window: each window of
     /// `cmds_per_window` REF commands covers every row of the bank exactly
@@ -173,18 +182,19 @@ impl RefreshEngine {
     /// wrap point drift by `rows_per_ref × cmds_per_window − rows_per_bank`
     /// rows per window, double-refreshing early rows while each row's
     /// retention phase slides every window.
-    pub fn next_burst(&mut self) -> Vec<RowId> {
+    ///
+    /// A surplus burst returns the empty range `rows_per_bank..rows_per_bank`.
+    pub fn next_burst(&mut self) -> Range<u32> {
         let start = self.burst_in_window * u64::from(self.rows_per_ref);
         let lo = start.min(u64::from(self.rows_per_bank)) as u32;
         let hi = (start + u64::from(self.rows_per_ref)).min(u64::from(self.rows_per_bank)) as u32;
-        let rows = (lo..hi).map(RowId).collect();
         self.burst_in_window += 1;
         if self.burst_in_window == self.cmds_per_window {
             self.burst_in_window = 0;
         }
         self.refs_issued += 1;
         self.next_ref_at += self.t_refi;
-        rows
+        lo..hi
     }
 
     /// Executes every REF that is due at or before `now`, returning all rows
@@ -192,7 +202,7 @@ impl RefreshEngine {
     pub fn catch_up(&mut self, now: Picoseconds) -> Vec<RowId> {
         let mut all = Vec::new();
         while self.next_ref_at <= now {
-            all.extend(self.next_burst());
+            all.extend(self.next_burst().map(RowId));
         }
         all
     }
@@ -228,7 +238,7 @@ impl RefreshEngine {
         let lag = u64::from(postponed) * self.t_refi;
         let mut all = Vec::new();
         while self.next_ref_at + lag <= now {
-            all.extend(self.next_burst());
+            all.extend(self.next_burst().map(RowId));
         }
         Ok(all)
     }
@@ -245,7 +255,7 @@ mod tests {
         let mut seen = vec![false; 65_536];
         for _ in 0..t.refresh_commands_per_window() {
             for r in eng.next_burst() {
-                seen[r.0 as usize] = true;
+                seen[r as usize] = true;
             }
         }
         assert!(seen.iter().all(|&s| s), "every row refreshed once per tREFW");
@@ -267,9 +277,9 @@ mod tests {
         for _ in 0..4 {
             first_cycle.extend(eng.next_burst());
         }
-        assert_eq!(first_cycle, (0..8).map(RowId).collect::<Vec<_>>());
+        assert_eq!(first_cycle, (0..8).collect::<Vec<u32>>());
         // Next burst starts over at row 0.
-        assert_eq!(eng.next_burst(), vec![RowId(0), RowId(1)]);
+        assert_eq!(eng.next_burst(), 0..2);
     }
 
     #[test]
@@ -285,7 +295,7 @@ mod tests {
             let mut count = vec![0u32; 65_536];
             for _ in 0..t.refresh_commands_per_window() {
                 for r in eng.next_burst() {
-                    count[r.0 as usize] += 1;
+                    count[r as usize] += 1;
                 }
             }
             assert!(
@@ -304,20 +314,20 @@ mod tests {
         }
         // First burst of the second window starts over at row 0 (pre-fix it
         // started at row 104).
-        assert_eq!(eng.next_burst()[0], RowId(0));
+        assert_eq!(eng.next_burst(), 0..8);
     }
 
     #[test]
     fn surplus_bursts_at_window_end_refresh_nothing() {
         let t = DramTiming::ddr4_2400();
         let mut eng = RefreshEngine::new(&t, 65_536);
-        let full_bursts = 65_536 / 8;
-        for _ in 0..full_bursts {
-            assert_eq!(eng.next_burst().len(), 8);
+        let full_bursts: u32 = 65_536 / 8;
+        for b in 0..full_bursts {
+            assert_eq!(eng.next_burst(), b * 8..b * 8 + 8);
         }
         // 8205 − 8192 = 13 surplus commands: the bank is already covered.
-        for _ in full_bursts..t.refresh_commands_per_window() {
-            assert!(eng.next_burst().is_empty());
+        for _ in u64::from(full_bursts)..t.refresh_commands_per_window() {
+            assert_eq!(eng.next_burst(), 65_536..65_536);
         }
         assert_eq!(eng.cmds_per_window(), 8205);
     }

@@ -4,7 +4,7 @@
 //! the algorithmic substrate of Graphene (MICRO 2020), which applies
 //! Misra-Gries to the stream of DRAM row activations.
 //!
-//! Four classic algorithms are provided behind one trait,
+//! Five classic algorithms are provided behind one trait,
 //! [`FrequencyEstimator`]:
 //!
 //! * [`MisraGries`] — the original decrement-based summary (Misra & Gries,
@@ -20,12 +20,19 @@
 //! * [`LossyCounting`] — bucket-based (Manku & Motwani, 2002) with error at
 //!   most `ε·W`.
 //! * [`CountMinSketch`] — hashing sketch (Cormode & Muthukrishnan, 2003);
-//!   over-estimates with probabilistic error bounds.
+//!   over-estimates with probabilistic error bounds. It is a
+//!   [`CountMinCore`] plus a bounded heavy-hitter candidate set.
+//!
+//! [`CountMinCore`] is the sketch without the candidate set: the counter
+//! array and its hash family, hashing a key once per event and counting,
+//! estimating and discounting at those indices. The sketch-based Row
+//! Hammer trackers in `mitigations` (CoMeT, BlockHammer) hold it directly,
+//! since they never ask for heavy hitters.
 //!
 //! The Graphene core crate uses its own hardware-faithful (CAM-modeled,
 //! fixed-width) spillover table; this crate exists to property-test the
-//! algorithmic guarantees in isolation and to support the tracker-choice
-//! ablation (`DESIGN.md` §6).
+//! algorithmic guarantees in isolation, to support the tracker-choice
+//! ablation (`DESIGN.md` §6), and to provide the sketch core.
 //!
 //! # Example
 //!
@@ -48,7 +55,7 @@ pub mod space_saving;
 pub mod spillover;
 pub mod traits;
 
-pub use count_min::CountMinSketch;
+pub use count_min::{CountMinCore, CountMinSketch};
 pub use lossy_counting::LossyCounting;
 pub use misra_gries::MisraGries;
 pub use space_saving::SpaceSaving;

@@ -692,7 +692,7 @@ impl MemoryController {
                 self.stats.refreshes += 1;
                 let burst = self.refresh_engines[bank_idx].next_burst();
                 if let Some(oracles) = &mut self.oracles {
-                    oracles[bank_idx].refresh_rows(burst);
+                    oracles[bank_idx].refresh_burst(burst);
                 }
                 let actions = self.defenses[bank_idx].on_refresh_tick(at);
                 for action in actions {

@@ -2,8 +2,9 @@
 //! (Yağlıkçı et al., HPCA 2021).
 //!
 //! BlockHammer keeps **two counting Bloom filters** per bank (here: two
-//! Count-Min sketches, which are counting Bloom filters with per-row hash
-//! seeds). Both filters count every activation; their lifetimes are
+//! Count-Min sketch cores, which are counting Bloom filters with per-row
+//! hash seeds). Both filters count every activation; they share one shape,
+//! so an activation hashes its row once for both. Their lifetimes are
 //! staggered by half a refresh window and the older one is cleared at each
 //! epoch boundary, so at any instant the *older* filter holds between half
 //! and one full tREFW of history. A row whose older-filter estimate reaches
@@ -28,7 +29,7 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use freq_elems::{CountMinSketch, FrequencyEstimator};
+use freq_elems::CountMinCore;
 use graphene_core::GrapheneConfig;
 use telemetry::json::{obj, u64_field, JsonValue};
 
@@ -137,7 +138,7 @@ pub struct BlockHammerStats {
 #[derive(Debug, Clone)]
 pub struct BlockHammerDefense {
     cfg: BlockHammerConfig,
-    filters: [CountMinSketch<u32>; 2],
+    filters: [CountMinCore; 2],
     epoch_idx: u64,
     next_allowed: Picoseconds,
     suppress_next_query: bool,
@@ -146,11 +147,16 @@ pub struct BlockHammerDefense {
 
 impl BlockHammerDefense {
     /// Builds the tracker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the filter geometry is zero-sized or deeper than
+    /// [`freq_elems::count_min::MAX_DEPTH`].
     pub fn new(cfg: BlockHammerConfig) -> Self {
         BlockHammerDefense {
             filters: [
-                CountMinSketch::new(cfg.depth, cfg.width, 1),
-                CountMinSketch::new(cfg.depth, cfg.width, 1),
+                CountMinCore::new(cfg.depth, cfg.width),
+                CountMinCore::new(cfg.depth, cfg.width),
             ],
             epoch_idx: 0,
             next_allowed: 0,
@@ -176,18 +182,19 @@ impl BlockHammerDefense {
             self.epoch_idx += 1;
             // Entering epoch `i` clears filter `i % 2`, making it the young
             // filter; the other one keeps 1..2 epochs of history.
-            self.filters[(self.epoch_idx % 2) as usize].reset();
+            self.filters[(self.epoch_idx % 2) as usize].clear();
             self.stats.epoch_swaps += 1;
         }
     }
 
-    fn older(&self) -> &CountMinSketch<u32> {
+    fn older(&self) -> &CountMinCore {
         &self.filters[((self.epoch_idx + 1) % 2) as usize]
     }
 
     /// Whether `row` is currently blacklisted (no fault gating).
     pub fn is_blacklisted(&self, row: RowId) -> bool {
-        self.older().estimate(&row.0) >= self.cfg.blacklist_threshold
+        let older = self.older();
+        older.estimate(&older.slots(&row.0)) >= self.cfg.blacklist_threshold
     }
 }
 
@@ -199,8 +206,11 @@ impl RowHammerDefense for BlockHammerDefense {
     fn on_activation(&mut self, row: RowId, now: Picoseconds) -> Vec<RefreshAction> {
         self.roll(now);
         self.stats.activations += 1;
-        self.filters[0].observe(row.0);
-        self.filters[1].observe(row.0);
+        // The filters share depth and width, hence the row's slots.
+        let slots = self.filters[0].slots(&row.0);
+        for filter in &mut self.filters {
+            filter.add(&slots);
+        }
         Vec::new()
     }
 
@@ -253,8 +263,8 @@ impl RowHammerDefense for BlockHammerDefense {
     }
 
     fn reset(&mut self) {
-        self.filters[0].reset();
-        self.filters[1].reset();
+        self.filters[0].clear();
+        self.filters[1].clear();
         self.epoch_idx = 0;
         self.next_allowed = 0;
         self.suppress_next_query = false;
@@ -262,7 +272,7 @@ impl RowHammerDefense for BlockHammerDefense {
     }
 
     fn snapshot_state(&self) -> Result<JsonValue, String> {
-        let filter = |f: &CountMinSketch<u32>| {
+        let filter = |f: &CountMinCore| {
             obj(vec![
                 ("counters", lane(f.counters().iter().copied())),
                 ("stream_len", JsonValue::U64(f.stream_len())),
@@ -329,12 +339,7 @@ impl RowHammerDefense for BlockHammerDefense {
             faultsim::TrackerFault::CountBitFlip { slot, bit } => {
                 let per_filter = self.cfg.depth * self.cfg.width;
                 let idx = slot as usize % (2 * per_filter);
-                let f = &mut self.filters[idx / per_filter];
-                let mut counters = f.counters().to_vec();
-                counters[idx % per_filter] ^= 1 << (bit % 64);
-                let stream_len = f.stream_len();
-                f.restore_counters(&counters, stream_len)
-                    .expect("same-shape counter write-back cannot fail");
+                self.filters[idx / per_filter].flip_bit(idx % per_filter, bit);
                 true
             }
             faultsim::TrackerFault::AddrBitFlip { .. } => false,
@@ -467,5 +472,29 @@ mod tests {
         assert!(d.is_blacklisted(RowId(40)));
         assert!(d.inject_fault(&faultsim::TrackerFault::LookupMiss));
         assert!(!d.throttle_decision(RowId(40), nbl + 2).is_throttled());
+    }
+
+    #[test]
+    fn count_bit_flip_changes_one_counter_of_the_addressed_filter() {
+        let mut d = small();
+        for i in 0..1_000u64 {
+            d.on_activation(RowId(40 + (i % 3) as u32), i);
+        }
+        let per_filter = (d.config().depth * d.config().width) as u32;
+        // Slot `s` addresses counter `s % (2·depth·width)` of the two
+        // filters laid end to end; bits past the word wrap.
+        for (slot, bit) in [(3, 2), (per_filter + 7, 66), (2 * per_filter + 1, 63)] {
+            let lanes = |d: &BlockHammerDefense| -> Vec<u64> {
+                d.filters.iter().flat_map(|f| f.counters().iter().copied()).collect()
+            };
+            let before = lanes(&d);
+            assert!(d.inject_fault(&faultsim::TrackerFault::CountBitFlip { slot, bit }));
+            let after = lanes(&d);
+            let changed: Vec<usize> =
+                (0..before.len()).filter(|&i| before[i] != after[i]).collect();
+            assert_eq!(changed, vec![(slot % (2 * per_filter)) as usize], "slot {slot}, bit {bit}");
+            assert_eq!(before[changed[0]].abs_diff(after[changed[0]]), 1 << (bit % 64));
+        }
+        assert!(d.filters.iter().all(|f| f.stream_len() == 1_000));
     }
 }

@@ -24,7 +24,7 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use freq_elems::{CountMinSketch, FrequencyEstimator};
+use freq_elems::CountMinCore;
 use graphene_core::GrapheneConfig;
 use telemetry::json::{obj, u64_field, JsonValue};
 
@@ -141,7 +141,7 @@ pub struct CometStats {
 #[derive(Debug, Clone)]
 pub struct CometDefense {
     cfg: CometConfig,
-    cms: CountMinSketch<u32>,
+    cms: CountMinCore,
     rat_rows: Vec<u32>,
     rat_counts: Vec<u64>,
     current_window: u64,
@@ -154,12 +154,13 @@ impl CometDefense {
     ///
     /// # Panics
     ///
-    /// Panics if the sketch or RAT geometry is zero-sized.
+    /// Panics if the sketch or RAT geometry is zero-sized, or the sketch is
+    /// deeper than [`freq_elems::count_min::MAX_DEPTH`].
     pub fn new(cfg: CometConfig) -> Self {
         assert!(cfg.rat_entries > 0, "RAT must have at least one entry");
         assert!(cfg.nrr_threshold > 0, "NRR threshold must be positive");
         CometDefense {
-            cms: CountMinSketch::new(cfg.depth, cfg.width, cfg.rat_entries),
+            cms: CountMinCore::new(cfg.depth, cfg.width),
             rat_rows: Vec::with_capacity(cfg.rat_entries),
             rat_counts: Vec::with_capacity(cfg.rat_entries),
             current_window: 0,
@@ -185,7 +186,7 @@ impl CometDefense {
         }
         let w = now / self.cfg.reset_window;
         if w != self.current_window {
-            self.cms.reset();
+            self.cms.clear();
             self.rat_rows.clear();
             self.rat_counts.clear();
             self.current_window = w;
@@ -209,7 +210,10 @@ impl RowHammerDefense for CometDefense {
     fn on_activation(&mut self, row: RowId, now: Picoseconds) -> Vec<RefreshAction> {
         self.roll_window(now);
         self.stats.activations += 1;
-        self.cms.observe(row.0);
+        // One hash serves the count, the estimate on a RAT miss and the
+        // discount.
+        let slots = self.cms.slots(&row.0);
+        self.cms.add(&slots);
         let hit = if self.suppress_next_lookup {
             self.suppress_next_lookup = false;
             None
@@ -224,12 +228,12 @@ impl RowHammerDefense for CometDefense {
                     let mitigated = self.rat_counts[i];
                     out.push(self.fire(row));
                     self.rat_counts[i] = 0;
-                    self.cms.discount(&row.0, mitigated);
+                    self.cms.discount(&slots, mitigated);
                     self.stats.discounts += 1;
                 }
             }
             None => {
-                let est = self.cms.estimate(&row.0);
+                let est = self.cms.estimate(&slots);
                 if est >= self.cfg.insert_threshold {
                     let i = if self.rat_rows.len() < self.cfg.rat_entries {
                         self.rat_rows.push(row.0);
@@ -257,7 +261,7 @@ impl RowHammerDefense for CometDefense {
                         let mitigated = self.rat_counts[i];
                         out.push(self.fire(row));
                         self.rat_counts[i] = 0;
-                        self.cms.discount(&row.0, mitigated);
+                        self.cms.discount(&slots, mitigated);
                         self.stats.discounts += 1;
                     }
                 }
@@ -293,7 +297,7 @@ impl RowHammerDefense for CometDefense {
     }
 
     fn reset(&mut self) {
-        self.cms.reset();
+        self.cms.clear();
         self.rat_rows.clear();
         self.rat_counts.clear();
         self.current_window = 0;
@@ -380,13 +384,7 @@ impl RowHammerDefense for CometDefense {
     fn inject_fault(&mut self, fault: &faultsim::TrackerFault) -> bool {
         match *fault {
             faultsim::TrackerFault::CountBitFlip { slot, bit } => {
-                let mut counters = self.cms.counters().to_vec();
-                let i = slot as usize % counters.len();
-                counters[i] ^= 1 << (bit % 64);
-                let stream_len = self.cms.stream_len();
-                self.cms
-                    .restore_counters(&counters, stream_len)
-                    .expect("same-shape counter write-back cannot fail");
+                self.cms.flip_bit(slot as usize, bit);
                 true
             }
             faultsim::TrackerFault::AddrBitFlip { slot, bit } => {
@@ -458,7 +456,7 @@ mod tests {
         }
         d.on_activation(RowId(7), w + 1);
         assert_eq!(d.stats().window_resets, 1);
-        assert!(d.cms.estimate(&7) <= 1);
+        assert!(d.cms.estimate(&d.cms.slots(&7u32)) <= 1);
     }
 
     #[test]
@@ -506,5 +504,25 @@ mod tests {
         assert!(d.inject_fault(&faultsim::TrackerFault::AddrBitFlip { slot: 0, bit: 1 }));
         assert!(d.inject_fault(&faultsim::TrackerFault::LookupMiss));
         assert!(!d.inject_fault(&faultsim::TrackerFault::SpilloverBitFlip { bit: 0 }));
+    }
+
+    #[test]
+    fn count_bit_flip_changes_one_counter_by_its_bit() {
+        let mut d = small();
+        for i in 0..1_000u64 {
+            d.on_activation(RowId(9 + (i % 3) as u32), i);
+        }
+        let lane = d.cms.counters().len() as u32;
+        // Slots past the lane and bits past the word wrap.
+        for (slot, bit) in [(3, 2), (lane + 5, 66), (lane - 1, 63)] {
+            let before = d.cms.counters().to_vec();
+            assert!(d.inject_fault(&faultsim::TrackerFault::CountBitFlip { slot, bit }));
+            let after = d.cms.counters();
+            let changed: Vec<usize> =
+                (0..before.len()).filter(|&i| before[i] != after[i]).collect();
+            assert_eq!(changed, vec![(slot % lane) as usize], "slot {slot}, bit {bit}");
+            assert_eq!(before[changed[0]].abs_diff(after[changed[0]]), 1 << (bit % 64));
+        }
+        assert_eq!(d.cms.stream_len(), 1_000);
     }
 }
