@@ -4,15 +4,13 @@
 //! Measurements:
 //!
 //! 1. **Table throughput** — ACTs/sec through the struct-of-arrays
-//!    [`CounterTable`] versus the two retained references: the
-//!    shadow-indexed [`IndexedCounterTable`] (HashMap address index +
-//!    BTreeMap count index, the previous production layout) and the
-//!    naive-scan [`LinearCounterTable`], on an identical miss-heavy stream
-//!    at `N_entry ∈ {81, 672, 2720}` — the paper's table sizes for `T_RH`
+//!    [`CounterTable`] versus the naive-scan [`LinearCounterTable`]
+//!    reference, on an identical miss-heavy stream at
+//!    `N_entry ∈ {81, 672, 2720}` — the paper's table sizes for `T_RH`
 //!    50K, 25K(±), and 2K-class thresholds. The SoA numbers are asserted
 //!    **monotone-ish**: a bigger table scans more, so throughput must not
 //!    *rise* with size beyond noise ([`MONOTONE_SLACK`]) — the regression
-//!    shape the old shadow-indexed table exhibited at `N_entry = 672`.
+//!    shape an earlier shadow-indexed table exhibited at `N_entry = 672`.
 //! 2. **Sweep wall time** — a small `run_matrix` grid (the baselines, then
 //!    the cells, each fanned out with `rh_sim::pool::map`), as an
 //!    end-to-end smoke number.
@@ -46,7 +44,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dram_model::RowId;
-use graphene_core::reference::{IndexedCounterTable, LinearCounterTable};
+use graphene_core::reference::LinearCounterTable;
 use graphene_core::{CounterTable, GrapheneConfig};
 use memctrl::MappingPolicy;
 use mitigations::{GrapheneDefense, RowHammerDefense};
@@ -62,7 +60,7 @@ const T: u64 = 2_048;
 /// Largest tolerated throughput *rise* between adjacent ascending table
 /// sizes. Scanning a bigger table strictly adds work, so ACTs/sec should
 /// fall (or hold) as `N_entry` grows; a rise past this factor means a
-/// mid-size pathology crept back in — the old shadow-indexed table ran
+/// mid-size pathology crept back in — an earlier shadow-indexed table ran
 /// 3.2M ACTs/s at 672 but 4.7M at 2720 (BTreeMap count-index churn peaks
 /// where wraps are frequent relative to table size).
 const MONOTONE_SLACK: f64 = 1.25;
@@ -80,9 +78,7 @@ struct ThroughputRow {
     n_entry: usize,
     acts: u64,
     soa_acts_per_sec: f64,
-    indexed_acts_per_sec: f64,
     linear_acts_per_sec: f64,
-    soa_vs_indexed: f64,
     soa_vs_linear: f64,
 }
 
@@ -118,46 +114,35 @@ fn time_table(mut process: impl FnMut(RowId) -> bool, acts: u64, n_entry: usize)
 
 fn measure_table(n_entry: usize, acts: u64) -> ThroughputRow {
     // Identical streams; the trigger/spillover cross-checks make the
-    // measurement double as a coarse three-way equivalence assertion. Each
+    // measurement double as a coarse equivalence assertion. Each
     // variant is timed [`SCALING_REPS`] times (medians recorded): the
     // monotone-ish guard below compares rows against each other, so one
     // noisy draw would read as a size-dependent pathology.
     let mut soa_reps = Vec::with_capacity(SCALING_REPS);
-    let mut indexed_reps = Vec::with_capacity(SCALING_REPS);
     let mut linear_reps = Vec::with_capacity(SCALING_REPS);
     for _ in 0..SCALING_REPS {
         let mut soa = CounterTable::new(n_entry, T);
         let (soa_aps, soa_triggers) =
             time_table(|row| soa.process_activation(row).triggered(), acts, n_entry);
 
-        let mut indexed = IndexedCounterTable::new(n_entry, T);
-        let (indexed_aps, indexed_triggers) =
-            time_table(|row| indexed.process_activation(row).triggered(), acts, n_entry);
-
         let mut linear = LinearCounterTable::new(n_entry, T);
         let (linear_aps, linear_triggers) =
             time_table(|row| linear.process_activation(row).triggered(), acts, n_entry);
 
-        assert_eq!(soa_triggers, indexed_triggers, "SoA/indexed diverged at N_entry={n_entry}");
         assert_eq!(soa_triggers, linear_triggers, "SoA/linear diverged at N_entry={n_entry}");
-        assert_eq!(soa.spillover(), indexed.spillover());
         assert_eq!(soa.spillover(), linear.spillover());
 
         soa_reps.push(soa_aps);
-        indexed_reps.push(indexed_aps);
         linear_reps.push(linear_aps);
     }
 
     let soa_aps = median(&mut soa_reps);
-    let indexed_aps = median(&mut indexed_reps);
     let linear_aps = median(&mut linear_reps);
     ThroughputRow {
         n_entry,
         acts,
         soa_acts_per_sec: soa_aps,
-        indexed_acts_per_sec: indexed_aps,
         linear_acts_per_sec: linear_aps,
-        soa_vs_indexed: soa_aps / indexed_aps,
         soa_vs_linear: soa_aps / linear_aps,
     }
 }
@@ -425,14 +410,8 @@ fn main() {
     for &n in &TABLE_SIZES {
         let row = measure_table(n, acts);
         println!(
-            "N_entry {:>5}: soa {:>12.0} ACTs/s | indexed {:>12.0} | linear {:>12.0} \
-             | soa/indexed {:>5.2}x | soa/linear {:>6.1}x",
-            row.n_entry,
-            row.soa_acts_per_sec,
-            row.indexed_acts_per_sec,
-            row.linear_acts_per_sec,
-            row.soa_vs_indexed,
-            row.soa_vs_linear
+            "N_entry {:>5}: soa {:>12.0} ACTs/s | linear {:>12.0} | soa/linear {:>6.1}x",
+            row.n_entry, row.soa_acts_per_sec, row.linear_acts_per_sec, row.soa_vs_linear
         );
         rows.push(row);
     }
@@ -531,16 +510,8 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"n_entry\": {}, \"acts\": {}, \"soa_acts_per_sec\": {:.0}, \
-             \"indexed_acts_per_sec\": {:.0}, \"linear_acts_per_sec\": {:.0}, \
-             \"soa_vs_indexed\": {:.2}, \"soa_vs_linear\": {:.2}}}{}",
-            r.n_entry,
-            r.acts,
-            r.soa_acts_per_sec,
-            r.indexed_acts_per_sec,
-            r.linear_acts_per_sec,
-            r.soa_vs_indexed,
-            r.soa_vs_linear,
-            comma
+             \"linear_acts_per_sec\": {:.0}, \"soa_vs_linear\": {:.2}}}{}",
+            r.n_entry, r.acts, r.soa_acts_per_sec, r.linear_acts_per_sec, r.soa_vs_linear, comma
         );
     }
     let _ = writeln!(json, "  ],");

@@ -77,5 +77,5 @@ pub use checked::CheckedGraphene;
 pub use config::{ConfigError, GrapheneConfig, GrapheneConfigBuilder, GrapheneParams};
 pub use mechanism::{Graphene, GrapheneSnapshot, GrapheneStats, NrrRequest};
 pub use multi::{BankIndexError, BankSet};
-pub use reference::{IndexedCounterTable, LinearCounterTable};
+pub use reference::LinearCounterTable;
 pub use table::{CounterTable, TableSnapshot, TableUpdate};

@@ -1,33 +1,23 @@
-//! Reference counter tables: the linear-scan executable specification and
-//! the retained shadow-indexed implementation.
+//! The reference counter table: the linear-scan executable specification.
 //!
 //! [`LinearCounterTable`] is the original, hardware-shaped implementation of
 //! the Graphene counter table: every activation scans the entry array once
 //! for the address match and (on a miss) once for the spillover-count match
 //! — exactly what the Address CAM and Count CAM do in parallel in silicon,
 //! executed serially in software. Keep it boring: its value is that it is
-//! obviously equal to Figure 5's pseudo-code.
-//!
-//! [`IndexedCounterTable`] is the previous production implementation, which
-//! answered both queries through `HashMap`/`BTreeMap` shadow indexes. The
-//! struct-of-arrays [`CounterTable`](crate::table::CounterTable) replaced it
-//! on the hot path (pointer-chasing index maintenance dominated at
-//! paper-scale table sizes), but it is retained verbatim as a second,
-//! structurally different reference: the differential property test
-//! (`tests/indexed_differential.rs`) drives all three implementations with
-//! identical streams — including count wraps, overflow pinning, replacement
-//! ties, and `corrupt_*` fault injection — and requires identical
-//! [`TableUpdate`] sequences, estimates, spillover counts, and [`CamStats`].
-
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+//! obviously equal to Figure 5's pseudo-code. The differential property
+//! test (`tests/indexed_differential.rs`) drives it and the struct-of-arrays
+//! [`CounterTable`](crate::table::CounterTable) with identical streams —
+//! including count wraps, overflow pinning, replacement ties, and
+//! `corrupt_*` fault injection — and requires identical [`TableUpdate`]
+//! sequences, estimates, spillover counts, and [`CamStats`].
 
 use dram_model::geometry::RowId;
 
 use crate::cam::CamStats;
 use crate::table::TableUpdate;
 
-/// One reference-table entry (the array-of-structs layout both references
-/// share).
+/// One reference-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     addr: Option<RowId>,
@@ -190,8 +180,7 @@ impl LinearCounterTable {
     // The same soft-error mutations the production table models, minus the
     // parity bookkeeping (this reference specifies *lookup* behavior, not
     // the detection machinery). The differential test injects identical
-    // faults into all three implementations and requires identical streams
-    // afterwards.
+    // faults into both tables and requires identical streams afterwards.
 
     /// Flips bit `bit` of the count field of entry `slot` (both reduced
     /// modulo the respective widths), mirroring
@@ -218,227 +207,6 @@ impl LinearCounterTable {
     pub fn corrupt_spillover_bit(&mut self, bit: u32) -> bool {
         self.spillover ^= 1u64 << (bit % 32);
         true
-    }
-}
-
-/// The previous production table: shadow `HashMap`/`BTreeMap` indexes over
-/// an array-of-structs entry array. Retained as a regression reference for
-/// the struct-of-arrays [`CounterTable`](crate::table::CounterTable) and as
-/// the "indexed" side of `perf-snapshot`'s layout comparison.
-///
-/// Semantics note: with *duplicate* addresses in the table (only reachable
-/// through an injected lookup miss or an address-bit collision), the
-/// `HashMap` answers with whichever slot last updated the index, whereas
-/// the scans answer with the lowest slot like a CAM priority encoder. The
-/// differential test keeps its fault injections outside that corner; see
-/// `tests/indexed_differential.rs`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexedCounterTable {
-    entries: Vec<Entry>,
-    spillover: u64,
-    tracking_threshold: u64,
-    acts_since_reset: u64,
-    stats: CamStats,
-    /// Shadow Address-CAM: occupied slots by row address.
-    addr_index: HashMap<RowId, usize>,
-    /// Shadow Count-CAM: slots of **non-overflowed** entries (occupied or
-    /// empty) keyed by their `low` field. `BTreeSet` keeps slots ordered so
-    /// replacement picks the lowest index, exactly like the linear scan.
-    count_index: BTreeMap<u64, BTreeSet<usize>>,
-}
-
-impl IndexedCounterTable {
-    /// Creates a table with `n_entry` entries and tracking threshold `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_entry == 0` or `t == 0`.
-    pub fn new(n_entry: usize, t: u64) -> Self {
-        assert!(n_entry > 0, "table must have at least one entry");
-        assert!(t > 0, "tracking threshold must be positive");
-        let mut count_index = BTreeMap::new();
-        count_index.insert(0, (0..n_entry).collect::<BTreeSet<_>>());
-        IndexedCounterTable {
-            entries: vec![Entry::EMPTY; n_entry],
-            spillover: 0,
-            tracking_threshold: t,
-            acts_since_reset: 0,
-            stats: CamStats::default(),
-            addr_index: HashMap::with_capacity(n_entry),
-            count_index,
-        }
-    }
-
-    /// Tracking threshold `T`.
-    pub fn tracking_threshold(&self) -> u64 {
-        self.tracking_threshold
-    }
-
-    /// Number of entries (fixed at construction).
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Current spillover count.
-    pub fn spillover(&self) -> u64 {
-        self.spillover
-    }
-
-    /// Activations processed since the last reset.
-    pub fn acts_since_reset(&self) -> u64 {
-        self.acts_since_reset
-    }
-
-    /// CAM access counters.
-    pub fn cam_stats(&self) -> &CamStats {
-        &self.stats
-    }
-
-    /// Estimated count of `row`, or `None` if untracked.
-    pub fn estimate(&self, row: RowId) -> Option<u64> {
-        self.addr_index.get(&row).map(|&i| self.entries[i].estimate(self.tracking_threshold))
-    }
-
-    /// True if `row` currently occupies a table entry.
-    pub fn is_tracked(&self, row: RowId) -> bool {
-        self.addr_index.contains_key(&row)
-    }
-
-    /// Number of entries currently holding a row.
-    pub fn occupancy(&self) -> usize {
-        self.addr_index.len()
-    }
-
-    /// Iterator over occupied entries as `(row, estimated count, overflow)`.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, u64, bool)> + '_ {
-        let t = self.tracking_threshold;
-        self.entries.iter().filter_map(move |e| e.addr.map(|a| (a, e.estimate(t), e.overflow)))
-    }
-
-    /// Processes one activation through the shadow indexes.
-    pub fn process_activation(&mut self, row: RowId) -> TableUpdate {
-        self.acts_since_reset += 1;
-        self.stats.addr_searches += 1;
-
-        if let Some(&i) = self.addr_index.get(&row) {
-            self.stats.count_writes += 1;
-            let triggered = self.bump(i);
-            return TableUpdate::Hit { triggered };
-        }
-
-        self.stats.count_searches += 1;
-        let matched =
-            self.count_index.get(&self.spillover).and_then(|slots| slots.first().copied());
-        if let Some(i) = matched {
-            self.stats.addr_writes += 1;
-            self.stats.count_writes += 1;
-            let evicted = self.entries[i].addr;
-            if let Some(old) = evicted {
-                self.addr_index.remove(&old);
-            }
-            self.addr_index.insert(row, i);
-            self.entries[i].addr = Some(row);
-            self.entries[i].low = self.spillover;
-            let triggered = self.bump(i);
-            TableUpdate::Replaced { evicted, triggered }
-        } else {
-            self.stats.spillover_increments += 1;
-            self.spillover += 1;
-            TableUpdate::SpilloverIncremented
-        }
-    }
-
-    /// Resets the table and the spillover register.
-    pub fn reset(&mut self) {
-        self.entries.fill(Entry::EMPTY);
-        self.spillover = 0;
-        self.acts_since_reset = 0;
-        self.addr_index.clear();
-        self.count_index.clear();
-        self.count_index.insert(0, (0..self.entries.len()).collect());
-    }
-
-    fn bump(&mut self, i: usize) -> bool {
-        let was_overflowed = self.entries[i].overflow;
-        let old_low = self.entries[i].low;
-        let e = &mut self.entries[i];
-        e.low += 1;
-        let wrapped = e.low == self.tracking_threshold;
-        if wrapped {
-            e.low = 0;
-            e.overflow = true;
-            e.crossings += 1;
-        }
-        if !was_overflowed {
-            self.unindex_count(old_low, i);
-            if !wrapped {
-                self.count_index.entry(old_low + 1).or_default().insert(i);
-            }
-        }
-        wrapped
-    }
-
-    fn unindex_count(&mut self, low: u64, i: usize) {
-        if let Some(slots) = self.count_index.get_mut(&low) {
-            slots.remove(&i);
-            if slots.is_empty() {
-                self.count_index.remove(&low);
-            }
-        }
-    }
-
-    /// Flips bit `bit` of the count field of entry `slot`, re-synchronizing
-    /// the count index (mirrors the production table's semantics).
-    pub fn corrupt_count_bit(&mut self, slot: usize, bit: u32) -> bool {
-        let i = slot % self.entries.len();
-        let width = (64 - (self.tracking_threshold - 1).leading_zeros()).max(1);
-        let mask = 1u64 << (bit % width);
-        let was_overflowed = self.entries[i].overflow;
-        let old_low = self.entries[i].low;
-        self.entries[i].low ^= mask;
-        if !was_overflowed {
-            self.unindex_count(old_low, i);
-            self.count_index.entry(self.entries[i].low).or_default().insert(i);
-        }
-        true
-    }
-
-    /// Flips bit `bit % 32` of the address field of entry `slot`, following
-    /// the corruption in the address index; no-op on an invalid entry.
-    pub fn corrupt_addr_bit(&mut self, slot: usize, bit: u32) -> bool {
-        let i = slot % self.entries.len();
-        let Some(old) = self.entries[i].addr else {
-            return false;
-        };
-        let new = RowId(old.0 ^ (1 << (bit % 32)));
-        self.entries[i].addr = Some(new);
-        self.addr_index.remove(&old);
-        self.addr_index.entry(new).or_insert(i);
-        true
-    }
-
-    /// Flips bit `bit % 32` of the spillover register.
-    pub fn corrupt_spillover_bit(&mut self, bit: u32) -> bool {
-        self.spillover ^= 1u64 << (bit % 32);
-        true
-    }
-
-    /// Exhaustively checks both shadow indexes against the entry array.
-    /// Test support — O(N log N), never called on the hot path.
-    #[doc(hidden)]
-    pub fn assert_index_consistency(&self) {
-        let mut expected_addr = HashMap::new();
-        let mut expected_count: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            if let Some(a) = e.addr {
-                assert!(expected_addr.insert(a, i).is_none(), "row {a} occupies two slots");
-            }
-            if !e.overflow {
-                expected_count.entry(e.low).or_default().insert(i);
-            }
-        }
-        assert_eq!(self.addr_index, expected_addr, "address index out of sync");
-        assert_eq!(self.count_index, expected_count, "count index out of sync");
     }
 }
 
@@ -480,42 +248,5 @@ mod tests {
             assert_eq!(t.process_activation(RowId(1000 + i)), TableUpdate::SpilloverIncremented);
         }
         assert_eq!(t.estimate(RowId(9)), Some(5));
-    }
-
-    #[test]
-    fn indexed_matches_figure_2_walkthrough() {
-        let mut t = IndexedCounterTable::new(3, 1000);
-        for _ in 0..5 {
-            t.process_activation(RowId(0x1010));
-        }
-        for _ in 0..7 {
-            t.process_activation(RowId(0x2020));
-        }
-        for _ in 0..3 {
-            t.process_activation(RowId(0x3030));
-        }
-        t.process_activation(RowId(0xAAAA));
-        t.process_activation(RowId(0xBBBB));
-        assert_eq!(t.spillover(), 2);
-        assert_eq!(t.process_activation(RowId(0x1010)), TableUpdate::Hit { triggered: false });
-        assert_eq!(t.estimate(RowId(0x1010)), Some(6));
-        assert_eq!(t.process_activation(RowId(0x4040)), TableUpdate::SpilloverIncremented);
-        let u = t.process_activation(RowId(0x5050));
-        assert_eq!(u, TableUpdate::Replaced { evicted: Some(RowId(0x3030)), triggered: false });
-        assert_eq!(t.estimate(RowId(0x5050)), Some(4));
-        assert!(!t.is_tracked(RowId(0x3030)));
-        t.assert_index_consistency();
-    }
-
-    #[test]
-    fn indexed_lowest_slot_wins_replacement_ties() {
-        let mut t = IndexedCounterTable::new(3, 100);
-        t.process_activation(RowId(10));
-        t.process_activation(RowId(11));
-        t.process_activation(RowId(12));
-        t.process_activation(RowId(13)); // spillover 1
-        let u = t.process_activation(RowId(14));
-        assert_eq!(u, TableUpdate::Replaced { evicted: Some(RowId(10)), triggered: false });
-        t.assert_index_consistency();
     }
 }

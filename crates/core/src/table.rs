@@ -38,19 +38,21 @@
 //! * a **probe cursor** exploits that, within one spillover round, counts
 //!   only grow: each count search resumes at the previous match instead of
 //!   rescanning the prefix, so a whole round of replacements costs about
-//!   one pass over the probe lane in total. Any event that can break the
-//!   monotonicity (spillover change, reset, count corruption) rewinds the
-//!   cursor to slot 0.
+//!   one pass over the probe lane in total. A spillover increment or a
+//!   reset rewinds the cursor to slot 0. A count flip, a spillover flip or
+//!   a 32-bit lane wrap can leave a live count *below* the spillover, and a
+//!   later hit can raise it to a match behind the cursor, so after any of
+//!   them the count search ignores the cursor and scans from slot 0 until
+//!   the next reset or restore.
 //!
 //! The scans are pure acceleration-layout: they change no observable
 //! behavior (see `tests/indexed_differential.rs`, which locksteps this
-//! table against both
-//! [`reference::LinearCounterTable`](crate::reference::LinearCounterTable)
-//! and the retained shadow-indexed
-//! [`reference::IndexedCounterTable`](crate::reference::IndexedCounterTable)),
-//! and they do **not** perturb [`CamStats`] — those counters model the
-//! *logical* CAM accesses the hardware would perform, not the software work
-//! done to simulate them.
+//! table against
+//! [`reference::LinearCounterTable`](crate::reference::LinearCounterTable),
+//! address flips that duplicate live keys included), and they do **not**
+//! perturb [`CamStats`] — those counters model the *logical* CAM accesses
+//! the hardware would perform, not the software work done to simulate
+//! them.
 
 use std::collections::HashMap;
 
@@ -201,10 +203,19 @@ pub struct CounterTable {
     /// (bumps destroy matches, never create them), so each count search
     /// resumes where the previous one matched instead of rescanning the
     /// prefix — amortizing the whole round's searches to about one pass
-    /// over the lane. Reset to zero whenever that monotonicity can break:
-    /// a spillover change, a table reset, or a fault-injection hook that
-    /// rewrites count state.
+    /// over the lane. Reset to zero on a spillover increment or a table
+    /// reset.
     probe_cursor: usize,
+    /// False once a count flip, a spillover flip or a 32-bit lane wrap may
+    /// have left a live count below the spillover, where a hit can raise it
+    /// to a match behind the cursor: count searches then scan from slot 0
+    /// until [`reset`](Self::reset) or [`restore`](Self::restore).
+    cursor_trusted: bool,
+    /// False once an address flip or an injected miss may have put one row
+    /// in two slots. Only [`assert_index_consistency`] reads it.
+    ///
+    /// [`assert_index_consistency`]: Self::assert_index_consistency
+    unique_keys: bool,
 }
 
 impl CounterTable {
@@ -238,6 +249,8 @@ impl CounterTable {
             // nonzero bucket — and pays the exact scan — ~15% of the time.
             filter: vec![0; (n_entry * 4).next_power_of_two().max(64)],
             probe_cursor: 0,
+            cursor_trusted: true,
+            unique_keys: true,
         }
     }
 
@@ -319,7 +332,7 @@ impl CounterTable {
     /// The fast path resumes at [`probe_cursor`](field@Self::probe_cursor):
     /// nothing below it can match (counts only grow within a spillover
     /// round), so a round's successive searches walk the lane once in total
-    /// instead of once per miss.
+    /// instead of once per miss. An untrusted cursor is ignored.
     #[inline]
     fn find_count_slot(&mut self) -> Option<usize> {
         if self.spillover == u64::from(OVERFLOW_SENTINEL) {
@@ -334,7 +347,8 @@ impl CounterTable {
             // corruption): no stored count can equal it.
             return None;
         };
-        let start = self.probe_cursor.min(self.probe_low.len());
+        let start =
+            if self.cursor_trusted { self.probe_cursor.min(self.probe_low.len()) } else { 0 };
         let mut base = start;
         for chunk in self.probe_low[start..].chunks_exact(SCAN_LANES) {
             let mut hit = false;
@@ -494,6 +508,8 @@ impl CounterTable {
         self.suppress_lookup = false;
         self.filter.fill(0);
         self.probe_cursor = 0;
+        self.cursor_trusted = true;
+        self.unique_keys = true;
     }
 
     /// Increments entry `i`'s count, wrapping at `T`; returns whether the
@@ -507,7 +523,7 @@ impl CounterTable {
             // A corrupted count just wrapped the full 32-bit lane — the one
             // way a bump can *lower* a stored count, breaking the
             // monotonicity the probe cursor relies on.
-            self.probe_cursor = 0;
+            self.cursor_trusted = false;
         }
         self.low[i] = new;
         let wrapped = u64::from(new) == self.tracking_threshold;
@@ -548,8 +564,8 @@ impl CounterTable {
         if !self.overflow[i] {
             self.probe_low[i] = self.low[i];
         }
-        // The flip may have lowered a count below the cursor's watermark.
-        self.probe_cursor = 0;
+        // The flip may have lowered a count below the spillover.
+        self.cursor_trusted = false;
         true
     }
 
@@ -572,6 +588,7 @@ impl CounterTable {
         self.filter_remove(self.keys[i]);
         self.keys[i] ^= 1 << (bit % 32);
         self.filter_add(self.keys[i]);
+        self.unique_keys = false;
         true
     }
 
@@ -580,20 +597,18 @@ impl CounterTable {
     /// deflated one blocks spillover growth. Both under-track.
     pub fn corrupt_spillover_bit(&mut self, bit: u32) -> bool {
         self.spillover ^= 1u64 << (bit % 32);
-        // Different spillover value: the cursor's no-match-below invariant
-        // no longer applies.
-        self.probe_cursor = 0;
+        // A raised spillover can sit above live counts.
+        self.cursor_trusted = false;
         true
     }
 
     /// Makes the next Address-CAM search report MISS even if the row is
     /// present — a transient compare-line glitch. Unlike the storage flips
     /// this corrupts no bits, so parity cannot see it; it can split one
-    /// row's counts across two slots (the stale entry keeps its address, so
-    /// [`assert_index_consistency`](Self::assert_index_consistency) must not
-    /// be used after an injected miss inserts a duplicate).
+    /// row's counts across two slots (the stale entry keeps its address).
     pub fn suppress_next_lookup(&mut self) {
         self.suppress_lookup = true;
+        self.unique_keys = false;
     }
 
     /// True while every stored parity bit (entries and spillover register)
@@ -644,8 +659,9 @@ impl CounterTable {
     ///
     /// The derived lanes are rebuilt from the primary ones: probe lane from
     /// (low, overflow), parity from the restored bits, presence filter from
-    /// the valid keys. The probe cursor rewinds to slot 0 — acceleration
-    /// state only, so the restored table is *behaviorally* identical to the
+    /// the valid keys. The probe cursor rewinds to slot 0 and is trusted
+    /// unless a live count sits below the spillover — acceleration state
+    /// only, so the restored table is *behaviorally* identical to the
     /// snapshotted one even though the cursor position differs.
     ///
     /// # Errors
@@ -698,15 +714,20 @@ impl CounterTable {
             }
         }
         self.probe_cursor = 0;
+        self.cursor_trusted = (0..n).all(|i| {
+            !self.is_valid(i) || self.overflow[i] || u64::from(self.low[i]) >= self.spillover
+        });
+        self.unique_keys = true;
         self.suppress_lookup = false;
         Ok(())
     }
 
     /// Exhaustively checks the derived lanes against the primary ones: the
-    /// probe lane must mirror (low, overflow), no row may occupy two valid
-    /// slots, the presence filter must be the exact bucket histogram of the
-    /// valid keys, and no probe-lane match for the current spillover may
-    /// hide below the cursor. Test support — O(N), never called on the hot
+    /// probe lane must mirror (low, overflow), the presence filter must be
+    /// the exact bucket histogram of the valid keys, no probe-lane match for
+    /// the current spillover may hide below a trusted cursor, and no row may
+    /// occupy two valid slots unless an address flip or an injected miss
+    /// may have put it there. Test support — O(N), never called on the hot
     /// path.
     #[doc(hidden)]
     pub fn assert_index_consistency(&self) {
@@ -715,14 +736,15 @@ impl CounterTable {
         for i in 0..self.capacity() {
             if self.is_valid(i) {
                 let row = self.keys[i];
-                assert!(seen.insert(row, i).is_none(), "row {row} occupies two slots");
+                let first = seen.insert(row, i).is_none();
+                assert!(first || !self.unique_keys, "row {row} occupies two slots");
                 expected_filter[self.filter_bucket(row)] += 1;
             }
             let expected = if self.overflow[i] { OVERFLOW_SENTINEL } else { self.low[i] };
             assert_eq!(self.probe_low[i], expected, "probe lane out of sync at slot {i}");
         }
         assert_eq!(self.filter, expected_filter, "presence filter out of sync with key lane");
-        if let Ok(target) = u32::try_from(self.spillover) {
+        if let (true, Ok(target)) = (self.cursor_trusted, u32::try_from(self.spillover)) {
             if target != OVERFLOW_SENTINEL {
                 for i in 0..self.probe_cursor.min(self.probe_low.len()) {
                     assert_ne!(
@@ -1006,6 +1028,30 @@ mod tests {
             assert!(!t.process_activation(RowId(3)).triggered(), "act {i}");
         }
         t.assert_index_consistency();
+    }
+
+    #[test]
+    fn count_flip_below_the_spillover_stops_trusting_the_cursor() {
+        // The flip drops slot 1 below the spillover; the next count search
+        // matches slot 2, and a hit then raises slot 1 back to the spillover
+        // behind that match. The linear scan replaces slot 1, so must we.
+        let mut t = CounterTable::new(3, 6);
+        let mut linear = crate::reference::LinearCounterTable::new(3, 6);
+        for r in [2, 6, 2, 5, 1, 0] {
+            assert_eq!(t.process_activation(RowId(r)), linear.process_activation(RowId(r)));
+        }
+        t.corrupt_count_bit(1, 13);
+        linear.corrupt_count_bit(1, 13);
+        for r in [6, 0] {
+            assert_eq!(t.process_activation(RowId(r)), linear.process_activation(RowId(r)));
+        }
+        let u = t.process_activation(RowId(1));
+        assert_eq!(u, TableUpdate::Replaced { evicted: Some(RowId(0)), triggered: false });
+        assert_eq!(u, linear.process_activation(RowId(1)));
+        t.assert_index_consistency();
+        // A reset trusts the cursor again.
+        t.reset();
+        assert!(t.cursor_trusted);
     }
 
     #[test]

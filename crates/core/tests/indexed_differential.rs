@@ -1,76 +1,78 @@
 //! Differential property tests: the struct-of-arrays [`CounterTable`]
-//! against **both** retained references — the shadow-indexed
-//! [`IndexedCounterTable`] (the previous production layout: HashMap address
-//! index + BTreeMap count index) and the naive [`LinearCounterTable`].
+//! against the naive [`LinearCounterTable`].
 //!
-//! All three implementations are driven with identical activation streams —
-//! deliberately skewed to exercise count wraps (overflow bits), replacement
-//! ties among equal-count entries, spillover growth, mid-stream resets, and
-//! injected storage faults — and must produce identical [`TableUpdate`]
-//! sequences, estimates, spillover counts, and [`CamStats`]. This is the
-//! executable proof that the SoA lanes, the presence filter, and the probe
-//! cursor are pure acceleration with no observable effect.
+//! Both tables are driven with identical activation streams — deliberately
+//! skewed to exercise count wraps (overflow bits), replacement ties among
+//! equal-count entries, spillover growth, mid-stream resets, and injected
+//! storage faults — and must produce identical [`TableUpdate`] sequences,
+//! estimates, spillover counts, and [`CamStats`]. This is the executable
+//! proof that the SoA lanes, the presence filter, and the probe cursor are
+//! pure acceleration with no observable effect.
 //!
-//! Fault-injection caveats baked into the strategies:
+//! Fault-injection notes:
 //!
-//! * `corrupt_addr_bit` flips are restricted to bits 8..32 with a row
-//!   universe below 256, so a corrupted key can never collide with a live
-//!   row — on duplicate keys the SoA/linear scans answer with the lowest
-//!   slot (the hardware priority encoder) while the indexed table's HashMap
-//!   keeps whichever entry claimed the address first, a divergence corner
-//!   that needs genuinely duplicated keys to reach.
-//! * `suppress_next_lookup` is exercised in the unit suites only: it exists
-//!   on the SoA table alone (the references model stored bits, not
-//!   transient compare-line glitches).
+//! * `corrupt_addr_bit` flips any of the 32 address bits while rows stay
+//!   below 256, so a corrupted key can collide with a live row. Both tables
+//!   must then answer with the lowest matching slot, as the CAM's priority
+//!   encoder does.
+//! * `suppress_next_lookup` is exercised in the unit suites only: the
+//!   reference models stored bits, not transient compare-line glitches.
+//!
+//! [`TableUpdate`]: graphene_core::TableUpdate
+//! [`CamStats`]: graphene_core::CamStats
 
 use dram_model::RowId;
-use graphene_core::reference::{IndexedCounterTable, LinearCounterTable};
+use graphene_core::reference::LinearCounterTable;
 use graphene_core::CounterTable;
 use proptest::prelude::*;
 
-/// Locksteps all three tables over `stream`, asserting identical
-/// observables at every step, and returns the SoA table for end-state
-/// checks.
-fn lockstep(capacity: usize, t: u64, stream: &[u32]) -> Result<CounterTable, TestCaseError> {
-    let mut soa = CounterTable::new(capacity, t);
-    let mut indexed = IndexedCounterTable::new(capacity, t);
-    let mut linear = LinearCounterTable::new(capacity, t);
-    for (step, &x) in stream.iter().enumerate() {
-        let row = RowId(x);
-        let a = soa.process_activation(row);
-        let b = indexed.process_activation(row);
-        let c = linear.process_activation(row);
-        prop_assert_eq!(a, b, "soa/indexed diverged at step {} (row {})", step, x);
-        prop_assert_eq!(a, c, "soa/linear diverged at step {} (row {})", step, x);
-        prop_assert_eq!(
-            soa.estimate(row),
-            linear.estimate(row),
-            "estimate diverged at step {}",
-            step
-        );
-        prop_assert_eq!(soa.spillover(), linear.spillover(), "spillover at step {}", step);
-        prop_assert_eq!(soa.spillover(), indexed.spillover(), "spillover at step {}", step);
-    }
-    prop_assert_eq!(soa.cam_stats(), indexed.cam_stats());
+/// Asserts that both tables hold the same spillover, statistics and
+/// tracked entries, and that the SoA table's derived lanes match its
+/// primary ones.
+fn assert_same_state(soa: &CounterTable, linear: &LinearCounterTable) -> Result<(), TestCaseError> {
+    prop_assert_eq!(soa.spillover(), linear.spillover());
     prop_assert_eq!(soa.cam_stats(), linear.cam_stats());
     prop_assert_eq!(soa.acts_since_reset(), linear.acts_since_reset());
     // Full-table comparison: every tracked row, estimate, and overflow bit.
     let mut a: Vec<_> = soa.iter().collect();
-    let mut b: Vec<_> = indexed.iter().collect();
-    let mut c: Vec<_> = linear.iter().collect();
+    let mut b: Vec<_> = linear.iter().collect();
     a.sort_unstable();
     b.sort_unstable();
-    c.sort_unstable();
-    prop_assert_eq!(&a, &b, "soa/indexed tracked sets differ");
-    prop_assert_eq!(&a, &c, "soa/linear tracked sets differ");
+    prop_assert_eq!(a, b, "tracked sets differ");
     soa.assert_index_consistency();
-    indexed.assert_index_consistency();
-    Ok(soa)
+    Ok(())
+}
+
+/// Activates `row` on both tables and asserts identical observables.
+fn act_both(
+    soa: &mut CounterTable,
+    linear: &mut LinearCounterTable,
+    row: u32,
+    step: usize,
+) -> Result<(), TestCaseError> {
+    let row = RowId(row);
+    let a = soa.process_activation(row);
+    let b = linear.process_activation(row);
+    prop_assert_eq!(a, b, "diverged at step {} (row {})", step, row.0);
+    prop_assert_eq!(soa.estimate(row), linear.estimate(row), "estimate at step {}", step);
+    prop_assert_eq!(soa.spillover(), linear.spillover(), "spillover at step {}", step);
+    Ok(())
+}
+
+/// Locksteps both tables over `stream`, asserting identical observables at
+/// every step and identical end states.
+fn lockstep(capacity: usize, t: u64, stream: &[u32]) -> Result<(), TestCaseError> {
+    let mut soa = CounterTable::new(capacity, t);
+    let mut linear = LinearCounterTable::new(capacity, t);
+    for (step, &x) in stream.iter().enumerate() {
+        act_both(&mut soa, &mut linear, x, step)?;
+    }
+    assert_same_state(&soa, &linear)
 }
 
 /// One step of a fault-injected differential stream: either a normal
-/// activation or a storage-corruption hook applied identically to every
-/// implementation.
+/// activation or a storage-corruption hook applied identically to both
+/// tables.
 #[derive(Debug, Clone, Copy)]
 enum FaultedOp {
     Act(u32),
@@ -87,9 +89,8 @@ fn decode_op((sel, row, slot, bit): (u32, u32, u32, u32)) -> FaultedOp {
     match sel {
         0..=7 => FaultedOp::Act(row),
         8 => FaultedOp::CorruptCount { slot, bit: bit % 40 },
-        // Bits 8..32 with rows < 256: corrupted keys land outside the live
-        // row universe (see module docs).
-        9 => FaultedOp::CorruptAddr { slot, bit: 8 + bit % 24 },
+        // Any address bit: low flips land on live rows (see module docs).
+        9 => FaultedOp::CorruptAddr { slot, bit: bit % 32 },
         _ => FaultedOp::CorruptSpillover { bit: bit % 32 },
     }
 }
@@ -143,8 +144,8 @@ proptest! {
         lockstep(capacity, t, &stream)?;
     }
 
-    /// Resets anywhere in the stream leave every implementation in an
-    /// identical state, including the rebuilt acceleration structures.
+    /// Resets anywhere in the stream leave both tables in an identical
+    /// state, including the rebuilt acceleration structures.
     #[test]
     fn identical_across_resets(
         prefix in prop::collection::vec(0u32..30, 0..1000),
@@ -153,38 +154,25 @@ proptest! {
         t in 2u64..40,
     ) {
         let mut soa = CounterTable::new(capacity, t);
-        let mut indexed = IndexedCounterTable::new(capacity, t);
         let mut linear = LinearCounterTable::new(capacity, t);
-        for &x in &prefix {
-            let a = soa.process_activation(RowId(x));
-            let b = indexed.process_activation(RowId(x));
-            let c = linear.process_activation(RowId(x));
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(a, c);
+        for (step, &x) in prefix.iter().enumerate() {
+            act_both(&mut soa, &mut linear, x, step)?;
         }
         soa.reset();
-        indexed.reset();
         linear.reset();
-        soa.assert_index_consistency();
-        indexed.assert_index_consistency();
+        assert_same_state(&soa, &linear)?;
         for (step, &x) in suffix.iter().enumerate() {
-            let a = soa.process_activation(RowId(x));
-            let b = indexed.process_activation(RowId(x));
-            let c = linear.process_activation(RowId(x));
-            prop_assert_eq!(a, b, "post-reset soa/indexed divergence at step {}", step);
-            prop_assert_eq!(a, c, "post-reset soa/linear divergence at step {}", step);
+            act_both(&mut soa, &mut linear, x, prefix.len() + step)?;
         }
-        prop_assert_eq!(soa.spillover(), linear.spillover());
-        prop_assert_eq!(soa.cam_stats(), linear.cam_stats());
-        soa.assert_index_consistency();
-        indexed.assert_index_consistency();
+        assert_same_state(&soa, &linear)?;
     }
 
-    /// Storage corruption applied identically to all three tables leaves
-    /// them observably identical: the corrupted-count wrap semantics, the
-    /// moved CAM keys, and the inflated/deflated spillover register all
-    /// follow the same fixed-width register model, and the SoA acceleration
-    /// structures (filter, probe cursor) track the corrupted state exactly.
+    /// Storage corruption applied identically to both tables leaves them
+    /// observably identical: the corrupted-count wrap semantics, the moved
+    /// CAM keys (duplicates of live rows included), and the
+    /// inflated/deflated spillover register all follow the same
+    /// fixed-width register model, and the SoA acceleration structures
+    /// (filter, probe cursor) track the corrupted state exactly.
     #[test]
     fn identical_under_fault_injection(
         warmup in prop::collection::vec(0u32..200, 0..400),
@@ -192,63 +180,35 @@ proptest! {
         capacity in 1usize..24,
         t in 2u64..50,
     ) {
-        let ops: Vec<FaultedOp> = raw_ops.into_iter().map(decode_op).collect();
         let mut soa = CounterTable::new(capacity, t);
-        let mut indexed = IndexedCounterTable::new(capacity, t);
         let mut linear = LinearCounterTable::new(capacity, t);
-        for &x in &warmup {
-            let a = soa.process_activation(RowId(x));
-            let b = indexed.process_activation(RowId(x));
-            let c = linear.process_activation(RowId(x));
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(a, c);
+        for (step, &x) in warmup.iter().enumerate() {
+            act_both(&mut soa, &mut linear, x, step)?;
         }
-        for (step, &op) in ops.iter().enumerate() {
+        for (step, op) in raw_ops.into_iter().map(decode_op).enumerate() {
+            let step = warmup.len() + step;
             match op {
-                FaultedOp::Act(x) => {
-                    let row = RowId(x);
-                    let a = soa.process_activation(row);
-                    let b = indexed.process_activation(row);
-                    let c = linear.process_activation(row);
-                    prop_assert_eq!(a, b, "soa/indexed diverged at step {}", step);
-                    prop_assert_eq!(a, c, "soa/linear diverged at step {}", step);
-                    prop_assert_eq!(soa.estimate(row), linear.estimate(row));
-                }
+                FaultedOp::Act(x) => act_both(&mut soa, &mut linear, x, step)?,
                 FaultedOp::CorruptCount { slot, bit } => {
-                    let a = soa.corrupt_count_bit(slot, bit);
-                    let b = indexed.corrupt_count_bit(slot, bit);
-                    let c = linear.corrupt_count_bit(slot, bit);
-                    prop_assert_eq!(a, b);
-                    prop_assert_eq!(a, c);
+                    prop_assert_eq!(
+                        soa.corrupt_count_bit(slot, bit),
+                        linear.corrupt_count_bit(slot, bit)
+                    );
                 }
                 FaultedOp::CorruptAddr { slot, bit } => {
-                    let a = soa.corrupt_addr_bit(slot, bit);
-                    let b = indexed.corrupt_addr_bit(slot, bit);
-                    let c = linear.corrupt_addr_bit(slot, bit);
-                    prop_assert_eq!(a, b);
-                    prop_assert_eq!(a, c);
+                    prop_assert_eq!(
+                        soa.corrupt_addr_bit(slot, bit),
+                        linear.corrupt_addr_bit(slot, bit)
+                    );
                 }
                 FaultedOp::CorruptSpillover { bit } => {
-                    let a = soa.corrupt_spillover_bit(bit);
-                    let b = indexed.corrupt_spillover_bit(bit);
-                    let c = linear.corrupt_spillover_bit(bit);
-                    prop_assert_eq!(a, b);
-                    prop_assert_eq!(a, c);
+                    prop_assert_eq!(soa.corrupt_spillover_bit(bit), linear.corrupt_spillover_bit(bit));
                 }
             }
             prop_assert_eq!(soa.spillover(), linear.spillover(), "spillover at step {}", step);
-            prop_assert_eq!(soa.spillover(), indexed.spillover(), "spillover at step {}", step);
+            soa.assert_index_consistency();
         }
-        prop_assert_eq!(soa.cam_stats(), indexed.cam_stats());
-        prop_assert_eq!(soa.cam_stats(), linear.cam_stats());
-        let mut a: Vec<_> = soa.iter().collect();
-        let mut b: Vec<_> = indexed.iter().collect();
-        let mut c: Vec<_> = linear.iter().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        c.sort_unstable();
-        prop_assert_eq!(&a, &b, "soa/indexed tracked sets differ");
-        prop_assert_eq!(&a, &c, "soa/linear tracked sets differ");
+        assert_same_state(&soa, &linear)?;
     }
 }
 
@@ -259,7 +219,6 @@ fn long_adversarial_stream_stays_identical() {
     let capacity = 81;
     let t = 200;
     let mut soa = CounterTable::new(capacity, t);
-    let mut indexed = IndexedCounterTable::new(capacity, t);
     let mut linear = LinearCounterTable::new(capacity, t);
     let mut x: u64 = 0x0DDB_1A5E_5BAD_5EED;
     for step in 0..200_000u64 {
@@ -276,26 +235,11 @@ fn long_adversarial_stream_stays_identical() {
             _ => RowId(10_000 + (step as u32)),
         };
         let a = soa.process_activation(row);
-        let b = indexed.process_activation(row);
-        let c = linear.process_activation(row);
-        assert_eq!(a, b, "soa/indexed diverged at step {step}");
-        assert_eq!(a, c, "soa/linear diverged at step {step}");
+        let b = linear.process_activation(row);
+        assert_eq!(a, b, "diverged at step {step}");
         if step % 20_000 == 0 {
-            assert_eq!(soa.cam_stats(), linear.cam_stats());
-            soa.assert_index_consistency();
-            indexed.assert_index_consistency();
+            assert_same_state(&soa, &linear).unwrap();
         }
     }
-    assert_eq!(soa.spillover(), linear.spillover());
-    assert_eq!(soa.cam_stats(), linear.cam_stats());
-    let mut a: Vec<_> = soa.iter().collect();
-    let mut b: Vec<_> = indexed.iter().collect();
-    let mut c: Vec<_> = linear.iter().collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    c.sort_unstable();
-    assert_eq!(a, b);
-    assert_eq!(a, c);
-    soa.assert_index_consistency();
-    indexed.assert_index_consistency();
+    assert_same_state(&soa, &linear).unwrap();
 }

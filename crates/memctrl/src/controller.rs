@@ -7,7 +7,7 @@ use dram_model::refresh::RefreshEngine;
 use dram_model::timing::Picoseconds;
 use faultsim::{ControllerFault, FaultKind, FaultPlan};
 use mitigations::{RefreshAction, RowHammerDefense};
-use workloads::Workload;
+use workloads::{Access, Workload};
 
 use telemetry::json::{obj, push_key, JsonValue};
 
@@ -361,8 +361,8 @@ impl MemoryController {
     }
 
     /// Books one served access into the statistics, command log, telemetry,
-    /// fault oracle, and defense hook — the common tail of every dispatch
-    /// path (in-order, queued, and batched).
+    /// fault oracle, and defense hook — the common tail of the per-access
+    /// step, queued service and duplicate replay.
     fn apply_outcome(
         &mut self,
         bank_idx: usize,
@@ -484,22 +484,14 @@ impl MemoryController {
     /// offending one remain applied to the statistics.
     pub fn try_run(&mut self, workload: &mut dyn Workload, n: u64) -> Result<RunStats, McError> {
         for i in 0..n {
-            let access = workload.next_access();
-            self.clock += access.gap;
-            self.catch_up_refresh();
-
-            let bank_idx = self.route(access.bank, i)?;
-            self.consult_throttle(bank_idx, access.row, self.clock);
-            let outcome = self.banks[bank_idx].serve(access.row, self.clock);
-            self.apply_outcome(bank_idx, access.row, self.clock, access.stream, outcome);
+            let Access { bank, row, gap, stream } = workload.next_access();
+            self.step(StampedAccess { bank, row, at: self.clock + gap, stream }, i)?;
         }
-        self.flush_deferred_faults();
-        self.finish_telemetry();
-        Ok(self.stats.clone())
+        Ok(self.finish_run())
     }
 
     /// Ingests a batch of pre-routed, absolutely-timestamped accesses — the
-    /// shard-side half of the system controller's batched dispatch.
+    /// shard-side half of the system controller's dispatch.
     ///
     /// Per access the arrival clock advances to `max(clock, at)`, so a
     /// channel's sub-trace replayed through batches of any size produces
@@ -515,20 +507,33 @@ impl MemoryController {
     /// is the offset within `batch`. Accesses before the offending one
     /// remain applied.
     pub fn try_run_batch(&mut self, batch: &[StampedAccess]) -> Result<(), McError> {
-        for (i, a) in batch.iter().enumerate() {
-            self.clock = self.clock.max(a.at);
-            self.catch_up_refresh();
-            let bank_idx = self.route(a.bank, i as u64)?;
-            self.consult_throttle(bank_idx, a.row, self.clock);
-            let outcome = self.banks[bank_idx].serve(a.row, self.clock);
-            self.apply_outcome(bank_idx, a.row, self.clock, a.stream, outcome);
+        for (i, &a) in batch.iter().enumerate() {
+            self.step(a, i as u64)?;
         }
         Ok(())
     }
 
-    /// Flushes telemetry and returns the statistics accumulated by the
-    /// batched path — the counterpart of the snapshot
-    /// [`try_run`](Self::try_run) returns per call.
+    /// The one per-access path of [`try_run`](Self::try_run) and
+    /// [`try_run_batch`](Self::try_run_batch): the arrival clock advances to
+    /// `max(clock, a.at)`, due refreshes run, and the access is routed to
+    /// its bank, throttled, served and booked. `access_index` numbers the
+    /// access in a routing error.
+    // Forced inline: out of line, the call cost a single-threaded
+    // gen_matrix pass about 15% on a shared 2-core x86-64 VM.
+    #[inline(always)]
+    fn step(&mut self, a: StampedAccess, access_index: u64) -> Result<(), McError> {
+        self.clock = self.clock.max(a.at);
+        self.catch_up_refresh();
+        let bank_idx = self.route(a.bank, access_index)?;
+        self.consult_throttle(bank_idx, a.row, self.clock);
+        let outcome = self.banks[bank_idx].serve(a.row, self.clock);
+        self.apply_outcome(bank_idx, a.row, self.clock, a.stream, outcome);
+        Ok(())
+    }
+
+    /// Flushes telemetry and returns the statistics accumulated so far —
+    /// what [`try_run`](Self::try_run) returns per call, and the end of a
+    /// run fed through [`try_run_batch`](Self::try_run_batch).
     pub fn finish_run(&mut self) -> RunStats {
         self.flush_deferred_faults();
         self.finish_telemetry();
@@ -541,22 +546,6 @@ impl MemoryController {
     /// served first, so streams with row-buffer locality complete faster;
     /// everything else (defense hook, refresh machinery, fault oracle,
     /// statistics) behaves identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload emits an out-of-range bank index; use
-    /// [`try_run_queued`](Self::try_run_queued) to handle that as an error.
-    pub fn run_queued(
-        &mut self,
-        workload: &mut dyn Workload,
-        n: u64,
-        scheduler: SchedulerConfig,
-    ) -> RunStats {
-        self.try_run_queued(workload, n, scheduler).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`run_queued`](Self::run_queued), but surfaces routing problems
-    /// as [`McError`] instead of panicking.
     ///
     /// # Errors
     ///
@@ -615,12 +604,8 @@ impl MemoryController {
                 self.serve_one_queued(&mut queues, b);
             }
         }
-        self.flush_deferred_faults();
-        self.finish_telemetry();
-        match route_error {
-            Some(e) => Err(e),
-            None => Ok(self.stats.clone()),
-        }
+        let stats = self.finish_run();
+        route_error.map_or(Ok(stats), Err)
     }
 
     /// Flushes the telemetry tap's tail and end-of-run gauges.
@@ -646,7 +631,7 @@ impl MemoryController {
     /// controller holds the bank so the access cannot start before
     /// `now + delay`, and accounts the decision in the run statistics.
     ///
-    /// Every dispatch path (in-order, queued, batched, duplicate replay)
+    /// Every dispatch path (the per-access step, queued, duplicate replay)
     /// consults with exactly the `(row, now)` pair its `serve` call uses,
     /// so a stateful throttle sees one identical decision stream regardless
     /// of batching — preserving the batched-dispatch bit-identity contract.
@@ -1068,11 +1053,13 @@ mod tests {
     #[test]
     fn queued_mode_serves_everything() {
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let stats = mc.run_queued(
-            &mut Synthetic::s1(10, 65_536, 1),
-            20_000,
-            crate::scheduler::SchedulerConfig::par_bs_like(),
-        );
+        let stats = mc
+            .try_run_queued(
+                &mut Synthetic::s1(10, 65_536, 1),
+                20_000,
+                crate::scheduler::SchedulerConfig::par_bs_like(),
+            )
+            .unwrap();
         assert_eq!(stats.accesses, 20_000);
         assert_eq!(stats.activations + stats.row_hits, 20_000);
     }
@@ -1101,7 +1088,7 @@ mod tests {
                 page_policy: crate::PagePolicy::Open,
                 ..McConfig::single_bank(65_536, None)
             });
-            mc.run_queued(&mut PingPong(0), 20_000, cfg)
+            mc.try_run_queued(&mut PingPong(0), 20_000, cfg).unwrap()
         };
         let fcfs = run(crate::scheduler::SchedulerConfig::fcfs());
         let batched = run(crate::scheduler::SchedulerConfig::par_bs_like());
@@ -1118,11 +1105,13 @@ mod tests {
     fn queued_mode_graphene_still_protects() {
         let model = DisturbanceModel { t_rh: 5_000, mu: MuModel::Adjacent };
         let mut mc = graphene_mc(McConfig::single_bank(65_536, Some(model)));
-        let stats = mc.run_queued(
-            &mut Synthetic::s3(65_536, 1),
-            80_000,
-            crate::scheduler::SchedulerConfig::par_bs_like(),
-        );
+        let stats = mc
+            .try_run_queued(
+                &mut Synthetic::s3(65_536, 1),
+                80_000,
+                crate::scheduler::SchedulerConfig::par_bs_like(),
+            )
+            .unwrap();
         assert_eq!(stats.bit_flips, 0);
         assert!(stats.victim_rows_refreshed > 0);
     }
@@ -1170,7 +1159,7 @@ mod tests {
         geo_cfg.geometry.ranks_per_channel = 2;
         geo_cfg.geometry.banks_per_rank = 4;
         let mut system = McBuilder::new(geo_cfg).build_system();
-        let err = system.shards_mut()[3]
+        let err = system.split_streaming().1[3]
             .try_run_batch(&[StampedAccess { bank: 9, row: RowId(1), at: 0, stream: 0 }])
             .unwrap_err();
         assert_eq!(

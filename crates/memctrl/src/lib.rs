@@ -28,8 +28,8 @@
 //! [`McBuilder::build`] yields a single [`MemoryController`] over the whole
 //! geometry (the legacy semantics), while [`McBuilder::build_system`]
 //! yields a channel-sharded [`SystemController`] whose front end routes
-//! every access through a [`mapping::MappingPolicy`] into per-channel
-//! shards with batched dispatch — see [`builder`] and [`system`].
+//! every access through a [`mapping::MappingPolicy`] to its channel's
+//! shard — see [`builder`] and [`system`].
 //!
 //! # Example
 //!

@@ -3,15 +3,15 @@
 //! [`SystemController`] models the whole DIMM of the paper's Table III
 //! system instead of one flat bank array. Its front end decodes every
 //! workload access into a [`SystemAddress`](crate::mapping::SystemAddress)
-//! through the configured [`MappingPolicy`] and forwards it — stamped with its absolute arrival
-//! time — to the owning channel's shard, a plain [`MemoryController`] over
-//! that channel's geometry. Channels share no timing state in DDR4 (each
-//! has its own command/data bus), so shards are independent by
-//! construction: the batched path buffers routed accesses per channel and
-//! flushes them in chunks, and callers that want parallelism can take the
-//! per-channel batches from [`SystemController::route_batch`] and drive
-//! [`MemoryController::try_run_batch`] on disjoint shards from worker
-//! threads.
+//! through the configured [`MappingPolicy`] and hands it — stamped with its
+//! absolute arrival time — to the owning channel's shard, a plain
+//! [`MemoryController`] over that channel's geometry, which serves it at
+//! once. Channels share no timing state in DDR4 (each has its own
+//! command/data bus), so shards are independent by construction: a caller
+//! that wants parallelism takes the front end and the shard array apart
+//! with [`SystemController::split_streaming`], routes on one thread and
+//! runs [`MemoryController::try_run_batch`] on disjoint shards from others
+//! (`rh_sim::sharded` does this with one SPSC ring per channel).
 //!
 //! Because shards replay **absolute** timestamps and all refresh/clock
 //! state is per-channel, a sharded run is bit-identical to running each
@@ -38,35 +38,6 @@ pub struct SystemStats {
     pub merged: RunStats,
 }
 
-/// Shared routing logic of the sequential front end and the borrowed-out
-/// [`SystemRouter`]: advances the global clock by the access's gap and
-/// decodes it into `(channel, stamped access)`.
-fn route_stamped(
-    geometry: &DramGeometry,
-    policy: MappingPolicy,
-    clock: &mut Picoseconds,
-    routed: &mut u64,
-    access: &Access,
-) -> Result<(usize, StampedAccess), McError> {
-    *clock += access.gap;
-    let index = *routed;
-    *routed += 1;
-    match policy.route(geometry, access.bank, access.row) {
-        Ok(addr) => Ok((
-            usize::from(addr.coord.channel),
-            StampedAccess {
-                bank: MappingPolicy::shard_bank_index(geometry, addr) as u16,
-                row: addr.row,
-                at: *clock,
-                stream: access.stream,
-            },
-        )),
-        Err(addr) => {
-            Err(McError::AddressOutOfRange { addr, geometry: *geometry, access_index: index })
-        }
-    }
-}
-
 /// The routing front end of a [`SystemController`], borrowed out by
 /// [`SystemController::split_streaming`] so routing and shard execution can
 /// proceed on different threads at the same time.
@@ -79,17 +50,33 @@ pub struct SystemRouter<'a> {
 }
 
 impl SystemRouter<'_> {
-    /// Routes one access exactly as the owning controller's sequential
-    /// front end would: the global clock advances by the access's gap and
-    /// the stamped result carries the absolute arrival time.
+    /// Routes one access: the global clock advances by the access's gap, and
+    /// the result names the owning channel and carries the access stamped
+    /// with its absolute arrival time. The owning controller's own runs
+    /// route through this too.
     ///
     /// # Errors
     ///
     /// Returns [`McError::AddressOutOfRange`] when the access does not
-    /// decode into the geometry (the clock still advances, mirroring the
-    /// sequential path).
+    /// decode into the geometry (the clock still advances).
     pub fn route_one(&mut self, access: &Access) -> Result<(usize, StampedAccess), McError> {
-        route_stamped(self.geometry, self.policy, self.clock, self.routed, access)
+        *self.clock += access.gap;
+        let access_index = *self.routed;
+        *self.routed += 1;
+        match self.policy.route(self.geometry, access.bank, access.row) {
+            Ok(addr) => Ok((
+                usize::from(addr.coord.channel),
+                StampedAccess {
+                    bank: MappingPolicy::shard_bank_index(self.geometry, addr) as u16,
+                    row: addr.row,
+                    at: *self.clock,
+                    stream: access.stream,
+                },
+            )),
+            Err(addr) => {
+                Err(McError::AddressOutOfRange { addr, geometry: *self.geometry, access_index })
+            }
+        }
     }
 
     /// The full-system geometry the router decodes into.
@@ -118,9 +105,6 @@ pub struct SystemController {
     geometry: DramGeometry,
     policy: MappingPolicy,
     shards: Vec<MemoryController>,
-    /// Bounded per-channel reorder buffers of the batched path.
-    buffers: Vec<Vec<StampedAccess>>,
-    reorder_depth: usize,
     /// Global arrival clock, accumulated from workload gaps at routing time.
     clock: Picoseconds,
     /// Accesses routed so far; numbers the `access_index` of routing errors.
@@ -143,18 +127,8 @@ impl SystemController {
         geometry: DramGeometry,
         policy: MappingPolicy,
         shards: Vec<MemoryController>,
-        reorder_depth: usize,
     ) -> Self {
-        let channels = shards.len();
-        SystemController {
-            geometry,
-            policy,
-            shards,
-            buffers: (0..channels).map(|_| Vec::with_capacity(reorder_depth)).collect(),
-            reorder_depth,
-            clock: 0,
-            routed: 0,
-        }
+        SystemController { geometry, policy, shards, clock: 0, routed: 0 }
     }
 
     /// The full-system geometry (each shard owns its
@@ -178,25 +152,13 @@ impl SystemController {
         &self.shards
     }
 
-    /// Mutable shard access — this is how a parallel driver obtains
-    /// disjoint `&mut` controllers (via `iter_mut`) to pair with the
-    /// batches [`route_batch`](Self::route_batch) returns.
-    pub fn shards_mut(&mut self) -> &mut [MemoryController] {
-        &mut self.shards
-    }
-
-    /// Routes one access: advances the global clock by its gap and decodes
-    /// it into `(channel, stamped access)`.
-    fn route_one(&mut self, access: &Access) -> Result<(usize, StampedAccess), McError> {
-        route_stamped(&self.geometry, self.policy, &mut self.clock, &mut self.routed, access)
-    }
-
     /// Splits the controller into its routing front end and the shard
     /// array, so a driver thread can keep routing (and streaming batches
     /// out) while worker threads hold disjoint `&mut` shards — the borrow
-    /// shape the parallel SPSC pipeline in `rh-sim` needs. The router
-    /// mutates the same clock/rout-count state as [`try_run`](Self::try_run),
-    /// so routing through it is bit-identical to the sequential front end.
+    /// shape the parallel SPSC pipeline in `rh-sim` needs. The router owns
+    /// the controller's clock and routed count for the borrow, and
+    /// [`try_run`](Self::try_run) routes through it too, so the two paths
+    /// stamp identically.
     pub fn split_streaming(&mut self) -> (SystemRouter<'_>, &mut [MemoryController]) {
         (
             SystemRouter {
@@ -209,76 +171,28 @@ impl SystemController {
         )
     }
 
-    /// Pushes everything buffered for channel `c` through its shard.
-    fn flush_channel(&mut self, c: usize) {
-        if self.buffers[c].is_empty() {
-            return;
-        }
-        // invariant: route_one validated each access against the geometry
-        // before buffering, so the shard cannot reject it.
-        self.shards[c].try_run_batch(&self.buffers[c]).expect("routed accesses are in shard range");
-        self.buffers[c].clear();
-    }
-
-    fn flush_all(&mut self) {
-        for c in 0..self.buffers.len() {
-            self.flush_channel(c);
-        }
-    }
-
-    /// Runs `n` accesses from `workload` through the front end one at a
-    /// time — the unbatched reference path.
+    /// Runs `n` accesses from `workload` through the front end — the
+    /// sequential reference path.
     ///
     /// # Errors
     ///
     /// Returns [`McError::AddressOutOfRange`] on the first access that does
     /// not decode into the geometry; prior accesses remain applied.
     pub fn try_run(&mut self, workload: &mut dyn Workload, n: u64) -> Result<(), McError> {
-        for _ in 0..n {
-            let access = workload.next_access();
-            let (c, stamped) = self.route_one(&access)?;
-            self.shards[c]
-                .try_run_batch(std::slice::from_ref(&stamped))
-                // invariant: route_one already validated the decode.
-                .expect("routed access is in shard range");
-        }
-        Ok(())
+        self.run_each((0..n).map(|_| workload.next_access()))
     }
 
-    /// Ingests a chunk of accesses through bounded per-channel reorder
-    /// buffers: each access is routed and stamped immediately (so arrival
-    /// times are exact), buffered on its channel, and forced through the
-    /// shard whenever the channel's buffer reaches the configured depth.
-    /// All buffers are flushed before returning, so statistics are complete
-    /// after every call.
-    ///
-    /// Within a channel the buffer is FIFO — execution preserves stamp
-    /// order — so the batching changes *when* work is done, never the
-    /// simulated outcome ([`SystemStats`] are bit-identical to
-    /// [`try_run`](Self::try_run) on the same trace).
+    /// Runs a chunk of accesses through the front end, exactly as
+    /// [`try_run`](Self::try_run) would on the same trace; statistics are
+    /// complete after every call.
     ///
     /// # Errors
     ///
     /// Returns [`McError::AddressOutOfRange`] on the first access that does
     /// not decode into the geometry (`access_index` counts from the start
-    /// of the run, not the chunk). Buffered work is flushed first, so prior
-    /// accesses remain applied.
+    /// of the run, not the chunk); prior accesses remain applied.
     pub fn try_run_batched(&mut self, accesses: &[Access]) -> Result<(), McError> {
-        for access in accesses {
-            let (c, stamped) = match self.route_one(access) {
-                Ok(routed) => routed,
-                Err(e) => {
-                    self.flush_all();
-                    return Err(e);
-                }
-            };
-            self.buffers[c].push(stamped);
-            if self.buffers[c].len() >= self.reorder_depth {
-                self.flush_channel(c);
-            }
-        }
-        self.flush_all();
-        Ok(())
+        self.run_each(accesses.iter().copied())
     }
 
     /// Like [`try_run_batched`](Self::try_run_batched), panicking on
@@ -291,36 +205,23 @@ impl SystemController {
         self.try_run_batched(accesses).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Routes a whole chunk without executing it, returning one stamped
-    /// batch per channel — the scatter half of parallel sharded execution.
-    /// Feed each batch to the matching shard's
-    /// [`try_run_batch`](MemoryController::try_run_batch) (from worker
-    /// threads if desired; shards are independent), then call
-    /// [`finish`](Self::finish).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::AddressOutOfRange`] on the first access that does
-    /// not decode into the geometry; in that case **none** of the chunk has
-    /// been executed (routing is side-effect-free on the shards).
-    pub fn route_batch(&mut self, accesses: &[Access]) -> Result<Vec<Vec<StampedAccess>>, McError> {
-        let mut batches: Vec<Vec<StampedAccess>> = self
-            .shards
-            .iter()
-            .map(|_| Vec::with_capacity(accesses.len() / self.shards.len().max(1) + 1))
-            .collect();
+    /// Routes each access through the [`SystemRouter`] and serves it on its
+    /// channel's shard at once.
+    fn run_each(&mut self, accesses: impl Iterator<Item = Access>) -> Result<(), McError> {
+        let (mut router, shards) = self.split_streaming();
         for access in accesses {
-            let (c, stamped) = self.route_one(access)?;
-            batches[c].push(stamped);
+            let (c, stamped) = router.route_one(&access)?;
+            shards[c]
+                .try_run_batch(std::slice::from_ref(&stamped))
+                // invariant: route_one already validated the decode.
+                .expect("routed access is in shard range");
         }
-        Ok(batches)
+        Ok(())
     }
 
-    /// Flushes any buffered work and telemetry and returns per-channel plus
-    /// merged statistics. Callable repeatedly; each call snapshots the
-    /// totals so far.
+    /// Flushes telemetry and returns per-channel plus merged statistics.
+    /// Callable repeatedly; each call snapshots the totals so far.
     pub fn finish(&mut self) -> SystemStats {
-        self.flush_all();
         let per_channel: Vec<RunStats> = self.shards.iter_mut().map(|s| s.finish_run()).collect();
         let mut merged = RunStats::default();
         for stats in &per_channel {
@@ -348,10 +249,8 @@ impl SystemController {
     ///
     /// # Errors
     ///
-    /// Refuses while the batched path holds buffered work (checkpoint
-    /// between [`try_run_batched`](Self::try_run_batched) calls, which
-    /// always flush), and propagates any shard's refusal (oracle, fault
-    /// plan, command log, telemetry tap, or an uncheckpointable defense).
+    /// Propagates any shard's refusal (oracle, fault plan, command log,
+    /// telemetry tap, or an uncheckpointable defense).
     pub fn snapshot(&self) -> Result<String, CkptError> {
         let mut out = String::new();
         self.snapshot_into(&mut out)?;
@@ -367,9 +266,6 @@ impl SystemController {
     ///
     /// As [`snapshot`](Self::snapshot).
     pub fn snapshot_into(&self, out: &mut String) -> Result<Vec<usize>, CkptError> {
-        if self.buffers.iter().any(|b| !b.is_empty()) {
-            return Err(CkptError::Unsupported { what: "with buffered unexecuted accesses" });
-        }
         self.shards
             .iter()
             .enumerate()
@@ -423,8 +319,8 @@ mod tests {
     use dram_model::geometry::RowId;
     use workloads::{ProxyWorkload, SpecPreset};
 
-    fn system(depth: usize) -> SystemController {
-        McBuilder::new(McConfig::micro2020_no_oracle()).reorder_depth(depth).build_system()
+    fn system() -> SystemController {
+        McBuilder::new(McConfig::micro2020_no_oracle()).build_system()
     }
 
     fn trace(n: usize) -> Vec<Access> {
@@ -433,7 +329,7 @@ mod tests {
 
     #[test]
     fn batched_run_serves_every_access() {
-        let mut sys = system(64);
+        let mut sys = system();
         sys.run_batched(&trace(20_000));
         let stats = sys.finish();
         assert_eq!(stats.merged.accesses, 20_000);
@@ -448,30 +344,19 @@ mod tests {
     #[test]
     fn batched_and_unbatched_agree_bit_identically() {
         let accesses = trace(10_000);
-        let mut batched = system(7); // awkward depth to exercise partial flushes
-        batched.run_batched(&accesses);
-        let mut unbatched = system(64);
+        let mut batched = system();
+        for chunk in accesses.chunks(7) {
+            batched.run_batched(chunk);
+        }
+        let mut unbatched = system();
         let mut replay = workloads::Trace::from_accesses("trace", accesses).replay();
         unbatched.try_run(&mut replay, 10_000).unwrap();
         assert_eq!(batched.finish(), unbatched.finish());
     }
 
     #[test]
-    fn route_batch_plus_manual_shard_drive_matches_batched() {
-        let accesses = trace(8_000);
-        let mut manual = system(64);
-        let batches = manual.route_batch(&accesses).unwrap();
-        for (shard, batch) in manual.shards_mut().iter_mut().zip(&batches) {
-            shard.try_run_batch(batch).unwrap();
-        }
-        let mut auto = system(64);
-        auto.run_batched(&accesses);
-        assert_eq!(manual.finish(), auto.finish());
-    }
-
-    #[test]
     fn routing_error_names_the_missing_address() {
-        let mut sys = system(64);
+        let mut sys = system();
         let bad = Access { bank: 64, row: RowId(1), gap: 1_000, stream: 0 };
         let good = trace(5);
         let err =
@@ -484,20 +369,20 @@ mod tests {
             }
             other => panic!("wrong error: {other:?}"),
         }
-        // The two good accesses were flushed before the error surfaced.
+        // The two good accesses ran before the error surfaced.
         assert_eq!(sys.finish().merged.accesses, 2);
     }
 
     #[test]
     fn system_checkpoint_resumes_bit_identically_through_json_text() {
         let accesses = trace(40_000);
-        let mut full = system(64);
+        let mut full = system();
         full.run_batched(&accesses[..20_000]);
         let text = full.snapshot().unwrap();
         assert_eq!(text.lines().count(), 4, "one line per channel shard");
         let shards: Vec<JsonValue> =
             text.lines().map(|l| telemetry::json::parse(l).unwrap()).collect();
-        let mut resumed = system(64);
+        let mut resumed = system();
         resumed.restore(full.clock(), full.routed(), &shards).unwrap();
         full.run_batched(&accesses[20_000..]);
         resumed.run_batched(&accesses[20_000..]);
@@ -509,7 +394,7 @@ mod tests {
 
     #[test]
     fn snapshot_into_reports_where_each_shard_line_ends() {
-        let mut sys = system(64);
+        let mut sys = system();
         sys.run_batched(&trace(2_000));
         let mut out = String::from("header\n");
         let ends = sys.snapshot_into(&mut out).unwrap();
@@ -525,7 +410,7 @@ mod tests {
 
     #[test]
     fn system_restore_rejects_wrong_shard_count() {
-        let mut sys = system(64);
+        let mut sys = system();
         let err = sys.restore(0, 0, &[]).unwrap_err();
         assert!(matches!(err, CkptError::ShardCount { found: 0, have: _ }), "{err:?}");
         assert!(err.to_string().contains("shard"), "{err}");
@@ -533,7 +418,7 @@ mod tests {
 
     #[test]
     fn global_clock_accumulates_gaps() {
-        let mut sys = system(64);
+        let mut sys = system();
         sys.run_batched(&[
             Access { bank: 0, row: RowId(1), gap: 1_000, stream: 0 },
             Access { bank: 1, row: RowId(1), gap: 2_000, stream: 0 },

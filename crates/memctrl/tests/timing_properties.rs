@@ -127,7 +127,7 @@ fn queued_mode_is_protocol_clean_too() {
         .command_log(CommandLog::unbounded())
         .build();
     let mut w = workloads::Synthetic::s1(10, 65_536, 9);
-    mc.run_queued(&mut w, 30_000, SchedulerConfig::par_bs_like());
+    mc.try_run_queued(&mut w, 30_000, SchedulerConfig::par_bs_like()).unwrap();
     let violations = ProtocolChecker::new(timing).check(mc.command_log().unwrap());
     assert!(violations.is_empty(), "protocol violations: {violations:?}");
 }

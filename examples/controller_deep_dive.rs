@@ -60,7 +60,7 @@ fn main() {
         [("FCFS", SchedulerConfig::fcfs()), ("PAR-BS-like", SchedulerConfig::par_bs_like())]
     {
         let mut mc = McBuilder::new(McConfig::single_bank(65_536, None)).build();
-        let stats = mc.run_queued(&mut make_trace(), 50_000, cfg);
+        let stats = mc.try_run_queued(&mut make_trace(), 50_000, cfg).unwrap();
         table.row(vec![
             name.into(),
             format!("{:.1}%", stats.row_hit_rate() * 100.0),
