@@ -68,7 +68,6 @@ pub mod cam;
 pub mod checked;
 pub mod config;
 pub mod mechanism;
-pub mod multi;
 pub mod reference;
 pub mod table;
 
@@ -76,6 +75,5 @@ pub use cam::CamStats;
 pub use checked::CheckedGraphene;
 pub use config::{ConfigError, GrapheneConfig, GrapheneConfigBuilder, GrapheneParams};
 pub use mechanism::{Graphene, GrapheneSnapshot, GrapheneStats, NrrRequest};
-pub use multi::{BankIndexError, BankSet};
 pub use reference::LinearCounterTable;
 pub use table::{CounterTable, TableSnapshot, TableUpdate};

@@ -12,8 +12,8 @@ use crate::table::{CounterTable, TableSnapshot, TableUpdate};
 
 /// A request to refresh the neighbours of an aggressor row.
 ///
-/// The memory controller turns this into an NRR command
-/// ([`dram_model::DramCommand::NearbyRowRefresh`]).
+/// The memory controller serves it as one Nearby Row Refresh (NRR)
+/// command, the paper's DRAM-protocol extension (Section IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NrrRequest {
     /// The aggressor row whose estimated count reached a multiple of `T`.

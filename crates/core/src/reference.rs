@@ -6,7 +6,7 @@
 //! — exactly what the Address CAM and Count CAM do in parallel in silicon,
 //! executed serially in software. Keep it boring: its value is that it is
 //! obviously equal to Figure 5's pseudo-code. The differential property
-//! test (`tests/indexed_differential.rs`) drives it and the struct-of-arrays
+//! test (`tests/table_differential.rs`) drives it and the struct-of-arrays
 //! [`CounterTable`](crate::table::CounterTable) with identical streams —
 //! including count wraps, overflow pinning, replacement ties, and
 //! `corrupt_*` fault injection — and requires identical [`TableUpdate`]

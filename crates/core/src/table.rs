@@ -46,7 +46,7 @@
 //!   the next reset or restore.
 //!
 //! The scans are pure acceleration-layout: they change no observable
-//! behavior (see `tests/indexed_differential.rs`, which locksteps this
+//! behavior (see `tests/table_differential.rs`, which locksteps this
 //! table against
 //! [`reference::LinearCounterTable`](crate::reference::LinearCounterTable),
 //! address flips that duplicate live keys included), and they do **not**

@@ -1,4 +1,4 @@
-//! Error types for DRAM model configuration and command processing.
+//! Error types for DRAM model configuration.
 
 use std::error::Error;
 use std::fmt;
@@ -17,20 +17,6 @@ pub enum DramError {
         /// Human-readable explanation.
         reason: String,
     },
-    /// A command referenced a row outside the bank.
-    RowOutOfRange {
-        /// The offending row.
-        row: u32,
-        /// Rows in the bank.
-        rows_per_bank: u32,
-    },
-    /// A command was issued with a timestamp earlier than a previous command.
-    NonMonotonicTime {
-        /// Timestamp of the previous command (ps).
-        last: u64,
-        /// Timestamp of the offending command (ps).
-        now: u64,
-    },
 }
 
 impl fmt::Display for DramError {
@@ -38,12 +24,6 @@ impl fmt::Display for DramError {
         match self {
             DramError::InvalidTiming { reason } => write!(f, "invalid DRAM timing: {reason}"),
             DramError::InvalidGeometry { reason } => write!(f, "invalid DRAM geometry: {reason}"),
-            DramError::RowOutOfRange { row, rows_per_bank } => {
-                write!(f, "row {row} out of range for bank with {rows_per_bank} rows")
-            }
-            DramError::NonMonotonicTime { last, now } => {
-                write!(f, "command time {now} ps precedes previous command at {last} ps")
-            }
         }
     }
 }
@@ -56,9 +36,9 @@ mod tests {
 
     #[test]
     fn display_is_nonempty_and_lowercase() {
-        let e = DramError::RowOutOfRange { row: 9, rows_per_bank: 4 };
+        let e = DramError::InvalidGeometry { reason: "zero rows per bank".to_owned() };
         let s = e.to_string();
-        assert!(s.contains("row 9"));
+        assert!(s.contains("zero rows per bank"));
         assert!(s.chars().next().unwrap().is_lowercase());
     }
 

@@ -134,11 +134,6 @@ impl DisturbanceModel {
     pub fn ddr4_50k() -> Self {
         DisturbanceModel { t_rh: 50_000, mu: MuModel::Adjacent }
     }
-
-    /// Same threshold with a non-adjacent `μ_i = 1/i²` model of given radius.
-    pub fn ddr4_50k_nonadjacent(radius: u32) -> Self {
-        DisturbanceModel { t_rh: 50_000, mu: MuModel::InverseSquare { radius } }
-    }
 }
 
 impl Default for DisturbanceModel {

@@ -133,11 +133,6 @@ impl DramGeometry {
             * u32::from(self.banks_per_rank)
     }
 
-    /// Total ranks in the system.
-    pub fn total_ranks(&self) -> u32 {
-        u32::from(self.channels) * u32::from(self.ranks_per_channel)
-    }
-
     /// Banks owned by one channel (`ranks_per_channel × banks_per_rank`).
     pub fn banks_per_channel(&self) -> u32 {
         u32::from(self.ranks_per_channel) * u32::from(self.banks_per_rank)

@@ -20,8 +20,10 @@
 //!   without being refreshed. Defenses are judged against this oracle.
 //! * [`refresh`] — the auto-refresh engine (8192 REF commands per tREFW),
 //!   which rotates through the rows of a bank.
-//! * [`device`] — a per-bank device model that consumes [`command`]s,
-//!   advances the refresh engine and the fault oracle, and exposes statistics.
+//!
+//! `memctrl` drives one [`FaultOracle`] and one [`RefreshEngine`] per bank
+//! on every ACT, NRR/RFM and REF burst: together they are the one ground
+//! truth every experiment judges a defense against.
 //!
 //! # Example
 //!
@@ -34,9 +36,6 @@
 //! assert!(w > 1_300_000 && w < 1_400_000);
 //! ```
 
-pub mod command;
-pub mod data;
-pub mod device;
 pub mod error;
 pub mod fault;
 pub mod generation;
@@ -44,9 +43,6 @@ pub mod geometry;
 pub mod refresh;
 pub mod timing;
 
-pub use command::DramCommand;
-pub use data::{DataPattern, DataShadow};
-pub use device::{BankDevice, DeviceStats};
 pub use error::DramError;
 pub use fault::{BitFlip, DisturbanceModel, FaultOracle, MuModel};
 pub use generation::{DramGeneration, Generation, RfmSpec};

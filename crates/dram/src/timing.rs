@@ -23,8 +23,6 @@ pub type Picoseconds = u64;
 
 /// One picosecond-denominated millisecond, for readability of constants.
 pub const MS: Picoseconds = 1_000_000_000;
-/// One microsecond in picoseconds.
-pub const US: Picoseconds = 1_000_000;
 /// One nanosecond in picoseconds.
 pub const NS: Picoseconds = 1_000;
 

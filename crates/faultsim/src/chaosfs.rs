@@ -312,7 +312,6 @@ impl Vfs for ChaosFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iofault::IoFaultSpec;
     use workloads::vfs::real_fs;
 
     fn tmp(name: &str) -> PathBuf {
@@ -323,7 +322,7 @@ mod tests {
 
     #[test]
     fn clean_plan_is_a_passthrough() {
-        let fs = ChaosFs::new(real_fs(), &IoFaultPlan::generate(&IoFaultSpec::new(1)));
+        let fs = ChaosFs::new(real_fs(), &IoFaultPlan::default());
         let p = tmp("clean.bin");
         {
             let mut f = fs.create(&p).unwrap();

@@ -4,10 +4,10 @@
 //!
 //! Graphene's no-false-negative guarantee (PROOFS.md, paper §IV) assumes the
 //! CAM counter table, the NRR path, and the refresh machinery are themselves
-//! fault-free. This crate drops that assumption: a seeded, serializable
-//! [`FaultPlan`] pre-materializes a schedule of fault events at three layers
-//! of the stack, so that resilience experiments are **bit-reproducible** from
-//! a single `u64` seed — in CI, across thread counts, and in resumed sweeps.
+//! fault-free. This crate drops that assumption: a seeded [`FaultPlan`]
+//! pre-materializes a schedule of fault events at three layers of the
+//! stack, so that resilience experiments are **bit-reproducible** from a
+//! single `u64` seed — in CI, across thread counts, and in resumed sweeps.
 //!
 //! The three layers (see DESIGN.md §6g for the full taxonomy):
 //!
@@ -27,14 +27,13 @@
 //! thread scheduling, or environment. Consumers walk it with a
 //! [`FaultCursor`] keyed by **access index** (the n-th access a controller
 //! processes), the one clock that is identical across defenses and batch
-//! sizes. Plans round-trip through JSONL ([`FaultPlan::to_jsonl`] /
-//! [`FaultPlan::parse_jsonl`]) so a sweep can archive the exact schedule it
-//! ran alongside its results.
+//! sizes. The [`FaultSpec`] is the archive: a sweep that records its spec
+//! regenerates the exact schedule it ran.
 //!
 //! A fourth layer targets the harness's **storage stack** rather than the
-//! simulated hardware: [`IoFaultPlan`] ([`iofault`]) schedules torn writes,
-//! bit rot, fsync failures, and reader stalls against the trace and
-//! checkpoint files a fleet run persists, keyed by I/O-operation index, and
+//! simulated hardware: an [`IoFaultPlan`] ([`iofault`]) places a torn write,
+//! bit rot, an fsync failure or a reader stall on a chosen I/O operation
+//! against the trace and checkpoint files a fleet run persists, and
 //! [`ChaosFs`] ([`chaosfs`]) executes such a plan as a drop-in
 //! `workloads::vfs::Vfs` under the *real* reader/writer code.
 //!
@@ -46,17 +45,15 @@
 //! let spec = FaultSpec::single_bit_flips(42, 8);
 //! let plan = FaultPlan::generate(&spec);
 //! assert_eq!(plan, FaultPlan::generate(&spec)); // deterministic
-//! let reparsed = FaultPlan::parse_jsonl(&plan.to_jsonl()).unwrap();
-//! assert_eq!(reparsed, plan); // serializable
+//! assert_eq!(plan.spec(), &spec); // the spec is the archive
 //! ```
 
 pub mod chaosfs;
 pub mod iofault;
 pub mod plan;
-pub mod serial;
 
 pub use chaosfs::{ChaosFs, InjectedFault, IoOpCounts};
-pub use iofault::{IoFaultEvent, IoFaultKind, IoFaultPlan, IoFaultSpec, IoOp, IO_SCHEMA};
+pub use iofault::{IoFaultEvent, IoFaultKind, IoFaultPlan, IoOp};
 pub use plan::{
     ControllerFault, FaultCursor, FaultEvent, FaultKind, FaultPlan, FaultSpec, HarnessFault,
     TrackerFault, MAX_REFRESH_POSTPONE_REFI,

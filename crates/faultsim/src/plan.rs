@@ -294,13 +294,6 @@ impl FaultPlan {
         FaultPlan { spec: *spec, events }
     }
 
-    /// Rebuilds a plan from parts (deserialization support); sorts events
-    /// into schedule order.
-    pub fn from_parts(spec: FaultSpec, mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.at_access, e.seq));
-        FaultPlan { spec, events }
-    }
-
     /// The spec this plan was generated from.
     pub fn spec(&self) -> &FaultSpec {
         &self.spec

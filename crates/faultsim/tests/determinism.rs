@@ -1,4 +1,4 @@
-//! FaultPlan determinism and serialization properties (ISSUE 5 satellite).
+//! FaultPlan determinism properties.
 //!
 //! The resilience matrix is only bit-reproducible if the plan itself is: the
 //! same seed must yield the same schedule no matter how many threads generate
@@ -25,17 +25,17 @@ fn spec_for(seed: u64, scale: u32) -> FaultSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Same seed, many threads: every concurrently generated plan renders to
-    /// the identical byte string.
+    /// Same seed, many threads: every concurrently generated plan equals
+    /// the reference, event for event.
     #[test]
     fn same_seed_bit_identical_across_threads(seed in any::<u64>(), scale in 0u32..64) {
         let spec = spec_for(seed, scale);
-        let reference = FaultPlan::generate(&spec).to_jsonl();
+        let reference = FaultPlan::generate(&spec);
         let handles: Vec<_> = (0..4)
-            .map(|_| thread::spawn(move || FaultPlan::generate(&spec).to_jsonl()))
+            .map(|_| thread::spawn(move || FaultPlan::generate(&spec)))
             .collect();
         for h in handles {
-            prop_assert_eq!(h.join().unwrap(), reference.clone());
+            prop_assert_eq!(&h.join().unwrap(), &reference);
         }
     }
 
@@ -67,14 +67,5 @@ proptest! {
             access += batch;
         }
         prop_assert_eq!(chunked, reference);
-    }
-
-    /// JSONL round trip is lossless for arbitrary specs.
-    #[test]
-    fn jsonl_round_trip(seed in any::<u64>(), scale in 0u32..64) {
-        let plan = FaultPlan::generate(&spec_for(seed, scale));
-        let back = FaultPlan::parse_jsonl(&plan.to_jsonl()).unwrap();
-        prop_assert_eq!(&back, &plan);
-        prop_assert_eq!(back.to_jsonl(), plan.to_jsonl());
     }
 }

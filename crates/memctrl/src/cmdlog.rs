@@ -133,15 +133,6 @@ impl CommandLog {
         }
         out
     }
-
-    /// Writes [`to_jsonl`](Self::to_jsonl) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn export_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 /// A protocol violation found by the checker.

@@ -304,12 +304,6 @@ impl MemoryController {
         self.defenses[bank].as_ref()
     }
 
-    /// Mutable access to the defense attached to `bank` (fault-injection
-    /// and test support).
-    pub fn defense_mut(&mut self, bank: usize) -> &mut dyn RowHammerDefense {
-        self.defenses[bank].as_mut()
-    }
-
     /// Current arrival clock (ps).
     pub fn clock(&self) -> Picoseconds {
         self.clock
@@ -859,7 +853,10 @@ impl MemoryController {
     ///
     /// Returns a description of the first malformed or mismatched field:
     /// wrong channel, wrong bank count, a refresh position outside the
-    /// engine's window, or a defense that rejects its state.
+    /// engine's window, or a defense that rejects its state. Defenses
+    /// restore in bank order, so when bank `b`'s defense rejects its state
+    /// the defenses of banks `0..b` already hold the checkpoint's: on
+    /// error, discard the controller rather than resuming it.
     pub fn restore(&mut self, state: &JsonValue) -> Result<(), CkptError> {
         let channel = u64_field(state, "channel")?;
         if channel != u64::from(self.channel) {
@@ -876,9 +873,9 @@ impl MemoryController {
         let wall = u64_field(state, "wall")?;
         let next_refresh_at = u64_field(state, "next_refresh_at")?;
         let refresh_hold_until = u64_field(state, "refresh_hold_until")?;
-        // Parse everything fallible for every bank before mutating any
-        // state, so a malformed checkpoint cannot leave the controller
-        // half-restored.
+        // Parse every bank's timing and refresh fields before mutating
+        // anything; past this loop only a defense's own restore can fail
+        // (see the error contract above).
         let mut parsed = Vec::with_capacity(banks.len());
         for (b, bank) in banks.iter().enumerate() {
             let ctx = |e: CkptError| CkptError::bank(b, e);

@@ -47,13 +47,6 @@ pub struct FaultStats {
     pub commands_duplicated: u64,
 }
 
-impl FaultStats {
-    /// Total controller-layer interference events that actually fired.
-    pub fn controller_events(&self) -> u64 {
-        self.nrrs_dropped + self.nrrs_deferred + self.refreshes_postponed + self.commands_duplicated
-    }
-}
-
 /// A deferred defense action waiting for its release access.
 #[derive(Debug, Clone)]
 struct DeferredAction {

@@ -68,13 +68,6 @@ impl RefreshRateScaling {
     pub fn extra_rows_issued(&self) -> u64 {
         self.extra_rows_issued
     }
-
-    /// The effective Row Hammer threshold multiplier: an aggressor now has
-    /// only `tREFW / factor` between refreshes of any victim, so it must
-    /// hammer `factor×` faster to reach the same disturbance.
-    pub fn effective_threshold_multiplier(&self) -> u32 {
-        self.factor
-    }
 }
 
 impl RowHammerDefense for RefreshRateScaling {

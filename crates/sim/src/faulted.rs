@@ -109,14 +109,6 @@ pub struct ResilienceCell {
 }
 
 impl ResilienceCell {
-    /// Oracle false negatives (0 when the audit killed the run first).
-    pub fn false_negatives(&self) -> u64 {
-        match &self.outcome {
-            CellOutcome::Completed(run) => run.false_negatives,
-            CellOutcome::AuditViolation { .. } => 0,
-        }
-    }
-
     /// True when the injected faults caused a *visible* protection failure:
     /// either the audit certificate broke mid-run or the ground-truth
     /// oracle recorded flips. The one thing the matrix exists to rule out
@@ -160,11 +152,6 @@ impl ResilienceReport {
             }
         }
         out
-    }
-
-    /// Total false negatives across the matrix.
-    pub fn total_false_negatives(&self) -> u64 {
-        self.cells.iter().map(ResilienceCell::false_negatives).sum()
     }
 }
 

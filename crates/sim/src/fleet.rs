@@ -259,6 +259,13 @@ fn str_field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v str, String> {
         .ok_or_else(|| format!("missing or non-string field `{key}`"))
 }
 
+/// The integer under `key`, narrowed to its field's type: a value too wide
+/// for the field is damage, never wrapped into a different configuration.
+fn narrow_field<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, String> {
+    let n = u64_field(v, key)?;
+    T::try_from(n).map_err(|_| format!("field `{key}` = {n} is out of range"))
+}
+
 /// The configuration identity stamped into every `fleetckpt.v2` header.
 ///
 /// A checkpoint is only as good as the run that wrote it: restoring
@@ -318,10 +325,10 @@ impl CkptFingerprint {
             generation: str_field(v, "generation")?.to_owned(),
             audit,
             geometry: DramGeometry {
-                channels: u64_field(v, "channels")? as u8,
-                ranks_per_channel: u64_field(v, "ranks")? as u8,
-                banks_per_rank: u64_field(v, "banks")? as u8,
-                rows_per_bank: u64_field(v, "rows")? as u32,
+                channels: narrow_field(v, "channels")?,
+                ranks_per_channel: narrow_field(v, "ranks")?,
+                banks_per_rank: narrow_field(v, "banks")?,
+                rows_per_bank: narrow_field(v, "rows")?,
             },
         })
     }
@@ -1396,21 +1403,50 @@ mod tests {
         fs::remove_file(&ckpt).ok();
     }
 
-    /// The `fleetckpt.v2` bytes of a small audited Graphene fleet, pinned by
-    /// length and CRC32C: any drift in the format fails here.
+    /// The `fleetckpt.v2` bytes of a small fleet under every scheme it can
+    /// checkpoint, pinned by length and CRC32C: any drift in the format
+    /// fails here.
     #[test]
     fn golden_checkpoint_bytes_are_pinned() {
-        let mut cfg = small_cfg();
-        cfg.audit = true;
-        let trace = small_trace(&cfg, 12_000);
-        let ckpt = tmp("golden.ckpt");
-        cfg.checkpoint = Some(ckpt.clone());
-        cfg.stop_after = Some(7_500);
-        run_fleet(&cfg, &trace, |_| {}).unwrap();
-        let bytes = fs::read(&ckpt).unwrap();
-        assert_eq!((bytes.len(), workloads::crc32c(&bytes)), (392_163, 0x889f_59dc));
+        let golden = [
+            (DefenseSpec::Graphene { t_rh: 2_000, k: 2 }, true, (392_163, 0x889f_59dc)),
+            (DefenseSpec::Graphene { t_rh: 2_000, k: 2 }, false, (296_826, 0x848c_2a34)),
+            (DefenseSpec::Comet { t_rh: 2_000 }, false, (77_900, 0x611d_426a)),
+            (DefenseSpec::BlockHammer { t_rh: 2_000 }, false, (274_367, 0xc209_1c68)),
+            (DefenseSpec::Abacus { t_rh: 2_000, k: 2 }, false, (281_896, 0x755e_90ca)),
+            (DefenseSpec::None, false, (8_021, 0xdd5a_acb0)),
+        ];
+        let trace = small_trace(&small_cfg(), 12_000);
+        for (defense, audit, pin) in golden {
+            let ckpt = tmp("golden.ckpt");
+            let mut cfg = small_cfg();
+            cfg.defense = defense;
+            cfg.audit = audit;
+            cfg.checkpoint = Some(ckpt.clone());
+            cfg.stop_after = Some(7_500);
+            run_fleet(&cfg, &trace, |_| {}).unwrap();
+            let bytes = fs::read(&ckpt).unwrap();
+            let found = (bytes.len(), workloads::crc32c(&bytes));
+            assert_eq!(found, pin, "{} audit {audit}", defense.spec_string());
+            fs::remove_file(&ckpt).ok();
+        }
         fs::remove_file(&trace).ok();
-        fs::remove_file(&ckpt).ok();
+    }
+
+    /// A fingerprint whose geometry does not fit its field is damage, not a
+    /// smaller configuration: 260 channels must not read back as 4.
+    #[test]
+    fn fingerprint_geometry_past_its_field_width_is_refused() {
+        let text = CkptFingerprint::of(&small_cfg()).to_json().to_string();
+        for (field, from, to) in [
+            ("channels", "\"channels\":4,", "\"channels\":260,"),
+            ("rows", "\"rows\":4096}", "\"rows\":4294967296}"),
+        ] {
+            assert!(text.contains(from), "{text}");
+            let v = json::parse(&text.replace(from, to)).unwrap();
+            let err = CkptFingerprint::from_json(&v).unwrap_err();
+            assert!(err.contains(&format!("`{field}`")), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! CRC32C (Castagnoli) — the integrity check framing every on-disk fleet
 //! artifact.
 //!
-//! RHT4 trace chunks ([`crate::trace3`]) and `fleetckpt.v2` checkpoint
+//! RHT4 trace chunks ([`crate::rht4`]) and `fleetckpt.v2` checkpoint
 //! files carry CRC32C frames so that bit rot, torn writes, and truncation
 //! are **detected at read time** instead of silently replaying wrong data
 //! into a resumed run. CRC32C is chosen over CRC32 (IEEE) for its

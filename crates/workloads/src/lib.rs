@@ -36,12 +36,12 @@ pub mod attacks;
 pub mod crc;
 pub mod mix;
 pub mod patterns;
+pub mod rht4;
 pub mod spec_like;
 pub mod stream;
 pub mod synthetic;
 pub mod throttle;
 pub mod trace;
-pub mod trace3;
 pub mod vfs;
 pub mod zipf;
 
@@ -49,11 +49,11 @@ pub use attacks::{NSidedAttack, SameRowAllBanks, StripedNSided};
 pub use crc::{crc32c, Crc32c};
 pub use mix::Interleaved;
 pub use patterns::{MrlocAttack, ProhitAttack};
+pub use rht4::{TraceReader, TraceWriter};
 pub use spec_like::{ProxyParams, ProxyWorkload, SpecPreset};
 pub use stream::{Access, Workload};
 pub use synthetic::Synthetic;
 pub use throttle::RateLimited;
 pub use trace::{Trace, TraceError, TraceReplay};
-pub use trace3::{TraceReader, TraceWriter};
 pub use vfs::{real_fs, RealFs, Vfs, VfsFile};
 pub use zipf::Zipf;

@@ -60,11 +60,6 @@ impl ProhitAttack {
         let x = self.sequence[3].0;
         [RowId(x - 5), RowId(x + 5)]
     }
-
-    /// Aggressor ACTs per repetition that disturb a starved victim (1 of 9).
-    pub fn starved_fraction(&self) -> f64 {
-        1.0 / 9.0
-    }
 }
 
 impl Workload for ProhitAttack {

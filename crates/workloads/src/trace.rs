@@ -3,7 +3,7 @@
 //! Every generator in this crate is deterministic, but experiments sometimes
 //! need the *same* access sequence replayed against many defenses. A
 //! [`Trace`] is a materialized access list and [`TraceReplay`] loops over
-//! it. The on-disk format is RHT4 ([`crate::trace3`]): traces that must
+//! it. The on-disk format is RHT4 ([`crate::rht4`]): traces that must
 //! outlive the process, or that do not fit in memory, go through
 //! [`TraceWriter`](crate::TraceWriter) and
 //! [`TraceReader`](crate::TraceReader).
