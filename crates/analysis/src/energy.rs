@@ -86,11 +86,6 @@ impl EnergyModel {
         victim_rows_refreshed as f64 * self.act_pre_nj / baseline
     }
 
-    /// Energy of one victim-row refresh burst of `rows` rows (nJ).
-    pub fn victim_refresh_nj(&self, rows: u64) -> f64 {
-        rows as f64 * self.act_pre_nj
-    }
-
     /// Graphene's synthesized CAM density: 2,511 bits at `T_RH` = 50K is
     /// the one tracker whose dynamic and static energies the paper reports,
     /// so it anchors the per-bit scaling used for the arena trackers.

@@ -1,9 +1,10 @@
 //! Shared JSON plumbing and the typed error for controller checkpoint
 //! state.
 //!
-//! Checkpoint state is rendered and parsed by hand on top of
-//! [`telemetry::json`] (the faultsim JSONL idiom). The parser is
-//! integer-first, so every `u64` counter round-trips exactly.
+//! Checkpoint state is rendered by hand on top of [`telemetry::json`] and
+//! read back with its typed reads ([`JsonValue::int`],
+//! [`JsonValue::opt_int`], …). The parser is integer-first, so every `u64`
+//! counter round-trips exactly.
 //!
 //! Every snapshot/restore failure is a [`CkptError`] — a machine-matchable
 //! enum rather than a formatted string, so the fleet recovery supervisor
@@ -18,35 +19,18 @@ use crate::stats::RunStats;
 
 /// Why a controller snapshot or restore failed.
 ///
-/// Variants preserve enough structure to act on: which field, which bank or
-/// channel, and whether the problem is the checkpoint's content
-/// (malformed/mismatched — retrying with a different checkpoint can
-/// succeed) or the run's configuration ([`Unsupported`](Self::Unsupported)
-/// — no checkpoint will ever work).
+/// Variants preserve enough structure to act on: which bank or channel,
+/// and whether the problem is the checkpoint's content (malformed or
+/// mismatched — retrying with a different checkpoint can succeed) or the
+/// run's configuration ([`Unsupported`](Self::Unsupported) — no checkpoint
+/// will ever work). A field that is missing, mistyped or too wide for its
+/// type is [`Shape`](Self::Shape), whose detail names the field: the typed
+/// reads of [`telemetry::json`] produce it, and [`From<String>`] wraps it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CkptError {
-    /// A required field is absent.
-    MissingField {
-        /// The field's key.
-        key: String,
-    },
-    /// A field is absent or not the integer the schema requires.
-    NotInteger {
-        /// The field's key.
-        key: String,
-    },
-    /// An optional integer field holds something other than null/integer.
-    BadOptional {
-        /// The field's key.
-        key: String,
-    },
-    /// A field that must be an array isn't.
-    NotArray {
-        /// The field's key.
-        key: String,
-    },
-    /// Structurally wrong content not tied to a single named field.
+    /// Malformed content: a missing, mistyped or out-of-range field (the
+    /// detail names it), or a structure that does not fit together.
     Shape {
         /// What is wrong.
         detail: String,
@@ -114,14 +98,6 @@ impl CkptError {
 impl fmt::Display for CkptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CkptError::MissingField { key } => write!(f, "missing field `{key}`"),
-            CkptError::NotInteger { key } => {
-                write!(f, "missing or non-integer field `{key}`")
-            }
-            CkptError::BadOptional { key } => {
-                write!(f, "field `{key}` is neither null nor an integer")
-            }
-            CkptError::NotArray { key } => write!(f, "field `{key}` is not an array"),
             CkptError::Shape { detail } => f.write_str(detail),
             CkptError::Unsupported { what } => write!(f, "cannot checkpoint {what}"),
             CkptError::ShardCount { found, have } => {
@@ -149,25 +125,10 @@ impl std::error::Error for CkptError {
     }
 }
 
-/// Required sub-value lookup.
-pub(crate) fn field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v JsonValue, CkptError> {
-    v.get(key).ok_or_else(|| CkptError::MissingField { key: key.to_owned() })
-}
-
-/// Required integer field.
-pub(crate) fn u64_field(v: &JsonValue, key: &str) -> Result<u64, CkptError> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| CkptError::NotInteger { key: key.to_owned() })
-}
-
-/// Optional integer field: `Null` (or absence) maps to `None`.
-pub(crate) fn opt_u64_field(v: &JsonValue, key: &str) -> Result<Option<u64>, CkptError> {
-    match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(x) => {
-            x.as_u64().map(Some).ok_or_else(|| CkptError::BadOptional { key: key.to_owned() })
-        }
+/// A failed typed read (see [`telemetry::json`]) is malformed content.
+impl From<String> for CkptError {
+    fn from(detail: String) -> Self {
+        CkptError::Shape { detail }
     }
 }
 
@@ -213,39 +174,32 @@ pub(crate) fn run_stats_to_json(s: &RunStats) -> JsonValue {
 
 /// Parses what [`run_stats_to_json`] rendered.
 pub(crate) fn run_stats_from_json(v: &JsonValue) -> Result<RunStats, CkptError> {
-    let per_stream = field(v, "per_stream")?
-        .as_arr()
-        .ok_or_else(|| CkptError::NotArray { key: "per_stream".to_owned() })?
+    let per_stream = v
+        .items("per_stream")?
         .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| CkptError::Shape {
-                detail: "per_stream element is not a [count, latency] pair".to_owned(),
-            })?;
-            match (pair[0].as_u64(), pair[1].as_u64()) {
-                (Some(n), Some(lat)) => Ok((n, lat)),
-                _ => Err(CkptError::Shape { detail: "non-integer per_stream pair".to_owned() }),
-            }
+        .map(|pair| match pair.to_ints().as_deref() {
+            Ok(&[n, lat]) => Ok((n, lat)),
+            _ => Err("per_stream element is not a [count, latency] pair".to_owned()),
         })
-        .collect::<Result<Vec<_>, CkptError>>()?;
+        .collect::<Result<_, _>>()?;
     Ok(RunStats {
-        accesses: u64_field(v, "accesses")?,
-        activations: u64_field(v, "activations")?,
-        row_hits: u64_field(v, "row_hits")?,
-        refreshes: u64_field(v, "refreshes")?,
-        defense_refresh_commands: u64_field(v, "defense_refresh_commands")?,
-        victim_rows_refreshed: u64_field(v, "victim_rows_refreshed")?,
-        defense_busy: u64_field(v, "defense_busy")?,
-        completion: u64_field(v, "completion")?,
-        total_latency: u64_field(v, "total_latency")?,
-        bit_flips: u64_field(v, "bit_flips")?,
-        throttled_acts: u64_field(v, "throttled_acts")?,
-        throttle_delay: u64_field(v, "throttle_delay")?,
+        accesses: v.int("accesses")?,
+        activations: v.int("activations")?,
+        row_hits: v.int("row_hits")?,
+        refreshes: v.int("refreshes")?,
+        defense_refresh_commands: v.int("defense_refresh_commands")?,
+        victim_rows_refreshed: v.int("victim_rows_refreshed")?,
+        defense_busy: v.int("defense_busy")?,
+        completion: v.int("completion")?,
+        total_latency: v.int("total_latency")?,
+        bit_flips: v.int("bit_flips")?,
+        throttled_acts: v.int("throttled_acts")?,
+        throttle_delay: v.int("throttle_delay")?,
         per_stream,
-        stray_stream_accesses: u64_field(v, "stray_stream_accesses")?,
-        stray_stream_latency: u64_field(v, "stray_stream_latency")?,
-        // Absent in pre-RFM checkpoints: default 0 (a DDR4 run issued none).
-        rfm_commands: opt_u64_field(v, "rfm_commands")?.unwrap_or(0),
-        forced_rfms: opt_u64_field(v, "forced_rfms")?.unwrap_or(0),
+        stray_stream_accesses: v.int("stray_stream_accesses")?,
+        stray_stream_latency: v.int("stray_stream_latency")?,
+        rfm_commands: v.int("rfm_commands")?,
+        forced_rfms: v.int("forced_rfms")?,
     })
 }
 
@@ -272,18 +226,24 @@ mod tests {
 
     #[test]
     fn missing_field_is_reported() {
-        let err =
-            run_stats_from_json(&telemetry::json::parse("{\"accesses\":1}").unwrap()).unwrap_err();
-        assert_eq!(err, CkptError::MissingField { key: "per_stream".to_owned() });
-        assert!(err.to_string().contains("per_stream"), "{err}");
+        // Every writer renders every field, the RFM counters included, so a
+        // line without one is damaged, not old.
+        let text = run_stats_to_json(&RunStats::default()).to_string();
+        for (key, value) in [("per_stream", "[]"), ("rfm_commands", "0"), ("forced_rfms", "0")] {
+            let damaged = text.replace(&format!(",\"{key}\":{value}"), "");
+            let err = run_stats_from_json(&telemetry::json::parse(&damaged).unwrap()).unwrap_err();
+            assert_eq!(err, CkptError::Shape { detail: format!("missing field `{key}`") });
+            assert_eq!(err.to_string(), format!("missing field `{key}`"));
+        }
     }
 
     #[test]
     fn error_display_and_source_chain() {
-        let inner = CkptError::NotInteger { key: "clock".to_owned() };
+        let inner = CkptError::from("field `clock`: not an integer".to_owned());
+        assert!(matches!(&inner, CkptError::Shape { detail } if detail.contains("`clock`")));
         let wrapped =
             CkptError::Channel { channel: 3, source: Box::new(CkptError::bank(1, inner)) };
-        assert_eq!(wrapped.to_string(), "channel 3: bank 1: missing or non-integer field `clock`");
+        assert_eq!(wrapped.to_string(), "channel 3: bank 1: field `clock`: not an integer");
         let source = std::error::Error::source(&wrapped).expect("channel wraps a source");
         assert!(source.to_string().starts_with("bank 1:"), "{source}");
     }

@@ -12,9 +12,7 @@ use workloads::{Access, Workload};
 use telemetry::json::{obj, push_key, JsonValue};
 
 use crate::bank::{BankState, ServiceOutcome};
-use crate::ckpt::{
-    field, opt_u64, opt_u64_field, run_stats_from_json, run_stats_to_json, u64_field, CkptError,
-};
+use crate::ckpt::{opt_u64, run_stats_from_json, run_stats_to_json, CkptError};
 use crate::cmdlog::{CommandLog, CommandRecord, LoggedCommand};
 use crate::config::McConfig;
 use crate::faults::{FaultInjector, FaultStats};
@@ -858,63 +856,48 @@ impl MemoryController {
     /// the defenses of banks `0..b` already hold the checkpoint's: on
     /// error, discard the controller rather than resuming it.
     pub fn restore(&mut self, state: &JsonValue) -> Result<(), CkptError> {
-        let channel = u64_field(state, "channel")?;
+        let channel = state.int("channel")?;
         if channel != u64::from(self.channel) {
             return Err(CkptError::WrongChannel { found: channel, restoring: self.channel });
         }
-        let banks = field(state, "banks")?
-            .as_arr()
-            .ok_or_else(|| CkptError::NotArray { key: "banks".to_owned() })?;
+        let banks = state.items("banks")?;
         if banks.len() != self.banks.len() {
             return Err(CkptError::BankCount { found: banks.len(), have: self.banks.len() });
         }
-        let stats = run_stats_from_json(field(state, "stats")?)?;
-        let clock = u64_field(state, "clock")?;
-        let wall = u64_field(state, "wall")?;
-        let next_refresh_at = u64_field(state, "next_refresh_at")?;
-        let refresh_hold_until = u64_field(state, "refresh_hold_until")?;
+        let stats = run_stats_from_json(state.field("stats")?)?;
+        let clock = state.int("clock")?;
+        let wall = state.int("wall")?;
+        let next_refresh_at = state.int("next_refresh_at")?;
+        let refresh_hold_until = state.int("refresh_hold_until")?;
         // Parse every bank's timing and refresh fields before mutating
         // anything; past this loop only a defense's own restore can fail
         // (see the error contract above).
         let mut parsed = Vec::with_capacity(banks.len());
         for (b, bank) in banks.iter().enumerate() {
-            let ctx = |e: CkptError| CkptError::bank(b, e);
-            let shape =
-                |detail: &str| CkptError::bank(b, CkptError::Shape { detail: detail.to_owned() });
-            let open_row = opt_u64_field(bank, "open_row").map_err(ctx)?;
-            let open_row = open_row
-                .map(|r| u32::try_from(r).map(RowId).map_err(|_| shape("open_row exceeds u32")))
-                .transpose()?;
-            let hits = u32::try_from(u64_field(bank, "hits_on_open_row").map_err(ctx)?)
-                .map_err(|_| shape("hits_on_open_row exceeds u32"))?;
-            let ready_at = u64_field(bank, "ready_at").map_err(ctx)?;
-            let last_act_at = opt_u64_field(bank, "last_act_at").map_err(ctx)?;
-            let burst = u64_field(bank, "ref_burst_in_window").map_err(ctx)?;
-            if burst >= self.refresh_engines[b].cmds_per_window() {
-                return Err(shape(&format!(
-                    "refresh burst position {burst} outside the {}-command window",
-                    self.refresh_engines[b].cmds_per_window()
-                )));
-            }
-            let refs_issued = u64_field(bank, "ref_refs_issued").map_err(ctx)?;
-            let ref_next_at = u64_field(bank, "ref_next_at").map_err(ctx)?;
-            // Pre-RFM checkpoints lack the field; 0 is their only possible
-            // RAA value.
-            let raa = opt_u64_field(bank, "raa").map_err(ctx)?.unwrap_or(0);
-            parsed.push((
-                open_row,
-                hits,
-                ready_at,
-                last_act_at,
-                burst,
-                refs_issued,
-                ref_next_at,
-                raa,
-            ));
+            let window = self.refresh_engines[b].cmds_per_window();
+            let fields = || -> Result<_, String> {
+                let burst = bank.int("ref_burst_in_window")?;
+                if burst >= window {
+                    return Err(format!(
+                        "refresh burst position {burst} outside the {window}-command window"
+                    ));
+                }
+                Ok((
+                    bank.opt_int("open_row")?.map(RowId),
+                    bank.int("hits_on_open_row")?,
+                    bank.int("ready_at")?,
+                    bank.opt_int("last_act_at")?,
+                    burst,
+                    bank.int("ref_refs_issued")?,
+                    bank.int("ref_next_at")?,
+                    bank.int("raa")?,
+                ))
+            };
+            parsed.push(fields().map_err(|e| CkptError::bank(b, e.into()))?);
         }
         for (b, bank) in banks.iter().enumerate() {
             self.defenses[b]
-                .restore_state(field(bank, "defense").map_err(|e| CkptError::bank(b, e))?)
+                .restore_state(bank.field("defense").map_err(|e| CkptError::bank(b, e.into()))?)
                 .map_err(|e| CkptError::Defense { bank: b, detail: e })?;
         }
         for (b, (open_row, hits, ready_at, last_act_at, burst, refs_issued, ref_next_at, raa)) in
@@ -1417,6 +1400,24 @@ mod tests {
         let mut other = McBuilder::new(McConfig::micro2020_no_oracle()).build();
         let err = other.restore(&snap).unwrap_err();
         assert!(err.to_string().contains("bank(s)"), "{err}");
+    }
+
+    #[test]
+    fn restore_refuses_a_bank_missing_its_raa_or_timing_fields() {
+        // Every writer renders all three (`open_row` and `last_act_at` as
+        // null or an integer), so a line without one is damaged, not old.
+        let mut mc = graphene_mc(McConfig::single_bank(65_536, None));
+        mc.run(&mut Synthetic::s3(65_536, 1), 1_000);
+        let text = mc.snapshot().unwrap();
+        for key in ["raa", "open_row", "last_act_at"] {
+            let start = text.find(&format!("\"{key}\":")).unwrap();
+            let end = start + text[start..].find(',').unwrap() + 1;
+            let damaged = format!("{}{}", &text[..start], &text[end..]);
+            let mut fresh = graphene_mc(McConfig::single_bank(65_536, None));
+            let err = fresh.restore(&telemetry::json::parse(&damaged).unwrap()).unwrap_err();
+            let missing = CkptError::Shape { detail: format!("missing field `{key}`") };
+            assert_eq!(err, CkptError::bank(0, missing), "{key}");
+        }
     }
 
     #[test]

@@ -38,9 +38,9 @@ use std::sync::{Arc, Mutex};
 use dram_model::geometry::RowId;
 use dram_model::timing::{DramTiming, Picoseconds};
 use graphene_core::GrapheneConfig;
-use telemetry::json::{obj, u64_field, JsonValue};
+use telemetry::json::{obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, lane, u32_lane, u64_lane};
+use crate::ckpt::{expect_scheme, lane};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 fn bits_for(x: u64) -> u32 {
@@ -358,12 +358,12 @@ impl AbacusCore {
 
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
         expect_scheme(state, "abacus")?;
-        let table = field(state, "table")?;
-        let rows = u32_lane(table, "rows")?;
-        let counts = u64_lane(table, "counts")?;
-        let savs = u64_lane(table, "savs")?;
-        let masks = u64_lane(table, "masks")?;
-        let crossings = u64_lane(table, "crossings")?;
+        let table = state.field("table")?;
+        let rows: Vec<u32> = table.ints("rows")?;
+        let counts: Vec<u64> = table.ints("counts")?;
+        let savs: Vec<u64> = table.ints("savs")?;
+        let masks: Vec<u64> = table.ints("masks")?;
+        let crossings: Vec<u64> = table.ints("crossings")?;
         let n = rows.len();
         if counts.len() != n || savs.len() != n || masks.len() != n || crossings.len() != n {
             return Err("table lanes have mismatched lengths".to_owned());
@@ -374,39 +374,28 @@ impl AbacusCore {
                 self.cfg.entries
             ));
         }
-        let pending_json = field(state, "pending")?
-            .as_arr()
-            .ok_or_else(|| "field `pending` is not an array".to_owned())?;
-        if pending_json.len() != self.cfg.banks as usize {
+        let pending = state.items("pending")?;
+        if pending.len() != self.cfg.banks as usize {
             return Err(format!(
                 "checkpoint covers {} banks, table covers {}",
-                pending_json.len(),
+                pending.len(),
                 self.cfg.banks
             ));
         }
-        let mut pending = Vec::with_capacity(pending_json.len());
-        for (b, p) in pending_json.iter().enumerate() {
-            let lane = p
-                .as_arr()
-                .ok_or_else(|| format!("pending queue for bank {b} is not an array"))?
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| format!("bad pending row for bank {b}"))
-                })
-                .collect::<Result<Vec<u32>, String>>()?;
-            pending.push(lane);
-        }
-        let stats = field(state, "stats")?;
+        let pending = pending
+            .iter()
+            .enumerate()
+            .map(|(b, p)| p.to_ints().map_err(|e| format!("pending queue for bank {b}: {e}")))
+            .collect::<Result<_, _>>()?;
+        let stats = state.field("stats")?;
         let parsed = AbacusStats {
-            activations: u64_field(stats, "activations")?,
-            nrrs_issued: u64_field(stats, "nrrs_issued")?,
-            victim_rows_requested: u64_field(stats, "victim_rows_requested")?,
-            window_resets: u64_field(stats, "window_resets")?,
-            inserts: u64_field(stats, "inserts")?,
-            evictions: u64_field(stats, "evictions")?,
-            spillover_peak: u64_field(stats, "spillover_peak")?,
+            activations: stats.int("activations")?,
+            nrrs_issued: stats.int("nrrs_issued")?,
+            victim_rows_requested: stats.int("victim_rows_requested")?,
+            window_resets: stats.int("window_resets")?,
+            inserts: stats.int("inserts")?,
+            evictions: stats.int("evictions")?,
+            spillover_peak: stats.int("spillover_peak")?,
         };
         self.rows = rows;
         self.counts = counts;
@@ -414,10 +403,10 @@ impl AbacusCore {
         self.masks = masks;
         self.crossings = crossings;
         self.pending = pending;
-        self.spillover = u64_field(state, "spillover")?;
-        self.spillover_sav = u64_field(state, "spillover_sav")?;
-        self.current_window = u64_field(state, "current_window")?;
-        self.suppress_next_lookup = u64_field(state, "suppress_next_lookup")? != 0;
+        self.spillover = state.int("spillover")?;
+        self.spillover_sav = state.int("spillover_sav")?;
+        self.current_window = state.int("current_window")?;
+        self.suppress_next_lookup = state.int::<u64>("suppress_next_lookup")? != 0;
         self.stats = parsed;
         Ok(())
     }

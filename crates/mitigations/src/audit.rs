@@ -33,9 +33,9 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use telemetry::json::{obj, u64_field, JsonValue};
+use telemetry::json::{obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, u64_lane};
+use crate::ckpt::expect_scheme;
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// Parameters of the Graphene no-false-negatives certificate.
@@ -393,38 +393,26 @@ impl RowHammerDefense for AuditedDefense {
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {
         expect_scheme(state, "audited")?;
-        let unpack_pairs = |v: &JsonValue, key: &str, len: usize| -> Result<Vec<u32>, String> {
+        let unpack_pairs = |key: &str, len: usize| -> Result<Vec<u32>, String> {
             let mut out = vec![0u32; len];
-            for pair in
-                field(v, key)?.as_arr().ok_or_else(|| format!("field `{key}` is not an array"))?
-            {
-                let pair = pair
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| format!("element of `{key}` is not an [index, count] pair"))?;
-                let i = pair[0].as_u64().and_then(|i| usize::try_from(i).ok());
-                let c = pair[1].as_u64().and_then(|c| u32::try_from(c).ok());
-                match (i, c) {
-                    (Some(i), Some(c)) if i < len => out[i] = c,
-                    _ => return Err(format!("out-of-range pair in `{key}`")),
+            for pair in state.items(key)? {
+                match pair.to_ints::<u32>().as_deref() {
+                    Ok(&[i, c]) if (i as usize) < len => out[i as usize] = c,
+                    _ => return Err(format!("element of `{key}` is not an in-bank pair")),
                 }
             }
             Ok(out)
         };
         let mut activated = vec![false; self.activated.len()];
-        for i in u64_lane(state, "activated")? {
-            let i = usize::try_from(i).ok().filter(|&i| i < activated.len());
-            match i {
-                Some(i) => activated[i] = true,
-                None => return Err("activated index outside bank".to_owned()),
-            }
+        for i in state.ints::<usize>("activated")? {
+            *activated.get_mut(i).ok_or_else(|| "activated index outside bank".to_owned())? = true;
         }
-        let shadow_counts = unpack_pairs(state, "shadow_counts", self.shadow_counts.len())?;
-        let shadow_nrrs = unpack_pairs(state, "shadow_nrrs", self.shadow_nrrs.len())?;
-        self.inner.restore_state(field(state, "inner")?)?;
+        let shadow_counts = unpack_pairs("shadow_counts", self.shadow_counts.len())?;
+        let shadow_nrrs = unpack_pairs("shadow_nrrs", self.shadow_nrrs.len())?;
+        self.inner.restore_state(state.field("inner")?)?;
         self.activated = activated;
-        self.any_act = u64_field(state, "any_act")? != 0;
-        self.current_window = u64_field(state, "current_window")?;
+        self.any_act = state.int::<u64>("any_act")? != 0;
+        self.current_window = state.int("current_window")?;
         self.shadow_counts = shadow_counts;
         self.shadow_nrrs = shadow_nrrs;
         Ok(())

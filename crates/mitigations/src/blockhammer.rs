@@ -31,9 +31,9 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use freq_elems::CountMinCore;
 use graphene_core::GrapheneConfig;
-use telemetry::json::{obj, u64_field, JsonValue};
+use telemetry::json::{obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, lane, u64_lane};
+use crate::ckpt::{expect_scheme, lane};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits, ThrottleDecision};
 
 fn bits_for(x: u64) -> u32 {
@@ -301,35 +301,33 @@ impl RowHammerDefense for BlockHammerDefense {
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {
         expect_scheme(state, "blockhammer")?;
-        if u64_field(state, "depth")? != self.cfg.depth as u64
-            || u64_field(state, "width")? != self.cfg.width as u64
+        if state.int::<usize>("depth")? != self.cfg.depth
+            || state.int::<usize>("width")? != self.cfg.width
         {
             return Err("checkpoint filter geometry does not match configuration".to_owned());
         }
-        let filters = field(state, "filters")?
-            .as_arr()
-            .ok_or_else(|| "field `filters` is not an array".to_owned())?;
+        let filters = state.items("filters")?;
         if filters.len() != 2 {
             return Err(format!("expected 2 filters, found {}", filters.len()));
         }
         let mut lanes = Vec::with_capacity(2);
         for f in filters {
-            lanes.push((u64_lane(f, "counters")?, u64_field(f, "stream_len")?));
+            lanes.push((f.ints::<u64>("counters")?, f.int("stream_len")?));
         }
-        let stats = field(state, "stats")?;
+        let stats = state.field("stats")?;
         let parsed = BlockHammerStats {
-            activations: u64_field(stats, "activations")?,
-            blacklist_hits: u64_field(stats, "blacklist_hits")?,
-            throttled_acts: u64_field(stats, "throttled_acts")?,
-            throttle_delay: u64_field(stats, "throttle_delay")?,
-            epoch_swaps: u64_field(stats, "epoch_swaps")?,
+            activations: stats.int("activations")?,
+            blacklist_hits: stats.int("blacklist_hits")?,
+            throttled_acts: stats.int("throttled_acts")?,
+            throttle_delay: stats.int("throttle_delay")?,
+            epoch_swaps: stats.int("epoch_swaps")?,
         };
         for (i, (counters, stream_len)) in lanes.iter().enumerate() {
             self.filters[i].restore_counters(counters, *stream_len)?;
         }
-        self.epoch_idx = u64_field(state, "epoch_idx")?;
-        self.next_allowed = u64_field(state, "next_allowed")?;
-        self.suppress_next_query = u64_field(state, "suppress_next_query")? != 0;
+        self.epoch_idx = state.int("epoch_idx")?;
+        self.next_allowed = state.int("next_allowed")?;
+        self.suppress_next_query = state.int::<u64>("suppress_next_query")? != 0;
         self.stats = parsed;
         Ok(())
     }

@@ -26,9 +26,9 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use freq_elems::CountMinCore;
 use graphene_core::GrapheneConfig;
-use telemetry::json::{obj, u64_field, JsonValue};
+use telemetry::json::{obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, lane, u32_lane, u64_lane};
+use crate::ckpt::{expect_scheme, lane};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 fn bits_for(x: u64) -> u32 {
@@ -343,17 +343,17 @@ impl RowHammerDefense for CometDefense {
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {
         expect_scheme(state, "comet")?;
-        let cms = field(state, "cms")?;
-        if u64_field(cms, "depth")? != self.cms.depth() as u64
-            || u64_field(cms, "width")? != self.cms.width() as u64
+        let cms = state.field("cms")?;
+        if cms.int::<usize>("depth")? != self.cms.depth()
+            || cms.int::<usize>("width")? != self.cms.width()
         {
             return Err("checkpoint sketch geometry does not match configuration".to_owned());
         }
-        let counters = u64_lane(cms, "counters")?;
-        let stream_len = u64_field(cms, "stream_len")?;
-        let rat = field(state, "rat")?;
-        let rows = u32_lane(rat, "rows")?;
-        let counts = u64_lane(rat, "counts")?;
+        let counters: Vec<u64> = cms.ints("counters")?;
+        let stream_len = cms.int("stream_len")?;
+        let rat = state.field("rat")?;
+        let rows: Vec<u32> = rat.ints("rows")?;
+        let counts: Vec<u64> = rat.ints("counts")?;
         if rows.len() != counts.len() || rows.len() > self.cfg.rat_entries {
             return Err(format!(
                 "RAT lanes are {}/{} entries for a {}-entry table",
@@ -362,21 +362,21 @@ impl RowHammerDefense for CometDefense {
                 self.cfg.rat_entries
             ));
         }
-        let stats = field(state, "stats")?;
+        let stats = state.field("stats")?;
         let parsed = CometStats {
-            activations: u64_field(stats, "activations")?,
-            nrrs_issued: u64_field(stats, "nrrs_issued")?,
-            victim_rows_requested: u64_field(stats, "victim_rows_requested")?,
-            window_resets: u64_field(stats, "window_resets")?,
-            rat_inserts: u64_field(stats, "rat_inserts")?,
-            rat_evictions: u64_field(stats, "rat_evictions")?,
-            discounts: u64_field(stats, "discounts")?,
+            activations: stats.int("activations")?,
+            nrrs_issued: stats.int("nrrs_issued")?,
+            victim_rows_requested: stats.int("victim_rows_requested")?,
+            window_resets: stats.int("window_resets")?,
+            rat_inserts: stats.int("rat_inserts")?,
+            rat_evictions: stats.int("rat_evictions")?,
+            discounts: stats.int("discounts")?,
         };
         self.cms.restore_counters(&counters, stream_len)?;
         self.rat_rows = rows;
         self.rat_counts = counts;
-        self.current_window = u64_field(state, "current_window")?;
-        self.suppress_next_lookup = u64_field(state, "suppress_next_lookup")? != 0;
+        self.current_window = state.int("current_window")?;
+        self.suppress_next_lookup = state.int::<u64>("suppress_next_lookup")? != 0;
         self.stats = parsed;
         Ok(())
     }

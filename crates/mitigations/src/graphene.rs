@@ -5,9 +5,9 @@ use dram_model::timing::Picoseconds;
 use graphene_core::mechanism::GrapheneSnapshot;
 use graphene_core::table::TableSnapshot;
 use graphene_core::{CamStats, ConfigError, Graphene, GrapheneConfig, GrapheneStats};
-use telemetry::json::{obj, u64_field, JsonValue};
+use telemetry::json::{obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, field, lane, u32_lane, u64_lane};
+use crate::ckpt::{expect_scheme, lane};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// Adapter exposing [`graphene_core::Graphene`] as a [`RowHammerDefense`].
@@ -131,35 +131,35 @@ impl RowHammerDefense for GrapheneDefense {
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {
         expect_scheme(state, "graphene")?;
-        let table = field(state, "table")?;
-        let stats = field(state, "stats")?;
-        let cam = field(table, "cam")?;
+        let table = state.field("table")?;
+        let stats = state.field("stats")?;
+        let cam = table.field("cam")?;
         let snap = GrapheneSnapshot {
             table: TableSnapshot {
-                keys: u32_lane(table, "keys")?,
-                low: u32_lane(table, "low")?,
-                valid: u64_lane(table, "valid")?,
-                overflow: u64_lane(table, "overflow")?.into_iter().map(|b| b != 0).collect(),
-                crossings: u64_lane(table, "crossings")?,
-                spillover: u64_field(table, "spillover")?,
-                acts_since_reset: u64_field(table, "acts_since_reset")?,
+                keys: table.ints("keys")?,
+                low: table.ints("low")?,
+                valid: table.ints("valid")?,
+                overflow: table.ints::<u64>("overflow")?.into_iter().map(|b| b != 0).collect(),
+                crossings: table.ints("crossings")?,
+                spillover: table.int("spillover")?,
+                acts_since_reset: table.int("acts_since_reset")?,
                 stats: CamStats {
-                    addr_searches: u64_field(cam, "addr_searches")?,
-                    addr_writes: u64_field(cam, "addr_writes")?,
-                    count_searches: u64_field(cam, "count_searches")?,
-                    count_writes: u64_field(cam, "count_writes")?,
-                    spillover_increments: u64_field(cam, "spillover_increments")?,
+                    addr_searches: cam.int("addr_searches")?,
+                    addr_writes: cam.int("addr_writes")?,
+                    count_searches: cam.int("count_searches")?,
+                    count_writes: cam.int("count_writes")?,
+                    spillover_increments: cam.int("spillover_increments")?,
                 },
             },
-            current_window: u64_field(state, "current_window")?,
+            current_window: state.int("current_window")?,
             stats: GrapheneStats {
-                activations: u64_field(stats, "activations")?,
-                nrrs_issued: u64_field(stats, "nrrs_issued")?,
-                victim_rows_requested: u64_field(stats, "victim_rows_requested")?,
-                table_resets: u64_field(stats, "table_resets")?,
-                evictions: u64_field(stats, "evictions")?,
+                activations: stats.int("activations")?,
+                nrrs_issued: stats.int("nrrs_issued")?,
+                victim_rows_requested: stats.int("victim_rows_requested")?,
+                table_resets: stats.int("table_resets")?,
+                evictions: stats.int("evictions")?,
             },
-            nrrs_this_window: u64_field(state, "nrrs_this_window")?,
+            nrrs_this_window: state.int("nrrs_this_window")?,
         };
         self.inner.restore(&snap)
     }

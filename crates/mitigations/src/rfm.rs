@@ -25,7 +25,7 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use telemetry::json::{obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, field};
+use crate::ckpt::expect_scheme;
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits, ThrottleDecision};
 
 /// Wraps a defense so its NRRs are issued as DDR5 RFM commands.
@@ -122,7 +122,7 @@ impl RowHammerDefense for RfmIssuer {
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {
         expect_scheme(state, "rfm-issuer")?;
-        self.inner.restore_state(field(state, "inner")?)
+        self.inner.restore_state(state.field("inner")?)
     }
 }
 

@@ -11,15 +11,16 @@
 //! resident memory stays O(chunk + queue depth) regardless of trace length.
 //!
 //! Execution is **segmented**: [`run_fleet`] streams `segment` accesses,
-//! quiesces the pipeline, writes a `fleetckpt.v2` checkpoint (the JSONL
-//! idiom of [`faultsim`]'s serial module: a schema-tagged header line, one
-//! line per channel shard, and a CRC32C integrity footer), reports
-//! progress, and repeats. A killed run resumes from the last checkpoint via
-//! [`TraceReader::skip_to`] plus [`SystemController::restore`], and —
-//! because the trace is pre-synthesized and every layer's checkpoint is
-//! exact — the resumed run is **bit-identical** to an uninterrupted one at
-//! every worker count. The `fleet_replay` integration test pins this with a
-//! proptest across 1/2/4 workers and arbitrary kill points.
+//! quiesces the pipeline, writes a `fleetckpt.v2` checkpoint (JSONL: a
+//! schema-tagged header line, one line per channel shard, and a CRC32C
+//! integrity footer, every line read back with [`telemetry::json`]'s typed
+//! reads), reports progress, and repeats. A killed run resumes from the
+//! last checkpoint via [`TraceReader::skip_to`] plus
+//! [`SystemController::restore`], and — because the trace is
+//! pre-synthesized and every layer's checkpoint is exact — the resumed run
+//! is **bit-identical** to an uninterrupted one at every worker count. The
+//! `fleet_replay` integration test pins this with a proptest across 1/2/4
+//! workers and arbitrary kill points.
 //!
 //! ## Integrity and failure model (DESIGN.md §6l)
 //!
@@ -32,11 +33,12 @@
 //! is rejected with a diagnostic naming the differing field rather than
 //! silently producing plausible-but-wrong statistics.
 //!
-//! [`run_fleet_supervised`] adds the recovery layer: checkpoints rotate
-//! across `keep` generation slots, corrupt files are **quarantined aside**
-//! (renamed, never deleted or overwritten in place), a failed segment rolls
-//! back to the newest *verified* checkpoint and retries with bounded,
-//! deterministic (virtual — recorded, not slept) backoff, and the degraded-
+//! [`run_fleet_supervised`] adds the recovery layer on the same replay
+//! core: checkpoints rotate across two generation slots, corrupt files are
+//! **quarantined aside** (renamed, never deleted or overwritten in place),
+//! a failed segment rolls back to the newest *verified* checkpoint and
+//! retries up to three times with deterministic exponential (virtual —
+//! recorded, not slept) backoff from a 1 ms base, and the degraded-
 //! mode accounting surfaces as `fleet.retries` / `fleet.rollbacks` /
 //! `fleet.corrupt_chunks` / `fleet.quarantined` telemetry counters. All
 //! file I/O flows through the [`workloads::vfs`] seam, so the `chaos-fleet`
@@ -59,7 +61,7 @@ use dram_model::geometry::DramGeometry;
 use memctrl::{
     CkptError, MappingPolicy, McBuilder, McConfig, McError, SystemController, SystemStats,
 };
-use telemetry::json::{self, obj, u64_field, JsonValue};
+use telemetry::json::{self, obj, JsonValue};
 use telemetry::{MetricsSink, SharedSink};
 use workloads::crc::{crc32c_combine, Crc32c};
 use workloads::vfs::{real_fs, Vfs};
@@ -253,19 +255,6 @@ impl FleetError {
     }
 }
 
-fn str_field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
-}
-
-/// The integer under `key`, narrowed to its field's type: a value too wide
-/// for the field is damage, never wrapped into a different configuration.
-fn narrow_field<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, String> {
-    let n = u64_field(v, key)?;
-    T::try_from(n).map_err(|_| format!("field `{key}` = {n} is out of range"))
-}
-
 /// The configuration identity stamped into every `fleetckpt.v2` header.
 ///
 /// A checkpoint is only as good as the run that wrote it: restoring
@@ -315,22 +304,37 @@ impl CkptFingerprint {
     }
 
     fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let audit = match v.get("audit") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => return Err("missing or non-boolean field `audit`".to_owned()),
+        let JsonValue::Bool(audit) = *v.field("audit")? else {
+            return Err("field `audit`: not a boolean".to_owned());
         };
         Ok(CkptFingerprint {
-            defense: str_field(v, "defense")?.to_owned(),
-            policy: str_field(v, "policy")?.to_owned(),
-            generation: str_field(v, "generation")?.to_owned(),
+            defense: v.text("defense")?.to_owned(),
+            policy: v.text("policy")?.to_owned(),
+            generation: v.text("generation")?.to_owned(),
             audit,
             geometry: DramGeometry {
-                channels: narrow_field(v, "channels")?,
-                ranks_per_channel: narrow_field(v, "ranks")?,
-                banks_per_rank: narrow_field(v, "banks")?,
-                rows_per_bank: narrow_field(v, "rows")?,
+                channels: v.int("channels")?,
+                ranks_per_channel: v.int("ranks")?,
+                banks_per_rank: v.int("banks")?,
+                rows_per_bank: v.int("rows")?,
             },
         })
+    }
+
+    /// Every field in header order, named as in the header, with its value
+    /// as a mismatch reports it.
+    fn fields(&self) -> [(&'static str, String); 8] {
+        let g = &self.geometry;
+        [
+            ("defense", self.defense.clone()),
+            ("policy", self.policy.clone()),
+            ("generation", self.generation.clone()),
+            ("audit", self.audit.to_string()),
+            ("channels", g.channels.to_string()),
+            ("ranks", g.ranks_per_channel.to_string()),
+            ("banks", g.banks_per_rank.to_string()),
+            ("rows", g.rows_per_bank.to_string()),
+        ]
     }
 
     /// Rejects a restore whose run configuration (`expected`) differs from
@@ -340,40 +344,12 @@ impl CkptFingerprint {
     ///
     /// [`FleetError::ConfigMismatch`].
     pub fn check_against(&self, expected: &CkptFingerprint) -> Result<(), FleetError> {
-        let mismatch = |field, expected: &dyn fmt::Display, found: &dyn fmt::Display| {
-            Err(FleetError::ConfigMismatch {
-                field,
-                expected: expected.to_string(),
-                found: found.to_string(),
-            })
-        };
-        if self.defense != expected.defense {
-            return mismatch("defense", &expected.defense, &self.defense);
+        match self.fields().into_iter().zip(expected.fields()).find(|((_, f), (_, e))| f != e) {
+            Some(((field, found), (_, expected))) => {
+                Err(FleetError::ConfigMismatch { field, expected, found })
+            }
+            None => Ok(()),
         }
-        if self.policy != expected.policy {
-            return mismatch("policy", &expected.policy, &self.policy);
-        }
-        if self.generation != expected.generation {
-            return mismatch("generation", &expected.generation, &self.generation);
-        }
-        if self.audit != expected.audit {
-            return mismatch("audit", &expected.audit, &self.audit);
-        }
-        let g = &self.geometry;
-        let e = &expected.geometry;
-        if g.channels != e.channels {
-            return mismatch("channels", &e.channels, &g.channels);
-        }
-        if g.ranks_per_channel != e.ranks_per_channel {
-            return mismatch("ranks", &e.ranks_per_channel, &g.ranks_per_channel);
-        }
-        if g.banks_per_rank != e.banks_per_rank {
-            return mismatch("banks", &e.banks_per_rank, &g.banks_per_rank);
-        }
-        if g.rows_per_bank != e.rows_per_bank {
-            return mismatch("rows", &e.rows_per_bank, &g.rows_per_bank);
-        }
-        Ok(())
     }
 }
 
@@ -514,28 +490,25 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
     if lines.is_empty() {
         return Err(corrupt("empty checkpoint file".to_owned()));
     }
-    let header_json = json::parse(lines[0]).map_err(|e| corrupt(format!("header: {e}")))?;
-    let schema = str_field(&header_json, "schema").map_err(&corrupt)?;
+    let header = json::parse(lines[0]).map_err(|e| corrupt(format!("header: {e}")))?;
+    let schema = header.text("schema").map_err(&corrupt)?;
     if schema != FLEET_CKPT_SCHEMA {
         return Err(FleetError::CkptSchema { path: path.to_path_buf(), found: schema.to_owned() });
     }
     // Verify the footer before believing anything else.
     let footer_line = lines.pop().ok_or_else(|| corrupt("missing footer".to_owned()))?;
     let footer = json::parse(footer_line).map_err(|e| corrupt(format!("footer: {e}")))?;
-    if str_field(&footer, "schema").map_err(&corrupt)? != FLEET_CKPT_FOOTER_SCHEMA {
+    if footer.text("schema").map_err(&corrupt)? != FLEET_CKPT_FOOTER_SCHEMA {
         return Err(corrupt("last line is not an integrity footer".to_owned()));
     }
-    if u64_field(&footer, "lines").map_err(&corrupt)? != lines.len() as u64 {
+    let promised: u64 = footer.int("lines").map_err(&corrupt)?;
+    if promised != lines.len() as u64 {
         return Err(corrupt(format!(
-            "footer promises {} body line(s), found {}",
-            u64_field(&footer, "lines").map_err(&corrupt)?,
+            "footer promises {promised} body line(s), found {}",
             lines.len()
         )));
     }
-    let line_crcs = footer
-        .get("line_crcs")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| corrupt("footer lacks a `line_crcs` array".to_owned()))?;
+    let line_crcs: Vec<u32> = footer.ints("line_crcs").map_err(&corrupt)?;
     if line_crcs.len() != lines.len() {
         return Err(corrupt(format!(
             "footer carries {} line crc(s) for {} line(s)",
@@ -544,23 +517,21 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
         )));
     }
     let mut body = 0;
-    for (i, (line, stored)) in lines.iter().zip(line_crcs).enumerate() {
-        let stored = stored.as_u64().ok_or_else(|| corrupt("non-integer line crc".to_owned()))?;
-        let computed = u64::from(line_crc(line.as_bytes(), &mut body));
+    for (i, (line, &stored)) in lines.iter().zip(&line_crcs).enumerate() {
+        let computed = line_crc(line.as_bytes(), &mut body);
         if stored != computed {
             return Err(corrupt(format!(
                 "line {i}: crc32c mismatch (stored {stored:#010x}, computed {computed:#010x})"
             )));
         }
     }
-    let stored_body = u64_field(&footer, "crc32c").map_err(&corrupt)?;
-    let computed_body = u64::from(body);
-    if stored_body != computed_body {
+    let stored_body: u32 = footer.int("crc32c").map_err(&corrupt)?;
+    if stored_body != body {
         return Err(corrupt(format!(
-            "body crc32c mismatch (stored {stored_body:#010x}, computed {computed_body:#010x})"
+            "body crc32c mismatch (stored {stored_body:#010x}, computed {body:#010x})"
         )));
     }
-    let channels = u64_field(&header_json, "channels").map_err(&corrupt)?;
+    let channels: u64 = header.int("channels").map_err(&corrupt)?;
     let shards = lines[1..]
         .iter()
         .enumerate()
@@ -572,44 +543,14 @@ pub fn read_fleet_checkpoint(fs: &dyn Vfs, path: &Path) -> Result<FleetCheckpoin
             shards.len()
         )));
     }
-    let config = header_json
-        .get("config")
-        .ok_or_else(|| corrupt("header lacks a `config` fingerprint".to_owned()))?;
-    let config = CkptFingerprint::from_json(config).map_err(&corrupt)?;
+    let config = header.field("config").and_then(CkptFingerprint::from_json).map_err(&corrupt)?;
     Ok(FleetCheckpoint {
-        trace: str_field(&header_json, "trace").map_err(&corrupt)?.to_owned(),
-        accesses_done: u64_field(&header_json, "accesses_done").map_err(&corrupt)?,
+        trace: header.text("trace").map_err(&corrupt)?.to_owned(),
+        accesses_done: header.int("accesses_done").map_err(&corrupt)?,
         config,
-        clock: u64_field(&header_json, "clock").map_err(&corrupt)?,
-        routed: u64_field(&header_json, "routed").map_err(&corrupt)?,
+        clock: header.int("clock").map_err(&corrupt)?,
+        routed: header.int("routed").map_err(&corrupt)?,
         shards,
-    })
-}
-
-/// Streams exactly `n` accesses from `reader` through the lanes of the
-/// sharded pipeline: the router rides the calling thread and runs batches
-/// whenever a ring is full, and `threads` workers run the rest. The same
-/// streaming core as [`run_system_sharded`](crate::run_system_sharded),
-/// minus the workload factory: the reader IS the stream.
-///
-/// On a mid-segment failure (trace corruption, routing rejection) the
-/// rings close, the batches already queued run, and the typed error
-/// propagates — the system is left partially advanced and must be rolled
-/// back by the caller before retrying.
-fn stream_segment(
-    system: &mut SystemController,
-    reader: &mut TraceReader,
-    n: u64,
-    threads: usize,
-    batch: usize,
-) -> Result<(), FleetError> {
-    sharded::stream(system, n, threads, batch, |router| {
-        let access = reader
-            .try_next()
-            .map_err(|source| FleetError::TraceStream { position: reader.position(), source })?;
-        router
-            .route_one(&access)
-            .map_err(|source| FleetError::Route { position: reader.position(), source })
     })
 }
 
@@ -735,105 +676,210 @@ pub fn run_fleet(
     trace: &Path,
     mut on_segment: impl FnMut(&FleetProgress),
 ) -> Result<FleetReport, FleetError> {
-    assert!(cfg.threads > 0, "need at least one worker thread");
-    assert!(cfg.batch > 0, "batch of 0 dispatches nothing");
-    assert!(cfg.segment > 0, "segment of 0 makes no progress");
-    let fs = cfg.vfs();
-    let mut reader = TraceReader::open_for_on(fs.clone(), trace, &cfg.system.geometry)
-        .map_err(|source| FleetError::Trace { path: trace.to_path_buf(), source })?;
-    let trace_len = reader.len();
-    let fingerprint = CkptFingerprint::of(cfg);
-    let mut system = cfg.build_system();
-    let mut done = 0u64;
-    let mut resumed_from = None;
-    if let Some(path) = &cfg.checkpoint {
-        if fs.exists(path) {
-            let ckpt = read_fleet_checkpoint(fs.as_ref(), path)?;
-            check_checkpoint(&ckpt, &reader.name(), trace_len, &fingerprint)?;
-            ckpt.restore_into(&mut system).map_err(|source| FleetError::Restore { source })?;
-            reader
-                .skip_to(ckpt.accesses_done)
-                .map_err(|source| FleetError::Trace { path: trace.to_path_buf(), source })?;
-            done = ckpt.accesses_done;
-            resumed_from = Some(done);
-        }
+    Replay::open(cfg, trace)?.run(None, &mut on_segment)
+}
+
+/// Checkpoint generations the supervisor rotates across. Two is the
+/// fewest that is crash-safe: the write always goes to the slot that does
+/// not hold the newest generation, so a torn write never destroys it.
+const GENERATIONS: usize = 2;
+
+/// Attempts beyond the first that the supervisor grants one segment, and
+/// one checkpoint write, before [`FleetError::RetriesExhausted`].
+const MAX_RETRIES: u32 = 3;
+
+/// Base of the supervisor's exponential backoff: retry `a` (from 1) adds
+/// `BACKOFF_NS << (a - 1)`. The backoff is **virtual**: recorded in the
+/// report and telemetry, never slept, so supervised runs stay exactly
+/// reproducible and fast.
+const BACKOFF_NS: u64 = 1_000_000;
+
+/// The replay core both drivers run: the trace reader, the system it
+/// feeds, and the trace records executed so far.
+struct Replay<'a> {
+    cfg: &'a FleetConfig,
+    trace: &'a Path,
+    fs: Arc<dyn Vfs>,
+    reader: TraceReader,
+    fingerprint: CkptFingerprint,
+    system: SystemController,
+    done: u64,
+}
+
+impl<'a> Replay<'a> {
+    /// Opens `trace` for `cfg`, with a freshly built system at record 0.
+    fn open(cfg: &'a FleetConfig, trace: &'a Path) -> Result<Self, FleetError> {
+        assert!(cfg.threads > 0, "need at least one worker thread");
+        assert!(cfg.batch > 0, "batch of 0 dispatches nothing");
+        assert!(cfg.segment > 0, "segment of 0 makes no progress");
+        let fs = cfg.vfs();
+        let reader = TraceReader::open_for_on(fs.clone(), trace, &cfg.system.geometry)
+            .map_err(|source| FleetError::Trace { path: trace.to_path_buf(), source })?;
+        let (fingerprint, system) = (CkptFingerprint::of(cfg), cfg.build_system());
+        Ok(Replay { cfg, trace, fs, reader, fingerprint, system, done: 0 })
     }
-    let goal = cfg.stop_after.map_or(trace_len, |s| s.min(trace_len)).max(done);
-    let mut segments = 0u64;
-    while done < goal {
-        let n = cfg.segment.min(goal - done);
-        stream_segment(&mut system, &mut reader, n, cfg.threads, cfg.batch)?;
-        done += n;
-        segments += 1;
-        if let Some(path) = &cfg.checkpoint {
-            write_fleet_checkpoint(fs.as_ref(), path, &reader.name(), done, &system, &fingerprint)?;
+
+    /// Restores `ckpt` (or the trace's start) into the freshly built system
+    /// and moves the reader to match. A checkpoint's trace identity, bounds
+    /// and config fingerprint are checked before its state is believed.
+    fn resume(&mut self, ckpt: Option<&FleetCheckpoint>) -> Result<(), FleetError> {
+        self.done = 0;
+        if let Some(ckpt) = ckpt {
+            let (expected, trace_len) = (self.reader.name(), self.reader.len());
+            if ckpt.trace != expected {
+                return Err(FleetError::WrongTrace { expected, found: ckpt.trace.clone() });
+            }
+            if ckpt.accesses_done > trace_len {
+                return Err(FleetError::BeyondTrace { claimed: ckpt.accesses_done, trace_len });
+            }
+            ckpt.config.check_against(&self.fingerprint)?;
+            ckpt.restore_into(&mut self.system).map_err(|source| FleetError::Restore { source })?;
+            self.done = ckpt.accesses_done;
         }
-        let progress = FleetProgress {
-            accesses_done: done,
-            goal,
-            trace_len,
-            clock: system.clock(),
-            stats: system.finish(),
+        self.reader
+            .skip_to(self.done)
+            .map_err(|source| FleetError::Trace { path: self.trace.to_path_buf(), source })
+    }
+
+    /// Streams the next `n` records through the lanes of the sharded
+    /// pipeline: the router rides the calling thread and runs batches
+    /// whenever a ring is full, and `threads` workers run the rest. The same
+    /// streaming core as [`run_system_sharded`](crate::run_system_sharded),
+    /// minus the workload factory: the reader IS the stream.
+    ///
+    /// On a mid-segment failure (trace corruption, routing rejection) the
+    /// rings close, the batches already queued run, and the typed error
+    /// propagates: the system is left partially advanced and must be rolled
+    /// back before a retry.
+    fn segment(&mut self, n: u64) -> Result<(), FleetError> {
+        let reader = &mut self.reader;
+        sharded::stream(&mut self.system, n, self.cfg.threads, self.cfg.batch, |router| {
+            let access = reader.try_next().map_err(|source| FleetError::TraceStream {
+                position: reader.position(),
+                source,
+            })?;
+            router
+                .route_one(&access)
+                .map_err(|source| FleetError::Route { position: reader.position(), source })
+        })?;
+        self.done += n;
+        Ok(())
+    }
+
+    /// Writes the run's current point as a checkpoint at `path`.
+    fn checkpoint(&self, path: &Path) -> Result<(), FleetError> {
+        let (fs, name) = (self.fs.as_ref(), self.reader.name());
+        write_fleet_checkpoint(fs, path, &name, self.done, &self.system, &self.fingerprint)
+    }
+
+    /// Runs to the goal: resume, then segment after segment, each followed
+    /// by a checkpoint and a progress report. Without `recovery` the
+    /// checkpoint is the one file `cfg.checkpoint` (if any) and every
+    /// failure ends the run; with it, checkpoints rotate through the
+    /// supervisor's slots and a failed segment rolls back to the newest
+    /// verified generation and retries.
+    fn run(
+        mut self,
+        mut recovery: Option<&mut Recovery>,
+        on_segment: &mut dyn FnMut(&FleetProgress),
+    ) -> Result<FleetReport, FleetError> {
+        let ckpt = match recovery.as_deref_mut() {
+            Some(rec) => rec.latest(),
+            None => match &self.cfg.checkpoint {
+                Some(path) if self.fs.exists(path) => {
+                    Some(read_fleet_checkpoint(self.fs.as_ref(), path)?)
+                }
+                _ => None,
+            },
         };
-        on_segment(&progress);
+        self.resume(ckpt.as_ref())?;
+        if let Some(rec) = recovery.as_deref_mut().filter(|r| !r.quarantined.is_empty()) {
+            // A damaged newest generation was discarded: whatever state it
+            // held is gone and the run falls back to an older (or empty) one.
+            rec.rollback();
+        }
+        let resumed_from = ckpt.map(|c| c.accesses_done);
+        let trace_len = self.reader.len();
+        let goal = self.cfg.stop_after.map_or(trace_len, |s| s.min(trace_len)).max(self.done);
+        let (mut segments, mut attempt) = (0, 0);
+        while self.done < goal {
+            if let Err(e) = self.segment(self.cfg.segment.min(goal - self.done)) {
+                let Some(rec) = recovery.as_deref_mut() else { return Err(e) };
+                attempt += 1;
+                rec.retry(e, attempt, self.done)?;
+                self.system = self.cfg.build_system();
+                let ckpt = rec.latest();
+                self.resume(ckpt.as_ref())?;
+                rec.rollback();
+                continue;
+            }
+            attempt = 0;
+            segments += 1;
+            match recovery.as_deref_mut() {
+                Some(rec) => self.persist(rec)?,
+                None => {
+                    if let Some(path) = &self.cfg.checkpoint {
+                        self.checkpoint(path)?;
+                    }
+                }
+            }
+            on_segment(&FleetProgress {
+                accesses_done: self.done,
+                goal,
+                trace_len,
+                clock: self.system.clock(),
+                stats: self.system.finish(),
+            });
+        }
+        Ok(FleetReport {
+            stats: self.system.finish(),
+            accesses_done: self.done,
+            trace_len,
+            resumed_from,
+            segments,
+        })
     }
-    Ok(FleetReport {
-        stats: system.finish(),
-        accesses_done: done,
-        trace_len,
-        resumed_from,
-        segments,
-    })
+
+    /// Writes the checkpoint to the supervisor's least recent slot and, with
+    /// `verify_writes` on, reads it back. A failed write is retried within
+    /// the budget; a corrupt one is quarantined first.
+    fn persist(&self, rec: &mut Recovery) -> Result<(), FleetError> {
+        let mut attempt = 0;
+        loop {
+            let slot = rec.store.next_slot();
+            let Err(e) = self.checkpoint(&slot).and_then(|()| rec.verify(&slot, self.done)) else {
+                return Ok(());
+            };
+            if e.is_corruption() && self.fs.exists(&slot) {
+                let moved = rec.store.quarantine(&slot);
+                rec.note_quarantine(moved);
+            }
+            attempt += 1;
+            rec.retry(e, attempt, self.done)?;
+        }
+    }
 }
 
-/// The identity/bounds/fingerprint gauntlet every checkpoint passes before
-/// its state is believed.
-fn check_checkpoint(
-    ckpt: &FleetCheckpoint,
-    trace_name: &str,
-    trace_len: u64,
-    fingerprint: &CkptFingerprint,
-) -> Result<(), FleetError> {
-    if ckpt.trace != trace_name {
-        return Err(FleetError::WrongTrace {
-            expected: trace_name.to_owned(),
-            found: ckpt.trace.clone(),
-        });
-    }
-    if ckpt.accesses_done > trace_len {
-        return Err(FleetError::BeyondTrace { claimed: ckpt.accesses_done, trace_len });
-    }
-    ckpt.config.check_against(fingerprint)
-}
-
-/// Rotating checkpoint storage: `keep` generation slots (`<base>.g0` ..
-/// `<base>.g{keep-1}`), written round-robin so the newest verified
-/// generation always survives the next write, with corrupt slots
-/// **quarantined aside** (renamed to `<slot>.quarantined`) rather than
-/// deleted — the evidence is preserved and a re-run cannot trip over it.
+/// Rotating checkpoint storage: two generation slots (`<base>.g0` and
+/// `<base>.g1`), written round-robin so the newest verified generation
+/// always survives the next write, with corrupt slots **quarantined
+/// aside** (renamed to `<slot>.quarantined`) rather than deleted — the
+/// evidence is preserved and a re-run cannot trip over it.
 #[derive(Debug)]
 pub struct CheckpointStore {
     fs: Arc<dyn Vfs>,
     base: PathBuf,
-    keep: usize,
 }
 
 impl CheckpointStore {
-    /// A store of `keep` slots rooted at `base`. `keep >= 2` is required:
-    /// a single slot would be overwritten in place, so a torn write could
-    /// destroy the only good generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep < 2`.
-    pub fn new(fs: Arc<dyn Vfs>, base: PathBuf, keep: usize) -> Self {
-        assert!(keep >= 2, "rotation needs at least two generations to be crash-safe");
-        CheckpointStore { fs, base, keep }
+    /// A store rooted at `base`.
+    pub fn new(fs: Arc<dyn Vfs>, base: PathBuf) -> Self {
+        CheckpointStore { fs, base }
     }
 
     /// The slot paths, in slot order.
     pub fn slots(&self) -> Vec<PathBuf> {
-        (0..self.keep).map(|i| self.slot(i)).collect()
+        (0..GENERATIONS).map(|i| self.slot(i)).collect()
     }
 
     fn slot(&self, i: usize) -> PathBuf {
@@ -881,7 +927,10 @@ impl CheckpointStore {
 
     /// The slot the next checkpoint should be written to: the one holding
     /// the *least* recent data (or nothing), so the newest generation is
-    /// never the one being overwritten.
+    /// never the one being overwritten. Every slot is re-read rather than
+    /// remembered: with write verification off, a newest generation torn
+    /// without a trace reads as empty and is overwritten next, while the
+    /// intact older one survives.
     pub fn next_slot(&self) -> PathBuf {
         let mut choice: Option<(PathBuf, Option<u64>)> = None;
         for slot in self.slots() {
@@ -900,7 +949,7 @@ impl CheckpointStore {
                 choice = Some((slot, age));
             }
         }
-        choice.expect("keep >= 2 slots").0
+        choice.expect("a store has two slots").0
     }
 }
 
@@ -910,15 +959,6 @@ pub struct SupervisorConfig {
     /// The underlying replay configuration. `fleet.checkpoint` is the
     /// rotation **base path** (slots are `<base>.g<N>`) and must be set.
     pub fleet: FleetConfig,
-    /// Checkpoint generations to rotate across (minimum 2).
-    pub keep: usize,
-    /// Retry budget per segment (and per checkpoint write); exceeding it is
-    /// [`FleetError::RetriesExhausted`].
-    pub max_retries: u32,
-    /// Base of the deterministic exponential backoff. Backoff is
-    /// **virtual**: recorded in the report and telemetry, never slept, so
-    /// supervised runs stay exactly reproducible and fast.
-    pub backoff_ns: u64,
     /// Read back and CRC-verify every checkpoint immediately after writing
     /// it (catches torn writes at write time instead of at the next
     /// resume).
@@ -926,16 +966,9 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// Defaults: 2 generations, 3 retries, 1 ms base backoff, write
-    /// verification on.
+    /// A supervised run of `fleet` with write verification on.
     pub fn new(fleet: FleetConfig) -> Self {
-        SupervisorConfig {
-            fleet,
-            keep: 2,
-            max_retries: 3,
-            backoff_ns: 1_000_000,
-            verify_writes: true,
-        }
+        SupervisorConfig { fleet, verify_writes: true }
     }
 }
 
@@ -960,6 +993,85 @@ pub struct SupervisorReport {
     pub backoff_ns: u64,
 }
 
+/// The supervisor's half of a replay: the rotating checkpoint store and
+/// the degraded-mode accounting that [`SupervisorReport`] returns, mirrored
+/// into the telemetry sink when there is one.
+struct Recovery {
+    store: CheckpointStore,
+    verify_writes: bool,
+    sink: Option<SharedSink>,
+    retries: u64,
+    rollbacks: u64,
+    corrupt_chunks: u64,
+    quarantined: Vec<PathBuf>,
+    backoff_ns: u64,
+}
+
+impl Recovery {
+    fn bump(&mut self, name: &'static str) {
+        if let Some(sink) = self.sink.as_mut() {
+            sink.counter(name, 1);
+        }
+    }
+
+    fn note_quarantine(&mut self, moved: PathBuf) {
+        self.quarantined.push(moved);
+        self.bump("fleet.quarantined");
+    }
+
+    fn rollback(&mut self) {
+        self.rollbacks += 1;
+        self.bump("fleet.rollbacks");
+    }
+
+    /// The newest verified generation, once every damaged slot is
+    /// quarantined.
+    fn latest(&mut self) -> Option<FleetCheckpoint> {
+        let (best, damaged) = self.store.latest();
+        for moved in damaged {
+            self.note_quarantine(moved);
+        }
+        best.map(|(_, ckpt)| ckpt)
+    }
+
+    /// With `verify_writes` on, reads `slot` back and checks that it holds
+    /// the `done` records just written.
+    fn verify(&self, slot: &Path, done: u64) -> Result<(), FleetError> {
+        if !self.verify_writes {
+            return Ok(());
+        }
+        let back = read_fleet_checkpoint(self.store.fs.as_ref(), slot)?;
+        if back.accesses_done == done {
+            return Ok(());
+        }
+        Err(FleetError::CkptCorrupt {
+            path: slot.to_path_buf(),
+            detail: format!(
+                "read-back claims {} records done, just wrote {done}",
+                back.accesses_done
+            ),
+        })
+    }
+
+    /// Accounts failure `e` of attempt `attempt` (counting from 1): a retry
+    /// with its backoff or, past [`MAX_RETRIES`],
+    /// [`FleetError::RetriesExhausted`] at `segment_start`.
+    fn retry(&mut self, e: FleetError, attempt: u32, segment_start: u64) -> Result<(), FleetError> {
+        if e.is_corruption() {
+            self.corrupt_chunks += 1;
+            self.bump("fleet.corrupt_chunks");
+        }
+        if attempt > MAX_RETRIES {
+            let last = Box::new(e);
+            return Err(FleetError::RetriesExhausted { segment_start, attempts: attempt, last });
+        }
+        self.retries += 1;
+        self.bump("fleet.retries");
+        self.backoff_ns += BACKOFF_NS << (attempt - 1);
+        Ok(())
+    }
+}
+
 /// [`run_fleet`] wrapped in the recovery supervisor: rotating verified
 /// checkpoints, quarantine-aside for corrupt files, bounded deterministic
 /// retry with virtual backoff, and rollback to the newest verified
@@ -975,200 +1087,40 @@ pub struct SupervisorReport {
 /// # Errors
 ///
 /// [`FleetError::RetriesExhausted`] once a segment (or checkpoint write)
-/// fails more than `max_retries` times; otherwise the same identity and
+/// fails more than three times; otherwise the same identity and
 /// configuration errors as [`run_fleet`].
 ///
 /// # Panics
 ///
-/// Panics if `fleet.checkpoint` is `None`, `keep < 2`, or any of the
-/// zero-value [`run_fleet`] panics apply.
+/// Panics if `fleet.checkpoint` is `None`, or if any of the zero-value
+/// [`run_fleet`] panics apply.
 pub fn run_fleet_supervised(
     cfg: &SupervisorConfig,
     trace: &Path,
-    mut sink: Option<SharedSink>,
+    sink: Option<SharedSink>,
     mut on_segment: impl FnMut(&FleetProgress),
 ) -> Result<SupervisorReport, FleetError> {
-    let fleet = &cfg.fleet;
-    assert!(fleet.threads > 0, "need at least one worker thread");
-    assert!(fleet.batch > 0, "batch of 0 dispatches nothing");
-    assert!(fleet.segment > 0, "segment of 0 makes no progress");
-    let base =
-        fleet.checkpoint.clone().expect("supervised runs need a checkpoint base path for rotation");
-    let fs = fleet.vfs();
-    let store = CheckpointStore::new(fs.clone(), base, cfg.keep);
-    let fingerprint = CkptFingerprint::of(fleet);
-    let mut reader = TraceReader::open_for_on(fs.clone(), trace, &fleet.system.geometry)
-        .map_err(|source| FleetError::Trace { path: trace.to_path_buf(), source })?;
-    let trace_len = reader.len();
-    let trace_name = reader.name();
-
-    let mut retries = 0u64;
-    let mut rollbacks = 0u64;
-    let mut corrupt_chunks = 0u64;
-    let mut backoff_ns = 0u64;
-    let mut quarantined: Vec<PathBuf> = Vec::new();
-    let bump = |sink: &mut Option<SharedSink>, name: &'static str| {
-        if let Some(s) = sink.as_mut() {
-            s.counter(name, 1);
-        }
+    let Some(base) = cfg.fleet.checkpoint.clone() else {
+        panic!("supervised runs need a checkpoint base path for rotation");
     };
-
-    // Restores the newest verified generation (quarantining damaged slots)
-    // into a freshly built system; returns the record count to resume from.
-    let restore_latest = |reader: &mut TraceReader,
-                          quarantined: &mut Vec<PathBuf>|
-     -> Result<(SystemController, u64), FleetError> {
-        let (best, newly_quarantined) = store.latest();
-        quarantined.extend(newly_quarantined);
-        let mut system = fleet.build_system();
-        let done = match best {
-            Some((_, ckpt)) => {
-                check_checkpoint(&ckpt, &trace_name, trace_len, &fingerprint)?;
-                ckpt.restore_into(&mut system).map_err(|source| FleetError::Restore { source })?;
-                ckpt.accesses_done
-            }
-            None => 0,
-        };
-        reader
-            .skip_to(done)
-            .map_err(|source| FleetError::Trace { path: trace.to_path_buf(), source })?;
-        Ok((system, done))
+    let mut rec = Recovery {
+        store: CheckpointStore::new(cfg.fleet.vfs(), base),
+        verify_writes: cfg.verify_writes,
+        sink,
+        retries: 0,
+        rollbacks: 0,
+        corrupt_chunks: 0,
+        quarantined: Vec::new(),
+        backoff_ns: 0,
     };
-
-    let had_quarantine_at_start;
-    let (mut system, mut done) = {
-        let before = quarantined.len();
-        let r = restore_latest(&mut reader, &mut quarantined)?;
-        had_quarantine_at_start = quarantined.len() > before;
-        r
-    };
-    if had_quarantine_at_start {
-        // A damaged newest generation was discarded: whatever state it held
-        // is gone and the run falls back to an older (or empty) one.
-        rollbacks += 1;
-        bump(&mut sink, "fleet.rollbacks");
-        for _ in 0..quarantined.len() {
-            bump(&mut sink, "fleet.quarantined");
-        }
-    }
-    let resumed_from = (done > 0).then_some(done);
-
-    let goal = fleet.stop_after.map_or(trace_len, |s| s.min(trace_len)).max(done);
-    let mut segments = 0u64;
-    while done < goal {
-        let mut n = fleet.segment.min(goal - done);
-        // --- run the segment, rolling back and retrying on failure ---
-        let mut attempt = 0u32;
-        loop {
-            match stream_segment(&mut system, &mut reader, n, fleet.threads, fleet.batch) {
-                Ok(()) => break,
-                Err(e) => {
-                    if e.is_corruption() {
-                        corrupt_chunks += 1;
-                        bump(&mut sink, "fleet.corrupt_chunks");
-                    }
-                    attempt += 1;
-                    if attempt > cfg.max_retries {
-                        return Err(FleetError::RetriesExhausted {
-                            segment_start: done,
-                            attempts: attempt,
-                            last: Box::new(e),
-                        });
-                    }
-                    retries += 1;
-                    bump(&mut sink, "fleet.retries");
-                    backoff_ns += cfg.backoff_ns << (attempt - 1);
-                    let before = quarantined.len();
-                    let (sys, restored) = restore_latest(&mut reader, &mut quarantined)?;
-                    for _ in before..quarantined.len() {
-                        bump(&mut sink, "fleet.quarantined");
-                    }
-                    system = sys;
-                    done = restored;
-                    rollbacks += 1;
-                    bump(&mut sink, "fleet.rollbacks");
-                    n = fleet.segment.min(goal - done);
-                }
-            }
-        }
-        done += n;
-        segments += 1;
-        // --- persist, verify, and quarantine-retry the checkpoint ---
-        let mut write_attempt = 0u32;
-        loop {
-            let slot = store.next_slot();
-            let outcome = write_fleet_checkpoint(
-                fs.as_ref(),
-                &slot,
-                &trace_name,
-                done,
-                &system,
-                &fingerprint,
-            )
-            .and_then(|()| {
-                if !cfg.verify_writes {
-                    return Ok(());
-                }
-                let back = read_fleet_checkpoint(fs.as_ref(), &slot)?;
-                if back.accesses_done == done {
-                    Ok(())
-                } else {
-                    Err(FleetError::CkptCorrupt {
-                        path: slot.clone(),
-                        detail: format!(
-                            "read-back claims {} records done, just wrote {done}",
-                            back.accesses_done
-                        ),
-                    })
-                }
-            });
-            match outcome {
-                Ok(()) => break,
-                Err(e) => {
-                    if e.is_corruption() {
-                        corrupt_chunks += 1;
-                        bump(&mut sink, "fleet.corrupt_chunks");
-                        if fs.exists(&slot) {
-                            quarantined.push(store.quarantine(&slot));
-                            bump(&mut sink, "fleet.quarantined");
-                        }
-                    }
-                    write_attempt += 1;
-                    if write_attempt > cfg.max_retries {
-                        return Err(FleetError::RetriesExhausted {
-                            segment_start: done,
-                            attempts: write_attempt,
-                            last: Box::new(e),
-                        });
-                    }
-                    retries += 1;
-                    bump(&mut sink, "fleet.retries");
-                    backoff_ns += cfg.backoff_ns << (write_attempt - 1);
-                }
-            }
-        }
-        let progress = FleetProgress {
-            accesses_done: done,
-            goal,
-            trace_len,
-            clock: system.clock(),
-            stats: system.finish(),
-        };
-        on_segment(&progress);
-    }
+    let report = Replay::open(&cfg.fleet, trace)?.run(Some(&mut rec), &mut on_segment)?;
     Ok(SupervisorReport {
-        report: FleetReport {
-            stats: system.finish(),
-            accesses_done: done,
-            trace_len,
-            resumed_from,
-            segments,
-        },
-        retries,
-        rollbacks,
-        corrupt_chunks,
-        quarantined,
-        backoff_ns,
+        report,
+        retries: rec.retries,
+        rollbacks: rec.rollbacks,
+        corrupt_chunks: rec.corrupt_chunks,
+        quarantined: rec.quarantined,
+        backoff_ns: rec.backoff_ns,
     })
 }
 
@@ -1333,17 +1285,18 @@ mod tests {
         let trace = small_trace(&cfg, 200_000);
         for workers in [1, 2] {
             let (done, result) = std::sync::mpsc::channel();
-            let (cfg, trace) = (cfg.clone(), trace.clone());
+            let (mut cfg, trace) = (cfg.clone(), trace.clone());
+            cfg.threads = workers;
+            cfg.segment = 200_000;
             std::thread::spawn(move || {
-                let run = std::panic::catch_unwind(|| {
-                    let mut system = McBuilder::new(cfg.system.clone())
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut replay = Replay::open(&cfg, &trace).unwrap();
+                    replay.system = McBuilder::new(cfg.system.clone())
                         .mapping(cfg.policy)
                         .defenses_with(|_| Box::new(PanicsOnAct50(0)))
                         .build_system();
-                    let mut reader =
-                        TraceReader::open_for_on(real_fs(), &trace, &cfg.system.geometry).unwrap();
-                    stream_segment(&mut system, &mut reader, 200_000, workers, 32)
-                });
+                    replay.run(None, &mut |_| {})
+                }));
                 let payload = run.expect_err("the defense's panic must reach the caller");
                 let message = payload
                     .downcast_ref::<&str>()
@@ -1586,8 +1539,8 @@ mod tests {
         assert_eq!(sup.rollbacks, 0);
         assert_eq!(sup.corrupt_chunks, 0);
         assert!(sup.quarantined.is_empty());
-        // Rotation left at most `keep` generation slots.
-        let store = CheckpointStore::new(real_fs(), fleet.checkpoint.clone().unwrap(), 2);
+        // Rotation left at most two generation slots.
+        let store = CheckpointStore::new(real_fs(), fleet.checkpoint.clone().unwrap());
         let existing = store.slots().iter().filter(|s| s.exists()).count();
         assert!((1..=2).contains(&existing), "found {existing} slots");
         for s in store.slots() {
@@ -1610,7 +1563,7 @@ mod tests {
         run_fleet_supervised(&sup_cfg, &trace, None, |_| {}).unwrap();
 
         // Corrupt the newest generation on disk (bit rot in place).
-        let store = CheckpointStore::new(real_fs(), base.clone(), 2);
+        let store = CheckpointStore::new(real_fs(), base.clone());
         let (best, _) = store.latest();
         let (newest, ckpt) = best.expect("a checkpoint was written");
         assert_eq!(ckpt.accesses_done, 10_000);
@@ -1648,11 +1601,10 @@ mod tests {
         let base = tmp("rot.ckpt");
         let mut fleet = cfg.clone();
         fleet.checkpoint = Some(base.clone());
-        let sup_cfg = SupervisorConfig { keep: 3, ..SupervisorConfig::new(fleet) };
-        run_fleet_supervised(&sup_cfg, &trace, None, |_| {}).unwrap();
-        let store = CheckpointStore::new(real_fs(), base, 3);
-        // 3 segments were checkpointed across 3 slots; the newest holds the
-        // final count and next_slot would not clobber it.
+        run_fleet_supervised(&SupervisorConfig::new(fleet), &trace, None, |_| {}).unwrap();
+        let store = CheckpointStore::new(real_fs(), base);
+        // 3 segments were checkpointed across the 2 slots; the newest holds
+        // the final count and next_slot would not clobber it.
         let (best, quarantined) = store.latest();
         assert!(quarantined.is_empty());
         let (newest_path, newest) = best.unwrap();

@@ -15,6 +15,14 @@
 //! runs directly rather than through `fmt`, so multi-megabyte checkpoint
 //! documents render at memory speed. `Display` delegates to it. The parser
 //! is linear in the input: unescaped string runs are copied as one slice.
+//!
+//! Parsed documents are taken apart with one set of typed reads
+//! ([`JsonValue::field`], [`int`](JsonValue::int),
+//! [`opt_int`](JsonValue::opt_int), [`text`](JsonValue::text),
+//! [`items`](JsonValue::items), [`ints`](JsonValue::ints)): every checkpoint
+//! reader in the workspace, from a defense's counter lanes to the fleet
+//! footer's line CRCs, uses them, so a damaged field is refused with its
+//! name the same way at every layer.
 
 use std::fmt::{self, Write as _};
 
@@ -84,20 +92,98 @@ impl JsonValue {
     }
 }
 
+/// Typed reads of a parsed document: the one way every checkpoint reader
+/// takes a field apart.
+///
+/// Each keyed read requires `key` to be present and names it in its error;
+/// integers narrow to the caller's type with `try_from`, so a value too
+/// wide for its field is refused rather than wrapped.
+impl JsonValue {
+    /// The value under `key`.
+    ///
+    /// # Errors
+    ///
+    /// When `key` is absent (or `self` is not an object).
+    pub fn field(&self, key: &str) -> Result<&JsonValue, String> {
+        self.get(key).ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    /// The integer under `key`, narrowed to `T`.
+    ///
+    /// # Errors
+    ///
+    /// When `key` is absent, not an integer, or out of `T`'s range.
+    pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        named(key, self.field(key)?.to_int())
+    }
+
+    /// The integer or `null` under `key`, narrowed to `T`.
+    ///
+    /// # Errors
+    ///
+    /// As [`int`](Self::int); `null` reads as `None`, absence is an error.
+    pub fn opt_int<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.field(key)? {
+            JsonValue::Null => Ok(None),
+            v => named(key, v.to_int().map(Some)),
+        }
+    }
+
+    /// The string under `key`.
+    ///
+    /// # Errors
+    ///
+    /// When `key` is absent or not a string.
+    pub fn text(&self, key: &str) -> Result<&str, String> {
+        named(key, self.field(key)?.as_str().ok_or_else(|| "not a string".to_owned()))
+    }
+
+    /// The array under `key`.
+    ///
+    /// # Errors
+    ///
+    /// When `key` is absent or not an array.
+    pub fn items(&self, key: &str) -> Result<&[JsonValue], String> {
+        named(key, self.field(key)?.as_arr().ok_or_else(|| "not an array".to_owned()))
+    }
+
+    /// The integer array under `key`, every element narrowed to `T`.
+    ///
+    /// # Errors
+    ///
+    /// When `key` is absent or any element fails [`to_int`](Self::to_int).
+    pub fn ints<T: TryFrom<u64>>(&self, key: &str) -> Result<Vec<T>, String> {
+        named(key, self.field(key)?.to_ints())
+    }
+
+    /// This value as an integer narrowed to `T`: the element read.
+    ///
+    /// # Errors
+    ///
+    /// When it is not an integer or out of `T`'s range.
+    pub fn to_int<T: TryFrom<u64>>(&self) -> Result<T, String> {
+        let n = self.as_u64().ok_or_else(|| "not an integer".to_owned())?;
+        T::try_from(n).map_err(|_| format!("{n} is out of range"))
+    }
+
+    /// This value as an integer array, every element narrowed to `T`.
+    ///
+    /// # Errors
+    ///
+    /// When it is not an array or any element fails [`to_int`](Self::to_int).
+    pub fn to_ints<T: TryFrom<u64>>(&self) -> Result<Vec<T>, String> {
+        self.as_arr().ok_or_else(|| "not an array".to_owned())?.iter().map(Self::to_int).collect()
+    }
+}
+
+/// Prefixes a failed read of `key` with the key's name.
+fn named<T>(key: &str, read: Result<T, String>) -> Result<T, String> {
+    read.map_err(|e| format!("field `{key}`: {e}"))
+}
+
 /// Builds an object from `(key, value)` pairs.
 pub fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-/// The integer under `key` of an object.
-///
-/// # Errors
-///
-/// Names the key when it is missing or not a `u64`.
-pub fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
 }
 
 impl JsonValue {
@@ -529,12 +615,97 @@ mod tests {
         assert_eq!(v.to_string(), expected);
     }
 
+    /// One object carrying, for every typed read, a good value, a mistyped
+    /// one, a too-wide one and a `null`.
+    fn typed_fields() -> JsonValue {
+        parse(
+            "{\"n\":7,\"wide\":4294967296,\"s\":\"x\",\"z\":null,\
+             \"lane\":[1,2,3],\"wide_lane\":[1,4294967296],\"mixed\":[1,\"x\"]}",
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn field_helpers_build_and_read_objects() {
-        let v = obj(vec![("a", JsonValue::U64(7)), ("b", JsonValue::Str("x".into()))]);
-        assert_eq!(u64_field(&v, "a"), Ok(7));
-        assert!(u64_field(&v, "b").unwrap_err().contains("`b`"));
-        assert!(u64_field(&v, "c").unwrap_err().contains("`c`"));
+    fn field_names_a_missing_key() {
+        let v = typed_fields();
+        assert_eq!(v.field("n"), Ok(&JsonValue::U64(7)));
+        assert_eq!(v.field("gone"), Err("missing field `gone`".to_owned()));
+        assert!(JsonValue::U64(1).field("n").unwrap_err().contains("`n`"));
+    }
+
+    #[test]
+    fn int_reads_and_narrows() {
+        let v = typed_fields();
+        assert_eq!(v.int::<u64>("n"), Ok(7));
+        assert_eq!(v.int::<u8>("n"), Ok(7));
+        assert_eq!(v.int::<u64>("wide"), Ok(1 << 32));
+        assert_eq!(v.int::<u32>("gone"), Err("missing field `gone`".to_owned()));
+        assert_eq!(v.int::<u32>("s"), Err("field `s`: not an integer".to_owned()));
+        assert_eq!(
+            v.int::<u32>("wide"),
+            Err("field `wide`: 4294967296 is out of range".to_owned())
+        );
+        assert_eq!(v.int::<u32>("z"), Err("field `z`: not an integer".to_owned()));
+    }
+
+    #[test]
+    fn opt_int_reads_null_as_none_but_requires_the_key() {
+        let v = typed_fields();
+        assert_eq!(v.opt_int::<u32>("n"), Ok(Some(7)));
+        assert_eq!(v.opt_int::<u32>("z"), Ok(None));
+        assert_eq!(v.opt_int::<u32>("gone"), Err("missing field `gone`".to_owned()));
+        assert_eq!(v.opt_int::<u32>("s"), Err("field `s`: not an integer".to_owned()));
+        assert_eq!(
+            v.opt_int::<u32>("wide"),
+            Err("field `wide`: 4294967296 is out of range".to_owned())
+        );
+    }
+
+    #[test]
+    fn text_reads_strings_only() {
+        let v = typed_fields();
+        assert_eq!(v.text("s"), Ok("x"));
+        assert_eq!(v.text("gone"), Err("missing field `gone`".to_owned()));
+        assert_eq!(v.text("n"), Err("field `n`: not a string".to_owned()));
+        assert_eq!(v.text("z"), Err("field `z`: not a string".to_owned()));
+    }
+
+    #[test]
+    fn items_reads_arrays_only() {
+        let v = typed_fields();
+        assert_eq!(v.items("lane").map(<[_]>::len), Ok(3));
+        assert_eq!(v.items("gone"), Err("missing field `gone`".to_owned()));
+        assert_eq!(v.items("n"), Err("field `n`: not an array".to_owned()));
+        assert_eq!(v.items("z"), Err("field `z`: not an array".to_owned()));
+    }
+
+    #[test]
+    fn ints_read_and_narrow_every_element() {
+        let v = typed_fields();
+        assert_eq!(v.ints::<u32>("lane"), Ok(vec![1, 2, 3]));
+        assert_eq!(v.ints::<u64>("wide_lane"), Ok(vec![1, 1 << 32]));
+        assert_eq!(v.ints::<u32>("gone"), Err("missing field `gone`".to_owned()));
+        assert_eq!(v.ints::<u32>("n"), Err("field `n`: not an array".to_owned()));
+        assert_eq!(v.ints::<u32>("mixed"), Err("field `mixed`: not an integer".to_owned()));
+        assert_eq!(
+            v.ints::<u32>("wide_lane"),
+            Err("field `wide_lane`: 4294967296 is out of range".to_owned())
+        );
+        assert_eq!(v.ints::<u32>("z"), Err("field `z`: not an array".to_owned()));
+    }
+
+    #[test]
+    fn element_reads_take_no_key() {
+        assert_eq!(JsonValue::U64(9).to_int::<u16>(), Ok(9));
+        assert_eq!(
+            JsonValue::U64(1 << 16).to_int::<u16>(),
+            Err("65536 is out of range".to_owned())
+        );
+        assert_eq!(JsonValue::Null.to_int::<u16>(), Err("not an integer".to_owned()));
+        assert_eq!(JsonValue::F64(-1.0).to_int::<u64>(), Err("not an integer".to_owned()));
+        let pair = JsonValue::Arr(vec![JsonValue::U64(4), JsonValue::U64(5)]);
+        assert_eq!(pair.to_ints::<u8>(), Ok(vec![4, 5]));
+        assert_eq!(JsonValue::Null.to_ints::<u8>(), Err("not an array".to_owned()));
     }
 
     #[test]

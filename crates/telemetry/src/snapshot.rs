@@ -303,19 +303,6 @@ impl Snapshot {
     pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_jsonl())
     }
-
-    /// Reads a snapshot previously written with
-    /// [`write_jsonl`](Self::write_jsonl).
-    ///
-    /// # Errors
-    ///
-    /// Returns filesystem errors, or maps malformed content to
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn read_jsonl(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::parse_jsonl(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -422,7 +409,7 @@ mod tests {
         let snap = sample_snapshot();
         let path = std::env::temp_dir().join("rh_telemetry_snapshot_roundtrip.jsonl");
         snap.write_jsonl(&path).unwrap();
-        let loaded = Snapshot::read_jsonl(&path).unwrap();
+        let loaded = Snapshot::parse_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, snap);
     }
