@@ -130,15 +130,6 @@ impl EnergyModel {
         let static_ = self.tracker_static_per_refw_nj(total_bits) * windows * f64::from(banks);
         (dynamic + static_) / baseline
     }
-
-    /// Constant refresh-energy overhead of PARA at probability `p`: PARA
-    /// issues `p` extra row refreshes per ACT regardless of the pattern, so
-    /// at full ACT rate the overhead is `p · W · E_actpre / E_refresh` per
-    /// window — the paper's "2.1 % more refresh energy constantly" at
-    /// p = 0.00145.
-    pub fn para_constant_overhead(&self, p: f64, acts_per_window: u64) -> f64 {
-        p * acts_per_window as f64 * self.act_pre_nj / self.refresh_per_bank_per_refw_nj
-    }
 }
 
 impl Default for EnergyModel {
@@ -193,9 +184,11 @@ mod tests {
 
     #[test]
     fn para_constant_overhead_is_2_1_percent() {
-        // §V-B2: PARA-0.00145 consumes 2.1 % more refresh energy constantly.
+        // §V-B2: PARA-0.00145 consumes 2.1 % more refresh energy constantly:
+        // it issues p extra row refreshes per ACT whatever the pattern, so at
+        // the full ACT rate the overhead is p · W · E_actpre / E_refresh.
         let m = EnergyModel::micro2020();
-        let o = m.para_constant_overhead(0.00145, 1_358_404);
+        let o = 0.00145 * 1_358_404.0 * m.act_pre_nj / m.refresh_per_bank_per_refw_nj;
         assert!((o - 0.021).abs() < 0.002, "overhead {o}");
     }
 

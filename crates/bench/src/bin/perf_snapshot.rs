@@ -83,8 +83,8 @@ struct ThroughputRow {
 }
 
 /// Deterministic miss-heavy stream: ~1 in 8 ACTs hits a small hot set (the
-/// table's resident aggressors), the rest are distinct rows that walk the
-/// full address scan and the spillover count search.
+/// table's resident aggressors), the rest are distinct rows that miss the
+/// address search and run the spillover count search.
 fn stream_row(state: &mut u64, step: u64, n_entry: usize) -> RowId {
     *state ^= *state >> 12;
     *state ^= *state << 25;

@@ -31,15 +31,6 @@ pub struct CamStats {
 }
 
 impl CamStats {
-    /// Total CAM operations of any kind.
-    pub fn total_ops(&self) -> u64 {
-        self.addr_searches
-            + self.addr_writes
-            + self.count_searches
-            + self.count_writes
-            + self.spillover_increments
-    }
-
     /// Worst-case sequential CAM operations of a single table update — the
     /// critical path the paper reports as "three sequential CAM operations
     /// (two searches and one write)".
@@ -58,18 +49,6 @@ impl CamStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn total_ops_sums_fields() {
-        let s = CamStats {
-            addr_searches: 1,
-            addr_writes: 2,
-            count_searches: 3,
-            count_writes: 4,
-            spillover_increments: 5,
-        };
-        assert_eq!(s.total_ops(), 15);
-    }
 
     #[test]
     fn merge_accumulates() {

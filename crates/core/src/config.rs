@@ -334,6 +334,12 @@ pub enum ConfigError {
         /// The non-adjacent factor.
         factor: f64,
     },
+    /// The derived table is larger than the counter table's 16-bit slot
+    /// index can address (65,535 entries): `T_RH` is too low for `k`.
+    TooManyEntries {
+        /// The derived `N_entry`.
+        n_entry: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -348,6 +354,10 @@ impl fmt::Display for ConfigError {
                 f,
                 "threshold {t_rh} too low for k = {k} and non-adjacent factor {factor:.2}: \
                  tracking threshold T would be zero"
+            ),
+            ConfigError::TooManyEntries { n_entry } => write!(
+                f,
+                "N_entry = {n_entry} exceeds the 65,535 entries a counter table can index"
             ),
         }
     }

@@ -8,7 +8,7 @@ use telemetry::MetricsSink;
 
 use crate::cam::CamStats;
 use crate::config::{ConfigError, GrapheneConfig, GrapheneParams};
-use crate::table::{CounterTable, TableSnapshot, TableUpdate};
+use crate::table::{CounterTable, TableSnapshot, TableUpdate, MAX_ENTRIES};
 
 /// A request to refresh the neighbours of an aggressor row.
 ///
@@ -114,9 +114,16 @@ impl Graphene {
     ///
     /// # Errors
     ///
-    /// Propagates [`ConfigError`] from the derivation.
+    /// Propagates [`ConfigError`] from the derivation, and returns
+    /// [`ConfigError::TooManyEntries`] when the derived table exceeds the
+    /// 65,535 entries a [`CounterTable`] can hold (DDR4 with `k = 2` below
+    /// `T_RH` = 66).
     pub fn from_config(config: &GrapheneConfig) -> Result<Self, ConfigError> {
-        Ok(Self::new(config.derive()?))
+        let params = config.derive()?;
+        if params.n_entry > MAX_ENTRIES {
+            return Err(ConfigError::TooManyEntries { n_entry: params.n_entry });
+        }
+        Ok(Self::new(params))
     }
 
     /// The derived parameters this engine runs with.
@@ -250,6 +257,18 @@ mod tests {
         assert_eq!(g.params().tracking_threshold, 8_333);
         assert_eq!(g.params().n_entry, 81);
         assert_eq!(g.params().blast_radius, 1);
+    }
+
+    #[test]
+    fn from_config_refuses_tables_the_slot_index_cannot_hold() {
+        // DDR4 with k = 2: T_RH 66 sizes 61,745 entries, T_RH 65 sizes
+        // 67,920 — past the counter table's 65,535.
+        let cfg = |t_rh| GrapheneConfig::builder().row_hammer_threshold(t_rh).build().unwrap();
+        let g = Graphene::from_config(&cfg(66)).unwrap();
+        assert_eq!(g.table().capacity(), 61_745);
+        let err = Graphene::from_config(&cfg(65)).unwrap_err();
+        assert_eq!(err, ConfigError::TooManyEntries { n_entry: 67_920 });
+        assert!(err.to_string().contains("N_entry = 67920"), "{err}");
     }
 
     #[test]

@@ -19,22 +19,30 @@
 //! # Struct-of-arrays layout
 //!
 //! In hardware both lookups are single-cycle CAM searches. The software
-//! model answers them with **linear scans over packed lanes**: the row
-//! addresses live in a contiguous `u32` key lane (one 64-byte cache line
-//! covers 16 keys, and the chunked compare loop autovectorizes), and the
-//! spillover match scans a `u32` *probe lane* holding each entry's count
-//! with overflowed entries masked out by a sentinel. At the paper's largest
+//! model keeps the entries in packed lanes: the row addresses in a
+//! contiguous `u32` key lane, and the counts in a `u32` *probe lane* with
+//! overflowed entries masked out by a sentinel. The spillover match is a
+//! linear scan of the probe lane (one 64-byte cache line covers 16 counts,
+//! and the chunked compare loop autovectorizes). At the paper's largest
 //! table (N_entry = 2720) each lane is ~10.6 KB — L1-resident — where the
 //! previous array-of-structs `Vec<Entry>` plus `HashMap`/`BTreeMap` shadow
 //! indexes scattered every probe across pointer-chasing heap structures and
 //! fell off a throughput cliff as N_entry grew.
 //!
-//! Two O(1)-maintenance accelerators keep the dominant miss path from
-//! paying both full scans:
+//! Two O(1)-maintenance accelerators keep both searches from paying a full
+//! scan:
 //!
-//! * a **counting presence filter** (4× overprovisioned bucket histogram
-//!   of the valid keys) answers most address misses with a single load —
-//!   only a hash collision falls through to the exact key-lane scan;
+//! * an **exact slot index** answers the Address-CAM search: a 4×
+//!   overprovisioned, power-of-two array of buckets, each heading a chain
+//!   of the valid slots whose key hashes to it, linked in ascending slot
+//!   order by one `u16` next-link per slot. A search walks one chain and
+//!   returns its first match, which is the lowest matching slot — the
+//!   answer of the CAM's priority encoder, also when an address flip or an
+//!   injected miss has left one row in two slots. The next-links and the
+//!   bucket heads share one `u16` lane. Links store `slot + 1`, so 0 ends
+//!   a chain, an all-zero lane is the empty index, and the table can hold
+//!   at most 65,535 entries. Every key write (replace, evict, address flip)
+//!   unlinks and relinks its slot;
 //! * a **probe cursor** exploits that, within one spillover round, counts
 //!   only grow: each count search resumes at the previous match instead of
 //!   rescanning the prefix, so a whole round of replacements costs about
@@ -45,7 +53,7 @@
 //!   them the count search ignores the cursor and scans from slot 0 until
 //!   the next reset or restore.
 //!
-//! The scans are pure acceleration-layout: they change no observable
+//! The index and the scans are pure acceleration: they change no observable
 //! behavior (see `tests/table_differential.rs`, which locksteps this
 //! table against
 //! [`reference::LinearCounterTable`](crate::reference::LinearCounterTable),
@@ -66,9 +74,13 @@ use crate::cam::CamStats;
 /// falls back to an exact scan for that one value.)
 const OVERFLOW_SENTINEL: u32 = u32::MAX;
 
-/// Keys compared per chunk of the scan loops: 16 × `u32` = one 64-byte
+/// Counts compared per chunk of the count search: 16 × `u32` = one 64-byte
 /// cache line, and a width LLVM turns into SIMD compares.
 const SCAN_LANES: usize = 16;
+
+/// Largest table the index's `u16` links can address: a link stores
+/// `slot + 1`, and 0 ends a chain.
+pub(crate) const MAX_ENTRIES: usize = u16::MAX as usize;
 
 /// Outcome of processing one activation through the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +120,8 @@ impl TableUpdate {
 ///
 /// Holds only the *primary* lanes — what the hardware's SRAM actually
 /// stores plus the software bookkeeping counters. Acceleration state
-/// (probe lane, presence filter, probe cursor) and parity bits are derived
-/// on restore.
+/// (probe lane, slot index, probe cursor) and parity bits are derived on
+/// restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSnapshot {
     /// Address-CAM key lane (stale bits preserved for invalid slots).
@@ -132,9 +144,10 @@ pub struct TableSnapshot {
 
 /// The Graphene per-bank counter table.
 ///
-/// Both hot-path lookups (address hit, spillover-count match) scan packed
-/// `u32` lanes that stay L1-resident at paper-scale table sizes; see the
-/// module docs for why the layout cannot change observable behavior.
+/// The address search walks one chain of an exact slot index, and the
+/// spillover-count match scans a packed `u32` lane that stays L1-resident
+/// at paper-scale table sizes; see the module docs for why neither can
+/// change observable behavior.
 ///
 /// # Example
 ///
@@ -151,8 +164,8 @@ pub struct TableSnapshot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterTable {
     /// Address-CAM key lane. Entry `i`'s stored row address; meaningless
-    /// (stale) bits while the valid bit is clear — the scan confirms
-    /// validity before reporting a hit.
+    /// (stale) bits while the valid bit is clear — only valid slots are
+    /// linked into the index, so a stale key never answers a search.
     keys: Vec<u32>,
     /// Count lane, always `< T` in fault-free operation (wraps at `T`). A
     /// [`corrupt_count_bit`](Self::corrupt_count_bit) flip may push it to
@@ -188,16 +201,15 @@ pub struct CounterTable {
     /// One-shot flag making the next Address-CAM search miss
     /// ([`suppress_next_lookup`](Self::suppress_next_lookup)).
     suppress_lookup: bool,
-    /// Counting presence filter over the *valid* keys: bucket
-    /// `hash(key) & mask` holds how many valid slots hash there. A zero
-    /// bucket proves the key is absent, so the dominant miss path skips the
-    /// key-lane scan entirely; a nonzero bucket (real hit or collision)
-    /// falls through to the exact scan. Maintained O(1) at every key write
-    /// — including [`corrupt_addr_bit`](Self::corrupt_addr_bit), which
-    /// moves the (corrupted) key between buckets so the filter keeps
-    /// describing the lane as stored. Acceleration only: never consulted
-    /// for anything the exact scan wouldn't confirm.
-    filter: Vec<u16>,
+    /// Exact Address-CAM index over the *valid* keys, as one lane of links
+    /// that each hold `slot + 1` (0 = none). Cell `i < capacity` links slot
+    /// `i` to the next valid slot above it on its chain (0 at a chain's end
+    /// and on every invalid slot); cell `capacity + hash(key) & mask` heads
+    /// the chain of the valid slots whose key hashes there. Every key write
+    /// keeps it exact — including [`corrupt_addr_bit`](Self::corrupt_addr_bit),
+    /// which moves the (corrupted) key between chains so the index keeps
+    /// describing the lane as stored.
+    links: Vec<u16>,
     /// Lowest slot index at which the current spillover value can still
     /// match the probe lane: within one spillover round, counts only grow
     /// (bumps destroy matches, never create them), so each count search
@@ -212,7 +224,8 @@ pub struct CounterTable {
     /// until [`reset`](Self::reset) or [`restore`](Self::restore).
     cursor_trusted: bool,
     /// False once an address flip or an injected miss may have put one row
-    /// in two slots. Only [`assert_index_consistency`] reads it.
+    /// in two slots, or a [`restore`](Self::restore) found one there. Only
+    /// [`assert_index_consistency`] reads it.
     ///
     /// [`assert_index_consistency`]: Self::assert_index_consistency
     unique_keys: bool,
@@ -223,11 +236,14 @@ impl CounterTable {
     ///
     /// # Panics
     ///
-    /// Panics if `n_entry == 0`, `t == 0`, or `t` exceeds `u32::MAX` (the
-    /// count lane is 32 bits wide; every real DDR4/5 threshold is orders of
-    /// magnitude below that).
+    /// Panics if `n_entry == 0`, `n_entry` exceeds 65,535 (the slot
+    /// index's links are 16 bits wide; the paper's largest table has 2,720
+    /// entries), `t == 0`, or `t` exceeds `u32::MAX` (the count lane is 32
+    /// bits wide; every real DDR4/5 threshold is orders of magnitude below
+    /// that).
     pub fn new(n_entry: usize, t: u64) -> Self {
         assert!(n_entry > 0, "table must have at least one entry");
+        assert!(n_entry <= MAX_ENTRIES, "table of {n_entry} entries exceeds the 16-bit slot index");
         assert!(t > 0, "tracking threshold must be positive");
         assert!(t <= u64::from(u32::MAX), "tracking threshold must fit the 32-bit count lane");
         CounterTable {
@@ -245,32 +261,48 @@ impl CounterTable {
             spillover_parity: false,
             suppress_lookup: false,
             // 4x overprovisioned and power-of-two: at the paper's largest
-            // table (2720 entries, 16384 buckets) an absent key hits a
-            // nonzero bucket — and pays the exact scan — ~15% of the time.
-            filter: vec![0; (n_entry * 4).next_power_of_two().max(64)],
+            // table (2720 entries, 16384 buckets) an absent key lands on an
+            // empty bucket ~85% of the time, and a chain averages well
+            // under one slot.
+            links: vec![0; n_entry + (n_entry * 4).next_power_of_two().max(64)],
             probe_cursor: 0,
             cursor_trusted: true,
             unique_keys: true,
         }
     }
 
-    /// Filter bucket of `key`: multiplicative hash, top bits, masked to the
-    /// power-of-two bucket count.
+    /// The `links` cell heading `key`'s chain: multiplicative hash, top
+    /// bits, masked to the power-of-two bucket count.
     #[inline]
-    fn filter_bucket(&self, key: u32) -> usize {
-        (key.wrapping_mul(0x9E37_79B9) >> 16) as usize & (self.filter.len() - 1)
+    fn head_cell(&self, key: u32) -> usize {
+        let n = self.keys.len();
+        n + ((key.wrapping_mul(0x9E37_79B9) >> 16) as usize & (self.links.len() - n - 1))
     }
 
+    /// The cell that links to slot `i`'s place in its key's chain: the
+    /// chain's head, or the link of the chain's last slot below `i`.
     #[inline]
-    fn filter_add(&mut self, key: u32) {
-        let b = self.filter_bucket(key);
-        self.filter[b] += 1;
+    fn link_to(&mut self, i: usize) -> &mut u16 {
+        let mut cell = self.head_cell(self.keys[i]);
+        while self.links[cell] != 0 && usize::from(self.links[cell]) <= i {
+            cell = usize::from(self.links[cell] - 1);
+        }
+        &mut self.links[cell]
     }
 
+    /// Links valid slot `i` into its key's chain, in slot order.
     #[inline]
-    fn filter_remove(&mut self, key: u32) {
-        let b = self.filter_bucket(key);
-        self.filter[b] -= 1;
+    fn link(&mut self, i: usize) {
+        // `new` bounds the capacity to the link width.
+        let after = std::mem::replace(self.link_to(i), i as u16 + 1);
+        self.links[i] = after;
+    }
+
+    /// Unlinks slot `i` from its key's chain; call before its key changes.
+    #[inline]
+    fn unlink(&mut self, i: usize) {
+        let after = std::mem::take(&mut self.links[i]);
+        *self.link_to(i) = after;
     }
 
     #[inline]
@@ -292,36 +324,21 @@ impl CounterTable {
         ones % 2 == 1
     }
 
-    /// Address-CAM search: lowest valid slot holding `row`, scanning the
-    /// packed key lane one cache line at a time. The chunk loop reduces 16
-    /// compares into one `hit` flag (vectorizable); only a matching chunk —
-    /// rare on the dominant miss path — pays the exact positional scan and
-    /// the valid-bit confirmation.
+    /// Address-CAM search: lowest valid slot holding `row`. Every valid slot
+    /// that can hold `row` sits on `row`'s bucket chain in ascending order,
+    /// so the first match on that chain is the priority encoder's answer.
+    /// The dominant miss path mostly ends on an empty bucket.
     #[inline]
     fn find_slot(&self, row: u32) -> Option<usize> {
-        if self.filter[self.filter_bucket(row)] == 0 {
-            // No valid slot hashes here, so none can hold `row`: the
-            // dominant miss path ends on this one load.
-            return None;
-        }
-        let mut base = 0;
-        for chunk in self.keys.chunks_exact(SCAN_LANES) {
-            let mut hit = false;
-            for &k in chunk {
-                hit |= k == row;
+        let mut link = self.links[self.head_cell(row)];
+        while link != 0 {
+            let i = usize::from(link - 1);
+            if self.keys[i] == row {
+                return Some(i);
             }
-            if hit {
-                for (j, &k) in chunk.iter().enumerate() {
-                    if k == row && self.is_valid(base + j) {
-                        return Some(base + j);
-                    }
-                }
-                // Every match in this chunk was a stale key on an invalid
-                // slot; keep scanning.
-            }
-            base += SCAN_LANES;
+            link = self.links[i];
         }
-        (base..self.keys.len()).find(|&j| self.keys[j] == row && self.is_valid(j))
+        None
     }
 
     /// Count-CAM search: lowest non-overflowed slot (occupied or empty)
@@ -466,12 +483,12 @@ impl CounterTable {
             self.stats.addr_writes += 1;
             self.stats.count_writes += 1;
             let evicted = self.is_valid(i).then(|| RowId(self.keys[i]));
-            if let Some(old) = evicted {
-                self.filter_remove(old.0);
+            if evicted.is_some() {
+                self.unlink(i);
             }
             self.keys[i] = row.0;
             self.set_valid(i);
-            self.filter_add(row.0);
+            self.link(i);
             // The slot matched because its low already equals the spillover
             // count, so the count lanes are unchanged by the inheritance
             // itself; only the bump below moves them. (The match guarantees
@@ -506,7 +523,7 @@ impl CounterTable {
         self.acts_since_reset = 0;
         self.spillover_parity = false;
         self.suppress_lookup = false;
-        self.filter.fill(0);
+        self.links.fill(0);
         self.probe_cursor = 0;
         self.cursor_trusted = true;
         self.unique_keys = true;
@@ -581,13 +598,12 @@ impl CounterTable {
         if !self.is_valid(i) {
             return false;
         }
-        // Move the key between filter buckets so the filter keeps
-        // describing the lane *as stored* — the corrupted address must stay
-        // findable and the original must stop matching, exactly like the
-        // CAM itself.
-        self.filter_remove(self.keys[i]);
+        // Move the slot between chains so the index keeps describing the
+        // lane *as stored* — the corrupted address must stay findable and
+        // the original must stop matching, exactly like the CAM itself.
+        self.unlink(i);
         self.keys[i] ^= 1 << (bit % 32);
-        self.filter_add(self.keys[i]);
+        self.link(i);
         self.unique_keys = false;
         true
     }
@@ -632,8 +648,8 @@ impl CounterTable {
     /// [`restore`](Self::restore) can later replay into a freshly built
     /// table of the same shape.
     ///
-    /// Derived acceleration state (probe lane, presence filter, probe
-    /// cursor, parity bits) is *not* captured: it is a pure function of the
+    /// Derived acceleration state (probe lane, slot index, probe cursor,
+    /// parity bits) is *not* captured: it is a pure function of the
     /// primary lanes and is rebuilt on restore. Consequently a snapshot
     /// taken while injected corruption left parity bits stale restores as
     /// parity-clean — checkpointing is only meaningful for fault-free runs,
@@ -658,11 +674,11 @@ impl CounterTable {
     /// own configuration).
     ///
     /// The derived lanes are rebuilt from the primary ones: probe lane from
-    /// (low, overflow), parity from the restored bits, presence filter from
-    /// the valid keys. The probe cursor rewinds to slot 0 and is trusted
-    /// unless a live count sits below the spillover — acceleration state
-    /// only, so the restored table is *behaviorally* identical to the
-    /// snapshotted one even though the cursor position differs.
+    /// (low, overflow), parity from the restored bits, slot index from the
+    /// valid keys. The probe cursor rewinds to slot 0 and is trusted unless
+    /// a live count sits below the spillover — acceleration state only, so
+    /// the restored table is *behaviorally* identical to the snapshotted one
+    /// even though the cursor position differs.
     ///
     /// # Errors
     ///
@@ -707,43 +723,66 @@ impl CounterTable {
             self.parity[i] = self.parity_of(i);
         }
         self.spillover_parity = self.spillover.count_ones() % 2 == 1;
-        self.filter.fill(0);
-        for i in 0..n {
+        self.links.fill(0);
+        // Top down, so each link lands at its chain's head in O(1).
+        for i in (0..n).rev() {
             if self.is_valid(i) {
-                self.filter_add(self.keys[i]);
+                self.link(i);
             }
         }
         self.probe_cursor = 0;
         self.cursor_trusted = (0..n).all(|i| {
             !self.is_valid(i) || self.overflow[i] || u64::from(self.low[i]) >= self.spillover
         });
-        self.unique_keys = true;
+        // A snapshot taken after an address flip can hold one row in two
+        // slots; only the lowest answers a search.
+        self.unique_keys =
+            (0..n).all(|i| !self.is_valid(i) || self.find_slot(self.keys[i]) == Some(i));
         self.suppress_lookup = false;
         Ok(())
     }
 
     /// Exhaustively checks the derived lanes against the primary ones: the
-    /// probe lane must mirror (low, overflow), the presence filter must be
-    /// the exact bucket histogram of the valid keys, no probe-lane match for
-    /// the current spillover may hide below a trusted cursor, and no row may
-    /// occupy two valid slots unless an address flip or an injected miss
-    /// may have put it there. Test support — O(N), never called on the hot
-    /// path.
+    /// probe lane must mirror (low, overflow), the slot index must chain
+    /// every valid slot exactly once, under its key's bucket and in
+    /// ascending slot order, no probe-lane match for the current spillover
+    /// may hide below a trusted cursor, and no row may occupy two valid
+    /// slots unless an address flip or an injected miss may have put it
+    /// there. Test support — O(N), never called on the hot path.
     #[doc(hidden)]
     pub fn assert_index_consistency(&self) {
         let mut seen = HashMap::new();
-        let mut expected_filter = vec![0u16; self.filter.len()];
         for i in 0..self.capacity() {
             if self.is_valid(i) {
                 let row = self.keys[i];
                 let first = seen.insert(row, i).is_none();
                 assert!(first || !self.unique_keys, "row {row} occupies two slots");
-                expected_filter[self.filter_bucket(row)] += 1;
+            } else {
+                assert_eq!(self.links[i], 0, "empty slot {i} carries a chain link");
             }
             let expected = if self.overflow[i] { OVERFLOW_SENTINEL } else { self.low[i] };
             assert_eq!(self.probe_low[i], expected, "probe lane out of sync at slot {i}");
         }
-        assert_eq!(self.filter, expected_filter, "presence filter out of sync with key lane");
+        let mut chained = 0;
+        for head in self.capacity()..self.links.len() {
+            let mut link = self.links[head];
+            let mut below = 0;
+            while link != 0 {
+                // Strictly ascending links also rule out a cycle.
+                assert!(link > below, "chain {head} is out of slot order at slot {}", link - 1);
+                let i = usize::from(link - 1);
+                assert!(self.is_valid(i), "chain {head} links empty slot {i}");
+                assert_eq!(
+                    self.head_cell(self.keys[i]),
+                    head,
+                    "slot {i} chained under the wrong head"
+                );
+                chained += 1;
+                below = link;
+                link = self.links[i];
+            }
+        }
+        assert_eq!(chained, self.occupancy(), "index misses valid slots");
         if let (true, Ok(target)) = (self.cursor_trusted, u32::try_from(self.spillover)) {
             if target != OVERFLOW_SENTINEL {
                 for i in 0..self.probe_cursor.min(self.probe_low.len()) {
@@ -761,6 +800,7 @@ impl CounterTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::LinearCounterTable;
 
     #[test]
     fn figure_2_walkthrough() {
@@ -971,7 +1011,7 @@ mod tests {
     #[test]
     fn stale_key_on_invalidated_slot_never_matches() {
         // Reset clears the valid bits but the key lane keeps stale bytes;
-        // the scan must confirm validity before reporting a hit.
+        // only valid slots may answer a search.
         let mut t = CounterTable::new(2, 100);
         t.process_activation(RowId(7));
         t.reset();
@@ -984,8 +1024,8 @@ mod tests {
 
     #[test]
     fn scan_covers_the_chunk_remainder() {
-        // Capacity above one scan chunk with a non-multiple remainder: rows
-        // landing in the tail slots must still hit and stay searchable.
+        // Capacity above one count-scan chunk with a non-multiple remainder:
+        // rows must still land in the tail slots and stay searchable.
         let n = SCAN_LANES + 5;
         let mut t = CounterTable::new(n, 1_000);
         for r in 0..n as u32 {
@@ -1036,7 +1076,7 @@ mod tests {
         // matches slot 2, and a hit then raises slot 1 back to the spillover
         // behind that match. The linear scan replaces slot 1, so must we.
         let mut t = CounterTable::new(3, 6);
-        let mut linear = crate::reference::LinearCounterTable::new(3, 6);
+        let mut linear = LinearCounterTable::new(3, 6);
         for r in [2, 6, 2, 5, 1, 0] {
             assert_eq!(t.process_activation(RowId(r)), linear.process_activation(RowId(r)));
         }
@@ -1124,6 +1164,216 @@ mod tests {
         let _ = CounterTable::new(1, u64::from(u32::MAX) + 1);
     }
 
+    #[test]
+    #[should_panic(expected = "16-bit slot index")]
+    fn oversized_table_panics() {
+        let _ = CounterTable::new(MAX_ENTRIES + 1, 5);
+    }
+
+    #[test]
+    fn largest_table_links_its_last_slot() {
+        // The last slot's link is `u16::MAX`, the top of the link range.
+        let mut t = CounterTable::new(MAX_ENTRIES, 5);
+        for r in 0..MAX_ENTRIES as u32 {
+            t.process_activation(RowId(r));
+        }
+        let last = RowId(MAX_ENTRIES as u32 - 1);
+        assert_eq!(t.slot_addr(MAX_ENTRIES - 1), Some(last));
+        assert_eq!(t.process_activation(last), TableUpdate::Hit { triggered: false });
+        assert_eq!(t.estimate(last), Some(2));
+        t.assert_index_consistency();
+    }
+
+    /// Checks the index, then every `pool` row's estimate against the
+    /// reference.
+    fn check_lockstep(t: &CounterTable, linear: &LinearCounterTable, pool: &[u32]) {
+        t.assert_index_consistency();
+        for &r in pool {
+            assert_eq!(t.estimate(RowId(r)), linear.estimate(RowId(r)), "estimate of row {r}");
+        }
+    }
+
+    /// Activates `row` on both tables and checks them.
+    fn act_lockstep(
+        t: &mut CounterTable,
+        linear: &mut LinearCounterTable,
+        pool: &[u32],
+        row: u32,
+    ) -> TableUpdate {
+        let u = t.process_activation(RowId(row));
+        assert_eq!(u, linear.process_activation(RowId(row)), "activation of row {row}");
+        check_lockstep(t, linear, pool);
+        u
+    }
+
+    /// A suppressed search of `row`, mirrored on the reference, which cannot
+    /// miss on purpose: it activates an absent decoy one address bit away
+    /// instead, then flips the entry the decoy landed in back to `row`.
+    fn suppressed_lockstep(
+        t: &mut CounterTable,
+        linear: &mut LinearCounterTable,
+        pool: &[u32],
+        row: u32,
+    ) -> TableUpdate {
+        const DECOY_BIT: u32 = 31;
+        let before = t.snapshot();
+        t.suppress_next_lookup();
+        let u = t.process_activation(RowId(row));
+        assert_eq!(u, linear.process_activation(RowId(row ^ 1 << DECOY_BIT)));
+        if matches!(u, TableUpdate::Replaced { .. }) {
+            // A replacement always moves its slot's count off the spillover.
+            let after = t.snapshot();
+            let j = (0..t.capacity()).find(|&i| after.low[i] != before.low[i]).unwrap();
+            linear.corrupt_addr_bit(j, DECOY_BIT);
+        }
+        check_lockstep(t, linear, pool);
+        u
+    }
+
+    /// Raises every other entry one count past `slot`'s, then misses with
+    /// `newcomer` until the count search reaches `slot` and evicts it.
+    fn evict_slot(
+        t: &mut CounterTable,
+        linear: &mut LinearCounterTable,
+        pool: &[u32],
+        slot: usize,
+        newcomer: u32,
+    ) {
+        let victim = t.slot_addr(slot).unwrap();
+        for i in (0..t.capacity()).filter(|&i| i != slot) {
+            let row = t.slot_addr(i).unwrap().0;
+            assert_eq!(act_lockstep(t, linear, pool, row), TableUpdate::Hit { triggered: false });
+        }
+        for _ in 0..t.tracking_threshold() {
+            match act_lockstep(t, linear, pool, newcomer) {
+                TableUpdate::SpilloverIncremented => {}
+                u => {
+                    assert_eq!(
+                        u,
+                        TableUpdate::Replaced { evicted: Some(victim), triggered: false }
+                    );
+                    assert_eq!(t.slot_addr(slot), Some(RowId(newcomer)));
+                    return;
+                }
+            }
+        }
+        panic!("slot {slot} was never evicted");
+    }
+
+    /// Number of slots on the chain headed by cell `head`.
+    fn chain_len(t: &CounterTable, head: usize) -> usize {
+        let mut len = 0;
+        let mut link = t.links[head];
+        while link != 0 {
+            len += 1;
+            link = t.links[usize::from(link - 1)];
+        }
+        len
+    }
+
+    #[test]
+    fn long_chains_answer_like_the_linear_table() {
+        const N: usize = 24;
+        const FLIP: u32 = 22;
+        let mut t = CounterTable::new(N, 50);
+        let mut linear = LinearCounterTable::new(N, 50);
+        // Rows of chain A whose bit-22 twins land on chain B: flipping
+        // bit 22 of a slot moves it between the two chains.
+        let (ab, bb) = (t.head_cell(0), t.head_cell(1 << FLIP));
+        assert_ne!(ab, bb);
+        let a: Vec<u32> = (0u32..)
+            .filter(|&r| t.head_cell(r) == ab && t.head_cell(r ^ 1 << FLIP) == bb)
+            .take(11)
+            .collect();
+        let b: Vec<u32> = a.iter().map(|&r| r ^ 1 << FLIP).collect();
+        let filler: Vec<u32> =
+            (0u32..).filter(|&r| ![ab, bb].contains(&t.head_cell(r))).take(4).collect();
+        let pool: Vec<u32> = [&a[..], &b[..], &filler[..]]
+            .concat()
+            .into_iter()
+            .flat_map(|r| [r, r ^ 1 << FLIP])
+            .collect();
+        let p = &pool[..];
+
+        // Slots 0..20 alternate between the chains: ten slots on each.
+        for k in 0..10 {
+            act_lockstep(&mut t, &mut linear, p, a[k]);
+            act_lockstep(&mut t, &mut linear, p, b[k]);
+        }
+        for &r in &filler {
+            act_lockstep(&mut t, &mut linear, p, r);
+        }
+        assert_eq!((chain_len(&t, ab), chain_len(&t, bb)), (10, 10));
+
+        // Evict from the middle of chain A into the middle of chain B, and
+        // back the other way.
+        evict_slot(&mut t, &mut linear, p, 8, b[10]);
+        assert_eq!((chain_len(&t, ab), chain_len(&t, bb)), (9, 11));
+        evict_slot(&mut t, &mut linear, p, 13, a[4]);
+        assert_eq!((chain_len(&t, ab), chain_len(&t, bb)), (10, 10));
+
+        // Address flips move slots between the chains. Slot 10 turns a[5]
+        // into b[5], which slot 11 also holds: the lower slot answers.
+        for slot in [10, 11, 16, 3] {
+            assert!(t.corrupt_addr_bit(slot, FLIP));
+            assert!(linear.corrupt_addr_bit(slot, FLIP));
+            check_lockstep(&t, &linear, p);
+            if slot == 10 {
+                assert_eq!(t.find_slot(b[5]), Some(10));
+            }
+            let row = t.slot_addr(slot).unwrap().0;
+            act_lockstep(&mut t, &mut linear, p, row);
+        }
+
+        // Injected misses split a[7] across two slots of chain A; the lower
+        // one answers every later search.
+        for _ in 0..t.tracking_threshold() {
+            suppressed_lockstep(&mut t, &mut linear, p, a[7]);
+            if t.iter().filter(|&(r, ..)| r == RowId(a[7])).count() == 2 {
+                break;
+            }
+        }
+        let dups: Vec<usize> = (0..N).filter(|&i| t.slot_addr(i) == Some(RowId(a[7]))).collect();
+        assert_eq!(dups.len(), 2, "no duplicate of a[7] was made");
+        for _ in 0..3 {
+            act_lockstep(&mut t, &mut linear, p, a[7]);
+            assert_eq!(t.find_slot(a[7]), Some(dups[0]));
+        }
+
+        // Churn over both chains with flips, injected misses and a reset.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..3_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let row = pool[(x >> 32) as usize % pool.len()];
+            match step % 50 {
+                17 => {
+                    let slot = (x >> 8) as usize % N;
+                    assert_eq!(t.corrupt_addr_bit(slot, FLIP), linear.corrupt_addr_bit(slot, FLIP));
+                    check_lockstep(&t, &linear, p);
+                }
+                31 => {
+                    suppressed_lockstep(&mut t, &mut linear, p, row);
+                }
+                _ => {
+                    act_lockstep(&mut t, &mut linear, p, row);
+                }
+            }
+            if step == 1_500 {
+                t.reset();
+                linear.reset();
+                check_lockstep(&t, &linear, p);
+            }
+        }
+        let mut ours: Vec<_> = t.iter().collect();
+        let mut theirs: Vec<_> = linear.iter().collect();
+        ours.sort_unstable();
+        theirs.sort_unstable();
+        assert_eq!(ours, theirs);
+        assert_eq!(t.cam_stats(), linear.cam_stats());
+    }
+
     /// A deterministic but non-trivial activation stream: a few hot rows,
     /// a rotating cold tail, enough pressure to exercise hits, replacements,
     /// spillover increments, and overflow wraps.
@@ -1192,5 +1442,21 @@ mod tests {
         assert_eq!(b.snapshot(), snap);
         assert_eq!(b.estimate(RowId(42)), Some(7));
         b.assert_index_consistency();
+    }
+
+    #[test]
+    fn restore_accepts_a_row_an_address_flip_duplicated() {
+        // The flip leaves row 2 in slots 0 (count 3) and 1 (count 1); the
+        // restored table must pass its own check and answer from slot 0.
+        let mut t = CounterTable::new(4, 100);
+        for r in [2, 2, 2, 3] {
+            t.process_activation(RowId(r));
+        }
+        assert!(t.corrupt_addr_bit(1, 0)); // row 3 → row 2
+        let mut resumed = CounterTable::new(4, 100);
+        resumed.restore(&t.snapshot()).unwrap();
+        resumed.assert_index_consistency();
+        assert_eq!(resumed.estimate(RowId(2)), Some(3));
+        assert!(!resumed.is_tracked(RowId(3)));
     }
 }

@@ -96,11 +96,6 @@ impl TelemetryTap {
         }
     }
 
-    /// True when the sink records (false for [`NoopSink`](telemetry::NoopSink)).
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     fn bank_mut(&mut self, bank: usize) -> &mut BankCounts {
         if bank >= self.banks.len() {
             self.banks.resize(bank + 1, BankCounts::default());
@@ -286,7 +281,7 @@ mod tests {
             .build();
         mc.run(&mut Synthetic::s3(65_536, 1), 5_000);
         let tap = mc.telemetry().expect("tap attached");
-        assert!(!tap.is_active());
+        assert!(!tap.active);
         assert!(tap.banks.is_empty(), "inactive tap must not even allocate");
     }
 

@@ -133,7 +133,7 @@ impl AbacusConfig {
 
 /// Lifetime counters of one shared ABACuS table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AbacusStats {
+pub(crate) struct AbacusStats {
     /// Activations processed (all banks).
     pub activations: u64,
     /// NRR commands issued (immediate + pending).
@@ -461,11 +461,6 @@ impl AbacusDefense {
         self.lock().cfg
     }
 
-    /// Lifetime counters of the shared table.
-    pub fn core_stats(&self) -> AbacusStats {
-        self.lock().stats
-    }
-
     /// Current spillover value of the shared table.
     pub fn spillover(&self) -> u64 {
         self.lock().spillover
@@ -596,7 +591,7 @@ mod tests {
         for (b, &n) in nrrs_per_bank.iter().enumerate() {
             assert!(n >= 1, "bank {b} never refreshed");
         }
-        assert_eq!(banks[0].core_stats().activations, 4 * (t + 2));
+        assert_eq!(banks[0].lock().stats.activations, 4 * (t + 2));
     }
 
     #[test]

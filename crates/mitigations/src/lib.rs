@@ -69,7 +69,7 @@ pub mod rfm;
 pub mod trr;
 pub mod twice;
 
-pub use abacus::{AbacusConfig, AbacusCore, AbacusDefense, AbacusStats};
+pub use abacus::{AbacusConfig, AbacusCore, AbacusDefense};
 pub use audit::{AuditConfig, AuditedDefense, ShadowCert};
 pub use blockhammer::{BlockHammerConfig, BlockHammerDefense, BlockHammerStats};
 pub use cbt::{Cbt, CbtConfig};

@@ -48,11 +48,6 @@ impl Interleaved {
             .collect();
         Interleaved { streams, pending, last_emitted: 0, name }
     }
-
-    /// Number of merged streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 impl Workload for Interleaved {
@@ -183,7 +178,7 @@ mod tests {
             Box::new(Synthetic::s1(10, 4096, 2)),
         ]);
         assert_eq!(m.name(), "mix[S3+S1-10]");
-        assert_eq!(m.stream_count(), 2);
+        assert_eq!(m.streams.len(), 2);
     }
 
     #[test]
