@@ -33,9 +33,10 @@
 //! scan:
 //!
 //! * an **exact slot index** answers the Address-CAM search: a 4×
-//!   overprovisioned, power-of-two array of buckets, each heading a chain
-//!   of the valid slots whose key hashes to it, linked in ascending slot
-//!   order by one `u16` next-link per slot. A search walks one chain and
+//!   overprovisioned, power-of-two array of buckets (at most 65,536, all
+//!   that its 16-bit hash reaches), each heading a chain of the valid
+//!   slots whose key hashes to it, linked in ascending slot order by one
+//!   `u16` next-link per slot. A search walks one chain and
 //!   returns its first match, which is the lowest matching slot — the
 //!   answer of the CAM's priority encoder, also when an address flip or an
 //!   injected miss has left one row in two slots. The next-links and the
@@ -81,6 +82,10 @@ const SCAN_LANES: usize = 16;
 /// Largest table the index's `u16` links can address: a link stores
 /// `slot + 1`, and 0 ends a chain.
 pub(crate) const MAX_ENTRIES: usize = u16::MAX as usize;
+
+/// Most bucket heads the index allocates: [`CounterTable::head_cell`]'s
+/// hash keeps 16 bits, so a head beyond these is never reached.
+const MAX_HEADS: usize = 1 << 16;
 
 /// Outcome of processing one activation through the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,8 +268,8 @@ impl CounterTable {
             // 4x overprovisioned and power-of-two: at the paper's largest
             // table (2720 entries, 16384 buckets) an absent key lands on an
             // empty bucket ~85% of the time, and a chain averages well
-            // under one slot.
-            links: vec![0; n_entry + (n_entry * 4).next_power_of_two().max(64)],
+            // under one slot. Above 16,384 entries the 16-bit hash caps it.
+            links: vec![0; n_entry + (n_entry * 4).next_power_of_two().clamp(64, MAX_HEADS)],
             probe_cursor: 0,
             cursor_trusted: true,
             unique_keys: true,
@@ -1182,6 +1187,33 @@ mod tests {
         assert_eq!(t.process_activation(last), TableUpdate::Hit { triggered: false });
         assert_eq!(t.estimate(last), Some(2));
         t.assert_index_consistency();
+    }
+
+    #[test]
+    fn heads_stop_at_what_the_hash_reaches() {
+        // 4 x 16,400 rounds up to 131,072 heads, but the 16-bit hash
+        // reaches only 65,536 of them.
+        const N: usize = 16_400;
+        let mut t = CounterTable::new(N, 3);
+        assert_eq!(t.links.len(), N + MAX_HEADS);
+        assert_eq!(CounterTable::new(16_384, 3).links.len(), 16_384 + MAX_HEADS);
+        assert_eq!(CounterTable::new(MAX_ENTRIES, 3).links.len(), MAX_ENTRIES + MAX_HEADS);
+        // Inserts, hits and triggers on a few thousand rows, chained across
+        // the capped heads.
+        let mut linear = LinearCounterTable::new(N, 3);
+        let pool: Vec<u32> = (0..4_000).step_by(7).collect();
+        let mut x = 1u32;
+        for i in 0..6_000 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let row = (x >> 8) % 4_000;
+            assert_eq!(
+                t.process_activation(RowId(row)),
+                linear.process_activation(RowId(row)),
+                "act {i}, row {row}"
+            );
+        }
+        check_lockstep(&t, &linear, &pool);
+        assert!(t.occupancy() > 3_000, "{} slots filled", t.occupancy());
     }
 
     /// Checks the index, then every `pool` row's estimate against the

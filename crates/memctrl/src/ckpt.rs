@@ -1,10 +1,10 @@
 //! Shared JSON plumbing and the typed error for controller checkpoint
 //! state.
 //!
-//! Checkpoint state is rendered by hand on top of [`telemetry::json`] and
-//! read back with its typed reads ([`JsonValue::int`],
-//! [`JsonValue::opt_int`], …). The parser is integer-first, so every `u64`
-//! counter round-trips exactly.
+//! Checkpoint state is written straight into the checkpoint buffer with
+//! [`telemetry::json::write_obj`] and read back with its typed reads
+//! ([`JsonValue::int`], [`JsonValue::opt_int`], …). The parser is
+//! integer-first, so every `u64` counter round-trips exactly.
 //!
 //! Every snapshot/restore failure is a [`CkptError`] — a machine-matchable
 //! enum rather than a formatted string, so the fleet recovery supervisor
@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use telemetry::json::{obj, JsonValue};
+use telemetry::json::{push_u64s, JsonValue, ObjWriter};
 
 use crate::stats::RunStats;
 
@@ -132,47 +132,29 @@ impl From<String> for CkptError {
     }
 }
 
-/// Renders an `Option<u64>` as `U64` or `Null`.
-pub(crate) fn opt_u64(v: Option<u64>) -> JsonValue {
-    match v {
-        Some(x) => JsonValue::U64(x),
-        None => JsonValue::Null,
-    }
-}
-
-/// Renders [`RunStats`] as a JSON object (`per_stream` as an array of
+/// Writes [`RunStats`]' fields (`per_stream` as an array of
 /// `[count, latency]` pairs).
-pub(crate) fn run_stats_to_json(s: &RunStats) -> JsonValue {
-    obj(vec![
-        ("accesses", JsonValue::U64(s.accesses)),
-        ("activations", JsonValue::U64(s.activations)),
-        ("row_hits", JsonValue::U64(s.row_hits)),
-        ("refreshes", JsonValue::U64(s.refreshes)),
-        ("defense_refresh_commands", JsonValue::U64(s.defense_refresh_commands)),
-        ("victim_rows_refreshed", JsonValue::U64(s.victim_rows_refreshed)),
-        ("defense_busy", JsonValue::U64(s.defense_busy)),
-        ("completion", JsonValue::U64(s.completion)),
-        ("total_latency", JsonValue::U64(s.total_latency)),
-        ("bit_flips", JsonValue::U64(s.bit_flips)),
-        ("throttled_acts", JsonValue::U64(s.throttled_acts)),
-        ("throttle_delay", JsonValue::U64(s.throttle_delay)),
-        (
-            "per_stream",
-            JsonValue::Arr(
-                s.per_stream
-                    .iter()
-                    .map(|&(n, lat)| JsonValue::Arr(vec![JsonValue::U64(n), JsonValue::U64(lat)]))
-                    .collect(),
-            ),
-        ),
-        ("stray_stream_accesses", JsonValue::U64(s.stray_stream_accesses)),
-        ("stray_stream_latency", JsonValue::U64(s.stray_stream_latency)),
-        ("rfm_commands", JsonValue::U64(s.rfm_commands)),
-        ("forced_rfms", JsonValue::U64(s.forced_rfms)),
-    ])
+pub(crate) fn write_run_stats(w: &mut ObjWriter<'_>, s: &RunStats) {
+    w.u64("accesses", s.accesses)
+        .u64("activations", s.activations)
+        .u64("row_hits", s.row_hits)
+        .u64("refreshes", s.refreshes)
+        .u64("defense_refresh_commands", s.defense_refresh_commands)
+        .u64("victim_rows_refreshed", s.victim_rows_refreshed)
+        .u64("defense_busy", s.defense_busy)
+        .u64("completion", s.completion)
+        .u64("total_latency", s.total_latency)
+        .u64("bit_flips", s.bit_flips)
+        .u64("throttled_acts", s.throttled_acts)
+        .u64("throttle_delay", s.throttle_delay)
+        .items("per_stream", &s.per_stream, |out, &(n, lat)| push_u64s(out, [n, lat]))
+        .u64("stray_stream_accesses", s.stray_stream_accesses)
+        .u64("stray_stream_latency", s.stray_stream_latency)
+        .u64("rfm_commands", s.rfm_commands)
+        .u64("forced_rfms", s.forced_rfms);
 }
 
-/// Parses what [`run_stats_to_json`] rendered.
+/// Parses what [`write_run_stats`] wrote.
 pub(crate) fn run_stats_from_json(v: &JsonValue) -> Result<RunStats, CkptError> {
     let per_stream = v
         .items("per_stream")?
@@ -207,6 +189,12 @@ pub(crate) fn run_stats_from_json(v: &JsonValue) -> Result<RunStats, CkptError> 
 mod tests {
     use super::*;
 
+    fn stats_text(s: &RunStats) -> String {
+        let mut out = String::new();
+        telemetry::json::write_obj(&mut out, |w| write_run_stats(w, s));
+        out
+    }
+
     #[test]
     fn run_stats_round_trip_through_text() {
         let mut s = RunStats {
@@ -219,7 +207,7 @@ mod tests {
         };
         s.note_stream(0, 10);
         s.note_stream(5, 99);
-        let text = run_stats_to_json(&s).to_string();
+        let text = stats_text(&s);
         let back = run_stats_from_json(&telemetry::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, s);
     }
@@ -228,7 +216,7 @@ mod tests {
     fn missing_field_is_reported() {
         // Every writer renders every field, the RFM counters included, so a
         // line without one is damaged, not old.
-        let text = run_stats_to_json(&RunStats::default()).to_string();
+        let text = stats_text(&RunStats::default());
         for (key, value) in [("per_stream", "[]"), ("rfm_commands", "0"), ("forced_rfms", "0")] {
             let damaged = text.replace(&format!(",\"{key}\":{value}"), "");
             let err = run_stats_from_json(&telemetry::json::parse(&damaged).unwrap()).unwrap_err();

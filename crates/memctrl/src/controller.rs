@@ -9,10 +9,10 @@ use faultsim::{ControllerFault, FaultKind, FaultPlan};
 use mitigations::{RefreshAction, RowHammerDefense};
 use workloads::{Access, Workload};
 
-use telemetry::json::{obj, push_key, JsonValue};
+use telemetry::json::{write_obj, JsonValue};
 
 use crate::bank::{BankState, ServiceOutcome};
-use crate::ckpt::{opt_u64, run_stats_from_json, run_stats_to_json, CkptError};
+use crate::ckpt::{run_stats_from_json, write_run_stats, CkptError};
 use crate::cmdlog::{CommandLog, CommandRecord, LoggedCommand};
 use crate::config::McConfig;
 use crate::faults::{FaultInjector, FaultStats};
@@ -772,10 +772,10 @@ impl MemoryController {
         Ok(out)
     }
 
-    /// [`snapshot`](Self::snapshot), appended to `out`. Banks render one at
-    /// a time: each bank's defense state is built, rendered and dropped
-    /// before the next, so the largest tree held is one bank's. On error
-    /// `out` may end in a partial line.
+    /// [`snapshot`](Self::snapshot), appended to `out`. Every field is
+    /// written straight into `out`: each bank's timing fields, then its
+    /// defense's [`write_state`](RowHammerDefense::write_state), so no JSON
+    /// tree is built. On error `out` may end in a partial line.
     pub(crate) fn snapshot_into(&self, out: &mut String) -> Result<(), CkptError> {
         if self.oracles.is_some() {
             return Err(CkptError::Unsupported { what: "a run with a ground-truth fault oracle" });
@@ -789,57 +789,49 @@ impl MemoryController {
         if self.telemetry.is_some() {
             return Err(CkptError::Unsupported { what: "a run with a telemetry tap attached" });
         }
-        out.push('{');
-        for (key, value) in [
-            ("channel", JsonValue::U64(u64::from(self.channel))),
-            ("clock", JsonValue::U64(self.clock)),
-            ("wall", JsonValue::U64(self.wall)),
-            ("next_refresh_at", JsonValue::U64(self.next_refresh_at)),
-            ("refresh_hold_until", JsonValue::U64(self.refresh_hold_until)),
-            ("stats", run_stats_to_json(&self.stats)),
-        ] {
-            push_key(out, key);
-            value.render_into(out);
-            out.push(',');
-        }
-        push_key(out, "banks");
-        out.push('[');
-        let first = out.len();
-        for b in 0..self.banks.len() {
-            if b > 0 {
-                out.push(',');
+        write_obj(out, |w| {
+            w.u64("channel", u64::from(self.channel))
+                .u64("clock", self.clock)
+                .u64("wall", self.wall)
+                .u64("next_refresh_at", self.next_refresh_at)
+                .u64("refresh_hold_until", self.refresh_hold_until);
+            w.obj("stats", |w| write_run_stats(w, &self.stats));
+            let out = w.key("banks");
+            out.push('[');
+            let first = out.len();
+            for b in 0..self.banks.len() {
+                if b > 0 {
+                    out.push(',');
+                }
+                self.write_bank(b, out)?;
+                if b == 0 {
+                    // Banks render to similar lengths: reserve the rest at once.
+                    out.reserve((out.len() - first + 1) * (self.banks.len() - 1));
+                }
             }
-            self.bank_state(b)?.render_into(out);
-            if b == 0 {
-                // Banks render to similar lengths: reserve the rest at once.
-                out.reserve((out.len() - first + 1) * (self.banks.len() - 1));
-            }
-        }
-        out.push_str("]}");
-        Ok(())
+            out.push(']');
+            Ok(())
+        })
     }
 
-    /// One bank's checkpoint state: open row, timing, refresh position, RAA
-    /// count and the defense's own state.
-    fn bank_state(&self, b: usize) -> Result<JsonValue, CkptError> {
+    /// Writes one bank's checkpoint state: open row, timing, refresh
+    /// position, RAA count and the defense's own state.
+    fn write_bank(&self, b: usize, out: &mut String) -> Result<(), CkptError> {
         let (open_row, hits, ready_at, last_act_at) = self.banks[b].dynamic_state();
         let eng = &self.refresh_engines[b];
-        Ok(obj(vec![
-            ("open_row", opt_u64(open_row.map(|r| u64::from(r.0)))),
-            ("hits_on_open_row", JsonValue::U64(u64::from(hits))),
-            ("ready_at", JsonValue::U64(ready_at)),
-            ("last_act_at", opt_u64(last_act_at)),
-            ("ref_burst_in_window", JsonValue::U64(eng.burst_in_window())),
-            ("ref_refs_issued", JsonValue::U64(eng.refs_issued())),
-            ("ref_next_at", JsonValue::U64(eng.next_ref_at())),
-            ("raa", JsonValue::U64(self.raa.get(b).copied().unwrap_or(0))),
-            (
-                "defense",
-                self.defenses[b]
-                    .snapshot_state()
-                    .map_err(|e| CkptError::Defense { bank: b, detail: e })?,
-            ),
-        ]))
+        write_obj(out, |w| {
+            w.opt_u64("open_row", open_row.map(|r| u64::from(r.0)))
+                .u64("hits_on_open_row", u64::from(hits))
+                .u64("ready_at", ready_at)
+                .opt_u64("last_act_at", last_act_at)
+                .u64("ref_burst_in_window", eng.burst_in_window())
+                .u64("ref_refs_issued", eng.refs_issued())
+                .u64("ref_next_at", eng.next_ref_at())
+                .u64("raa", self.raa.get(b).copied().unwrap_or(0));
+            self.defenses[b]
+                .write_state(w.key("defense"))
+                .map_err(|e| CkptError::Defense { bank: b, detail: e })
+        })
     }
 
     /// Replays state captured by [`snapshot`](Self::snapshot) into this

@@ -38,9 +38,9 @@ use std::sync::{Arc, Mutex};
 use dram_model::geometry::RowId;
 use dram_model::timing::{DramTiming, Picoseconds};
 use graphene_core::GrapheneConfig;
-use telemetry::json::{obj, JsonValue};
+use telemetry::json::{push_u64s, write_obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, lane};
+use crate::ckpt::{expect_scheme, parse_written};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 fn bits_for(x: u64) -> u32 {
@@ -318,42 +318,33 @@ impl AbacusCore {
         *self = AbacusCore::new(cfg);
     }
 
-    fn snapshot(&self) -> JsonValue {
-        obj(vec![
-            ("scheme", JsonValue::Str("abacus".to_owned())),
-            ("current_window", JsonValue::U64(self.current_window)),
-            ("spillover", JsonValue::U64(self.spillover)),
-            ("spillover_sav", JsonValue::U64(self.spillover_sav)),
-            ("suppress_next_lookup", JsonValue::U64(u64::from(self.suppress_next_lookup))),
-            (
-                "table",
-                obj(vec![
-                    ("rows", lane(self.rows.iter().map(|&r| u64::from(r)))),
-                    ("counts", lane(self.counts.iter().copied())),
-                    ("savs", lane(self.savs.iter().copied())),
-                    ("masks", lane(self.masks.iter().copied())),
-                    ("crossings", lane(self.crossings.iter().copied())),
-                ]),
-            ),
-            (
-                "pending",
-                JsonValue::Arr(
-                    self.pending.iter().map(|p| lane(p.iter().map(|&r| u64::from(r)))).collect(),
-                ),
-            ),
-            (
-                "stats",
-                obj(vec![
-                    ("activations", JsonValue::U64(self.stats.activations)),
-                    ("nrrs_issued", JsonValue::U64(self.stats.nrrs_issued)),
-                    ("victim_rows_requested", JsonValue::U64(self.stats.victim_rows_requested)),
-                    ("window_resets", JsonValue::U64(self.stats.window_resets)),
-                    ("inserts", JsonValue::U64(self.stats.inserts)),
-                    ("evictions", JsonValue::U64(self.stats.evictions)),
-                    ("spillover_peak", JsonValue::U64(self.stats.spillover_peak)),
-                ]),
-            ),
-        ])
+    fn write(&self, out: &mut String) {
+        write_obj(out, |w| {
+            w.str("scheme", "abacus")
+                .u64("current_window", self.current_window)
+                .u64("spillover", self.spillover)
+                .u64("spillover_sav", self.spillover_sav)
+                .u64("suppress_next_lookup", u64::from(self.suppress_next_lookup));
+            w.obj("table", |w| {
+                w.u64s("rows", self.rows.iter().map(|&r| u64::from(r)))
+                    .u64s("counts", self.counts.iter().copied())
+                    .u64s("savs", self.savs.iter().copied())
+                    .u64s("masks", self.masks.iter().copied())
+                    .u64s("crossings", self.crossings.iter().copied());
+            });
+            w.items("pending", &self.pending, |out, p| {
+                push_u64s(out, p.iter().map(|&r| u64::from(r)));
+            });
+            w.obj("stats", |w| {
+                w.u64("activations", self.stats.activations)
+                    .u64("nrrs_issued", self.stats.nrrs_issued)
+                    .u64("victim_rows_requested", self.stats.victim_rows_requested)
+                    .u64("window_resets", self.stats.window_resets)
+                    .u64("inserts", self.stats.inserts)
+                    .u64("evictions", self.stats.evictions)
+                    .u64("spillover_peak", self.stats.spillover_peak);
+            });
+        });
     }
 
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
@@ -521,8 +512,13 @@ impl RowHammerDefense for AbacusDefense {
         self.lock().clear();
     }
 
+    fn write_state(&self, out: &mut String) -> Result<(), String> {
+        self.lock().write(out);
+        Ok(())
+    }
+
     fn snapshot_state(&self) -> Result<JsonValue, String> {
-        Ok(self.lock().snapshot())
+        parse_written(self)
     }
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {

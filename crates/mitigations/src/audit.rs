@@ -33,9 +33,9 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use telemetry::json::{obj, JsonValue};
+use telemetry::json::{push_u64s, write_obj, JsonValue};
 
-use crate::ckpt::expect_scheme;
+use crate::ckpt::{expect_scheme, parse_written};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// Parameters of the Graphene no-false-negatives certificate.
@@ -217,26 +217,22 @@ impl AuditedDefense {
     }
 }
 
-/// A JSON array of `entry(index, value)` for every nonzero entry of `v`.
-/// The histories are bank-sized but sparse, so all-zero blocks are skipped
-/// with one branch-free test each.
-fn sparse<T: Copy + Default + PartialEq>(
-    v: &[T],
-    entry: impl Fn(usize, T) -> JsonValue,
-) -> JsonValue {
+/// Every nonzero entry of `v` as `(index, value)`. The histories are
+/// bank-sized but sparse, so all-zero blocks are skipped with one
+/// branch-free test each.
+fn nonzero<T: Copy + Default + PartialEq>(v: &[T]) -> impl Iterator<Item = (u64, T)> + '_ {
     const BLOCK: usize = 64;
     let zero = T::default();
-    let mut out = Vec::new();
-    for (b, block) in v.chunks(BLOCK).enumerate() {
-        if block.iter().fold(false, |any, &x| any | (x != zero)) {
-            for (i, &x) in block.iter().enumerate() {
-                if x != zero {
-                    out.push(entry(b * BLOCK + i, x));
-                }
-            }
-        }
-    }
-    JsonValue::Arr(out)
+    v.chunks(BLOCK)
+        .enumerate()
+        .filter(move |(_, block)| block.iter().fold(false, |any, &x| any | (x != zero)))
+        .flat_map(move |(b, block)| {
+            block
+                .iter()
+                .enumerate()
+                .filter(move |&(_, &x)| x != zero)
+                .map(move |(i, &x)| ((b * BLOCK + i) as u64, x))
+        })
 }
 
 impl RowHammerDefense for AuditedDefense {
@@ -370,25 +366,24 @@ impl RowHammerDefense for AuditedDefense {
         self.inner.inject_fault(fault)
     }
 
-    fn snapshot_state(&self) -> Result<JsonValue, String> {
+    fn write_state(&self, out: &mut String) -> Result<(), String> {
         // Sparse encodings: activation history and shadow accounts are
         // bank-sized (64Ki rows) but a realistic run touches a small
         // fraction, so only set bits / nonzero counts are written.
-        let activated = sparse(&self.activated, |i, _| JsonValue::U64(i as u64));
-        let pairs = |v: &[u32]| {
-            sparse(v, |i, c| {
-                JsonValue::Arr(vec![JsonValue::U64(i as u64), JsonValue::U64(u64::from(c))])
-            })
-        };
-        Ok(obj(vec![
-            ("scheme", JsonValue::Str("audited".to_owned())),
-            ("any_act", JsonValue::U64(u64::from(self.any_act))),
-            ("current_window", JsonValue::U64(self.current_window)),
-            ("activated", activated),
-            ("shadow_counts", pairs(&self.shadow_counts)),
-            ("shadow_nrrs", pairs(&self.shadow_nrrs)),
-            ("inner", self.inner.snapshot_state()?),
-        ]))
+        let pair = |out: &mut String, (i, c): (u64, u32)| push_u64s(out, [i, u64::from(c)]);
+        write_obj(out, |w| {
+            w.str("scheme", "audited")
+                .u64("any_act", u64::from(self.any_act))
+                .u64("current_window", self.current_window)
+                .u64s("activated", nonzero(&self.activated).map(|(i, _)| i))
+                .items("shadow_counts", nonzero(&self.shadow_counts), pair)
+                .items("shadow_nrrs", nonzero(&self.shadow_nrrs), pair);
+            self.inner.write_state(w.key("inner"))
+        })
+    }
+
+    fn snapshot_state(&self) -> Result<JsonValue, String> {
+        parse_written(self)
     }
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {

@@ -31,9 +31,9 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use freq_elems::CountMinCore;
 use graphene_core::GrapheneConfig;
-use telemetry::json::{obj, JsonValue};
+use telemetry::json::{write_obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, lane};
+use crate::ckpt::{expect_scheme, parse_written};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits, ThrottleDecision};
 
 fn bits_for(x: u64) -> u32 {
@@ -271,32 +271,33 @@ impl RowHammerDefense for BlockHammerDefense {
         self.stats = BlockHammerStats::default();
     }
 
+    fn write_state(&self, out: &mut String) -> Result<(), String> {
+        write_obj(out, |w| {
+            w.str("scheme", "blockhammer")
+                .u64("epoch_idx", self.epoch_idx)
+                .u64("next_allowed", self.next_allowed)
+                .u64("suppress_next_query", u64::from(self.suppress_next_query))
+                .u64("depth", self.cfg.depth as u64)
+                .u64("width", self.cfg.width as u64)
+                .items("filters", &self.filters, |out, f| {
+                    write_obj(out, |w| {
+                        w.u64s("counters", f.counters().iter().copied())
+                            .u64("stream_len", f.stream_len());
+                    });
+                });
+            w.obj("stats", |w| {
+                w.u64("activations", self.stats.activations)
+                    .u64("blacklist_hits", self.stats.blacklist_hits)
+                    .u64("throttled_acts", self.stats.throttled_acts)
+                    .u64("throttle_delay", self.stats.throttle_delay)
+                    .u64("epoch_swaps", self.stats.epoch_swaps);
+            });
+        });
+        Ok(())
+    }
+
     fn snapshot_state(&self) -> Result<JsonValue, String> {
-        let filter = |f: &CountMinCore| {
-            obj(vec![
-                ("counters", lane(f.counters().iter().copied())),
-                ("stream_len", JsonValue::U64(f.stream_len())),
-            ])
-        };
-        Ok(obj(vec![
-            ("scheme", JsonValue::Str("blockhammer".to_owned())),
-            ("epoch_idx", JsonValue::U64(self.epoch_idx)),
-            ("next_allowed", JsonValue::U64(self.next_allowed)),
-            ("suppress_next_query", JsonValue::U64(u64::from(self.suppress_next_query))),
-            ("depth", JsonValue::U64(self.cfg.depth as u64)),
-            ("width", JsonValue::U64(self.cfg.width as u64)),
-            ("filters", JsonValue::Arr(vec![filter(&self.filters[0]), filter(&self.filters[1])])),
-            (
-                "stats",
-                obj(vec![
-                    ("activations", JsonValue::U64(self.stats.activations)),
-                    ("blacklist_hits", JsonValue::U64(self.stats.blacklist_hits)),
-                    ("throttled_acts", JsonValue::U64(self.stats.throttled_acts)),
-                    ("throttle_delay", JsonValue::U64(self.stats.throttle_delay)),
-                    ("epoch_swaps", JsonValue::U64(self.stats.epoch_swaps)),
-                ]),
-            ),
-        ]))
+        parse_written(self)
     }
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {

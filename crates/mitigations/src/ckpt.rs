@@ -1,15 +1,23 @@
 //! Shared JSON plumbing for defense checkpoint state.
 //!
-//! Checkpoint state is rendered by hand on top of [`telemetry::json`] and
-//! read back with its typed reads ([`JsonValue::int`], [`JsonValue::ints`],
-//! …). [`telemetry::json::parse`] is integer-first (`u64` before `f64`), so
+//! Checkpoint state is written straight into the checkpoint buffer by each
+//! scheme's [`RowHammerDefense::write_state`] with
+//! [`telemetry::json::write_obj`], and read back with the typed reads
+//! ([`JsonValue::int`], [`JsonValue::ints`], …).
+//! [`telemetry::json::parse`] is integer-first (`u64` before `f64`), so
 //! every counter and packed bitmask word round-trips exactly.
 
-use telemetry::json::JsonValue;
+use telemetry::json::{self, JsonValue};
 
-/// Renders an iterator of `u64` as a JSON array.
-pub(crate) fn lane(values: impl IntoIterator<Item = u64>) -> JsonValue {
-    JsonValue::Arr(values.into_iter().map(JsonValue::U64).collect())
+use crate::defense::RowHammerDefense;
+
+/// The [`RowHammerDefense::snapshot_state`] of every scheme that writes its
+/// state directly: the parse of what its
+/// [`write_state`](RowHammerDefense::write_state) writes.
+pub(crate) fn parse_written(d: &(impl RowHammerDefense + ?Sized)) -> Result<JsonValue, String> {
+    let mut out = String::new();
+    d.write_state(&mut out)?;
+    json::parse(&out)
 }
 
 /// Checks the checkpoint's `scheme` tag against the restoring defense.

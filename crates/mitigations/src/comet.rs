@@ -26,9 +26,9 @@ use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use freq_elems::CountMinCore;
 use graphene_core::GrapheneConfig;
-use telemetry::json::{obj, JsonValue};
+use telemetry::json::{write_obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, lane};
+use crate::ckpt::{expect_scheme, parse_written};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 fn bits_for(x: u64) -> u32 {
@@ -305,40 +305,36 @@ impl RowHammerDefense for CometDefense {
         self.stats = CometStats::default();
     }
 
+    fn write_state(&self, out: &mut String) -> Result<(), String> {
+        write_obj(out, |w| {
+            w.str("scheme", "comet")
+                .u64("current_window", self.current_window)
+                .u64("suppress_next_lookup", u64::from(self.suppress_next_lookup));
+            w.obj("cms", |w| {
+                w.u64("depth", self.cms.depth() as u64)
+                    .u64("width", self.cms.width() as u64)
+                    .u64s("counters", self.cms.counters().iter().copied())
+                    .u64("stream_len", self.cms.stream_len());
+            });
+            w.obj("rat", |w| {
+                w.u64s("rows", self.rat_rows.iter().map(|&r| u64::from(r)))
+                    .u64s("counts", self.rat_counts.iter().copied());
+            });
+            w.obj("stats", |w| {
+                w.u64("activations", self.stats.activations)
+                    .u64("nrrs_issued", self.stats.nrrs_issued)
+                    .u64("victim_rows_requested", self.stats.victim_rows_requested)
+                    .u64("window_resets", self.stats.window_resets)
+                    .u64("rat_inserts", self.stats.rat_inserts)
+                    .u64("rat_evictions", self.stats.rat_evictions)
+                    .u64("discounts", self.stats.discounts);
+            });
+        });
+        Ok(())
+    }
+
     fn snapshot_state(&self) -> Result<JsonValue, String> {
-        Ok(obj(vec![
-            ("scheme", JsonValue::Str("comet".to_owned())),
-            ("current_window", JsonValue::U64(self.current_window)),
-            ("suppress_next_lookup", JsonValue::U64(u64::from(self.suppress_next_lookup))),
-            (
-                "cms",
-                obj(vec![
-                    ("depth", JsonValue::U64(self.cms.depth() as u64)),
-                    ("width", JsonValue::U64(self.cms.width() as u64)),
-                    ("counters", lane(self.cms.counters().iter().copied())),
-                    ("stream_len", JsonValue::U64(self.cms.stream_len())),
-                ]),
-            ),
-            (
-                "rat",
-                obj(vec![
-                    ("rows", lane(self.rat_rows.iter().map(|&r| u64::from(r)))),
-                    ("counts", lane(self.rat_counts.iter().copied())),
-                ]),
-            ),
-            (
-                "stats",
-                obj(vec![
-                    ("activations", JsonValue::U64(self.stats.activations)),
-                    ("nrrs_issued", JsonValue::U64(self.stats.nrrs_issued)),
-                    ("victim_rows_requested", JsonValue::U64(self.stats.victim_rows_requested)),
-                    ("window_resets", JsonValue::U64(self.stats.window_resets)),
-                    ("rat_inserts", JsonValue::U64(self.stats.rat_inserts)),
-                    ("rat_evictions", JsonValue::U64(self.stats.rat_evictions)),
-                    ("discounts", JsonValue::U64(self.stats.discounts)),
-                ]),
-            ),
-        ]))
+        parse_written(self)
     }
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {

@@ -150,7 +150,7 @@ pub trait RowHammerDefense {
     /// queued, batched) with the same `(row, now)` sequence, so a stateful
     /// implementation stays bit-identical under batched dispatch, and the
     /// state it mutates here must be covered by
-    /// [`snapshot_state`](Self::snapshot_state). Wrappers
+    /// [`write_state`](Self::write_state). Wrappers
     /// ([`AuditedDefense`](crate::AuditedDefense),
     /// [`InstrumentedDefense`](crate::InstrumentedDefense)) forward to their
     /// inner scheme so the feedback path survives decoration. Default:
@@ -189,21 +189,49 @@ pub trait RowHammerDefense {
     /// own windows; exposed for tests and reuse across runs).
     fn reset(&mut self);
 
-    /// Serializes the defense's complete dynamic state as a JSON value for
-    /// a run checkpoint, such that [`restore_state`](Self::restore_state) on
-    /// a freshly configured instance of the same scheme resumes
-    /// bit-identically to the snapshotted one. Default: checkpointing is
-    /// unsupported — the streaming fleet runner refuses to checkpoint a run
-    /// whose defense cannot round-trip its state, rather than silently
+    /// Renders the defense's complete dynamic state into `out` as one
+    /// compact JSON value for a run checkpoint, such that
+    /// [`restore_state`](Self::restore_state) of its parse on a freshly
+    /// configured instance of the same scheme resumes bit-identically to
+    /// the snapshotted one. This is the checkpoint writer: the controller
+    /// calls it for every bank, and a wrapper renders its own fields and
+    /// then calls its inner scheme's.
+    ///
+    /// Every scheme that checkpoints writes its fields and counter lanes
+    /// straight into `out` with [`telemetry::json::write_obj`], building no
+    /// tree. The default renders [`snapshot_state`](Self::snapshot_state),
+    /// so a decorator that forwards only the tree hooks still writes its
+    /// inner scheme's bytes.
+    ///
+    /// # Errors
+    ///
+    /// The unsupported-checkpointing default of
+    /// [`snapshot_state`](Self::snapshot_state). On error `out` may end in
+    /// a partial value.
+    fn write_state(&self, out: &mut String) -> Result<(), String> {
+        self.snapshot_state()?.render_into(out);
+        Ok(())
+    }
+
+    /// The defense's checkpoint state as a JSON tree: the parse of what
+    /// [`write_state`](Self::write_state) writes, and what
+    /// [`restore_state`](Self::restore_state) reads. Default: checkpointing
+    /// is unsupported — the streaming fleet runner refuses to checkpoint a
+    /// run whose defense cannot round-trip its state, rather than silently
     /// resuming from a reset tracker.
+    ///
+    /// # Errors
+    ///
+    /// The unsupported-checkpointing default.
     fn snapshot_state(&self) -> Result<telemetry::json::JsonValue, String> {
         Err(format!("{} does not support checkpointing", self.name()))
     }
 
-    /// Replays state captured by [`snapshot_state`](Self::snapshot_state)
-    /// into this instance. The instance must have been built from the same
-    /// configuration as the snapshotted one; implementations validate what
-    /// they can (scheme tag, table dimensions) and refuse mismatches.
+    /// Replays state captured by [`write_state`](Self::write_state) (as
+    /// parsed) into this instance. The instance must have been built from
+    /// the same configuration as the snapshotted one; implementations
+    /// validate what they can (scheme tag, table dimensions) and refuse
+    /// mismatches.
     ///
     /// # Errors
     ///

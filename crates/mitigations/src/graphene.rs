@@ -5,9 +5,9 @@ use dram_model::timing::Picoseconds;
 use graphene_core::mechanism::GrapheneSnapshot;
 use graphene_core::table::TableSnapshot;
 use graphene_core::{CamStats, ConfigError, Graphene, GrapheneConfig, GrapheneStats};
-use telemetry::json::{obj, JsonValue};
+use telemetry::json::{write_obj, JsonValue};
 
-use crate::ckpt::{expect_scheme, lane};
+use crate::ckpt::{expect_scheme, parse_written};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// Adapter exposing [`graphene_core::Graphene`] as a [`RowHammerDefense`].
@@ -85,48 +85,42 @@ impl RowHammerDefense for GrapheneDefense {
         self.inner.force_reset();
     }
 
-    fn snapshot_state(&self) -> Result<JsonValue, String> {
+    fn write_state(&self, out: &mut String) -> Result<(), String> {
         let s = self.inner.snapshot();
-        Ok(obj(vec![
-            ("scheme", JsonValue::Str("graphene".to_owned())),
-            ("current_window", JsonValue::U64(s.current_window)),
-            ("nrrs_this_window", JsonValue::U64(s.nrrs_this_window)),
-            (
-                "stats",
-                obj(vec![
-                    ("activations", JsonValue::U64(s.stats.activations)),
-                    ("nrrs_issued", JsonValue::U64(s.stats.nrrs_issued)),
-                    ("victim_rows_requested", JsonValue::U64(s.stats.victim_rows_requested)),
-                    ("table_resets", JsonValue::U64(s.stats.table_resets)),
-                    ("evictions", JsonValue::U64(s.stats.evictions)),
-                ]),
-            ),
-            (
-                "table",
-                obj(vec![
-                    ("keys", lane(s.table.keys.iter().map(|&k| u64::from(k)))),
-                    ("low", lane(s.table.low.iter().map(|&k| u64::from(k)))),
-                    ("valid", lane(s.table.valid.iter().copied())),
-                    ("overflow", lane(s.table.overflow.iter().map(|&b| u64::from(b)))),
-                    ("crossings", lane(s.table.crossings.iter().copied())),
-                    ("spillover", JsonValue::U64(s.table.spillover)),
-                    ("acts_since_reset", JsonValue::U64(s.table.acts_since_reset)),
-                    (
-                        "cam",
-                        obj(vec![
-                            ("addr_searches", JsonValue::U64(s.table.stats.addr_searches)),
-                            ("addr_writes", JsonValue::U64(s.table.stats.addr_writes)),
-                            ("count_searches", JsonValue::U64(s.table.stats.count_searches)),
-                            ("count_writes", JsonValue::U64(s.table.stats.count_writes)),
-                            (
-                                "spillover_increments",
-                                JsonValue::U64(s.table.stats.spillover_increments),
-                            ),
-                        ]),
-                    ),
-                ]),
-            ),
-        ]))
+        write_obj(out, |w| {
+            w.str("scheme", "graphene")
+                .u64("current_window", s.current_window)
+                .u64("nrrs_this_window", s.nrrs_this_window);
+            w.obj("stats", |w| {
+                w.u64("activations", s.stats.activations)
+                    .u64("nrrs_issued", s.stats.nrrs_issued)
+                    .u64("victim_rows_requested", s.stats.victim_rows_requested)
+                    .u64("table_resets", s.stats.table_resets)
+                    .u64("evictions", s.stats.evictions);
+            });
+            w.obj("table", |w| {
+                let t = &s.table;
+                w.u64s("keys", t.keys.iter().map(|&k| u64::from(k)))
+                    .u64s("low", t.low.iter().map(|&k| u64::from(k)))
+                    .u64s("valid", t.valid.iter().copied())
+                    .u64s("overflow", t.overflow.iter().map(|&b| u64::from(b)))
+                    .u64s("crossings", t.crossings.iter().copied())
+                    .u64("spillover", t.spillover)
+                    .u64("acts_since_reset", t.acts_since_reset);
+                w.obj("cam", |w| {
+                    w.u64("addr_searches", t.stats.addr_searches)
+                        .u64("addr_writes", t.stats.addr_writes)
+                        .u64("count_searches", t.stats.count_searches)
+                        .u64("count_writes", t.stats.count_writes)
+                        .u64("spillover_increments", t.stats.spillover_increments);
+                });
+            });
+        });
+        Ok(())
+    }
+
+    fn snapshot_state(&self) -> Result<JsonValue, String> {
+        parse_written(self)
     }
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {

@@ -2,9 +2,9 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use telemetry::json::{obj, JsonValue};
+use telemetry::json::{write_obj, JsonValue};
 
-use crate::ckpt::expect_scheme;
+use crate::ckpt::{expect_scheme, parse_written};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits};
 
 /// A defense that does nothing — the unprotected baseline against which
@@ -35,9 +35,16 @@ impl RowHammerDefense for NoDefense {
 
     fn reset(&mut self) {}
 
-    fn snapshot_state(&self) -> Result<JsonValue, String> {
+    fn write_state(&self, out: &mut String) -> Result<(), String> {
         // Stateless: the scheme tag is the whole checkpoint.
-        Ok(obj(vec![("scheme", JsonValue::Str("none".to_owned()))]))
+        write_obj(out, |w| {
+            w.str("scheme", "none");
+        });
+        Ok(())
+    }
+
+    fn snapshot_state(&self) -> Result<JsonValue, String> {
+        parse_written(self)
     }
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {

@@ -23,9 +23,9 @@
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
-use telemetry::json::{obj, JsonValue};
+use telemetry::json::{write_obj, JsonValue};
 
-use crate::ckpt::expect_scheme;
+use crate::ckpt::{expect_scheme, parse_written};
 use crate::defense::{RefreshAction, RowHammerDefense, TableBits, ThrottleDecision};
 
 /// Wraps a defense so its NRRs are issued as DDR5 RFM commands.
@@ -112,12 +112,16 @@ impl RowHammerDefense for RfmIssuer {
         self.inner.inject_fault(fault)
     }
 
-    fn snapshot_state(&self) -> Result<JsonValue, String> {
+    fn write_state(&self, out: &mut String) -> Result<(), String> {
         // The wrapper itself is stateless; only the inner scheme round-trips.
-        Ok(obj(vec![
-            ("scheme", JsonValue::Str("rfm-issuer".to_owned())),
-            ("inner", self.inner.snapshot_state()?),
-        ]))
+        write_obj(out, |w| {
+            w.str("scheme", "rfm-issuer");
+            self.inner.write_state(w.key("inner"))
+        })
+    }
+
+    fn snapshot_state(&self) -> Result<JsonValue, String> {
+        parse_written(self)
     }
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {

@@ -58,6 +58,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dram_model::geometry::DramGeometry;
+use dram_model::Generation;
+use graphene_core::ConfigError;
 use memctrl::{
     CkptError, MappingPolicy, McBuilder, McConfig, McError, SystemController, SystemStats,
 };
@@ -105,6 +107,15 @@ pub enum FleetError {
         position: u64,
         /// The underlying failure.
         source: std::io::Error,
+    },
+    /// The defense's parameters do not derive for this run's geometry (a
+    /// threshold too low for Graphene's counter table, say): refused
+    /// before the system is built.
+    DefenseConfig {
+        /// The defense that failed to derive.
+        spec: DefenseSpec,
+        /// Why its derivation refused.
+        source: ConfigError,
     },
     /// The routing front end rejected an access.
     Route {
@@ -188,6 +199,9 @@ impl fmt::Display for FleetError {
             FleetError::TraceStream { position, source } => {
                 write!(f, "trace stream failed at record {position}: {source}")
             }
+            FleetError::DefenseConfig { spec, source } => {
+                write!(f, "defense {}: {source}", spec.spec_string())
+            }
             FleetError::Route { position, source } => {
                 write!(f, "routing failed at record {position}: {source}")
             }
@@ -230,6 +244,7 @@ impl std::error::Error for FleetError {
             FleetError::Trace { source, .. }
             | FleetError::TraceStream { source, .. }
             | FleetError::CkptIo { source, .. } => Some(source),
+            FleetError::DefenseConfig { source, .. } => Some(source),
             FleetError::Route { source, .. } => Some(source),
             FleetError::Snapshot { source } | FleetError::Restore { source } => Some(source),
             FleetError::RetriesExhausted { last, .. } => Some(last.as_ref()),
@@ -406,10 +421,11 @@ fn line_crc(line: &[u8], body: &mut u32) -> u32 {
 /// footer line with a CRC32C per body line plus one over the whole body, so
 /// any later bit rot or truncation is detected at read time.
 ///
-/// The file is rendered into one buffer: the shard lines are rendered
-/// straight after the header ([`SystemController::snapshot_into`], one
-/// bank's defense tree at a time) and framed where they lie, in one CRC
-/// pass; the buffer goes to the filesystem in one write.
+/// The file is rendered into one buffer: the shard lines are written
+/// straight after the header ([`SystemController::snapshot_into`], every
+/// defense through its `write_state`, with no JSON tree) and framed where
+/// they lie, in one CRC pass; the buffer goes to the filesystem in one
+/// write.
 ///
 /// # Errors
 ///
@@ -715,6 +731,11 @@ impl<'a> Replay<'a> {
         let fs = cfg.vfs();
         let reader = TraceReader::open_for_on(fs.clone(), trace, &cfg.system.geometry)
             .map_err(|source| FleetError::Trace { path: trace.to_path_buf(), source })?;
+        // `build_system` builds every defense through the spec's
+        // `DefenseFactory`, for DDR4-2400 and the geometry's bank size.
+        cfg.defense
+            .derive_for(Generation::Ddr4_2400, cfg.system.geometry.rows_per_bank)
+            .map_err(|source| FleetError::DefenseConfig { spec: cfg.defense, source })?;
         let (fingerprint, system) = (CkptFingerprint::of(cfg), cfg.build_system());
         Ok(Replay { cfg, trace, fs, reader, fingerprint, system, done: 0 })
     }
@@ -1368,6 +1389,8 @@ mod tests {
             (DefenseSpec::BlockHammer { t_rh: 2_000 }, false, (274_367, 0xc209_1c68)),
             (DefenseSpec::Abacus { t_rh: 2_000, k: 2 }, false, (281_896, 0x755e_90ca)),
             (DefenseSpec::None, false, (8_021, 0xdd5a_acb0)),
+            (DefenseSpec::Comet { t_rh: 2_000 }, true, (112_559, 0x9ae8_9510)),
+            (DefenseSpec::Abacus { t_rh: 2_000, k: 2 }, true, (377_234, 0xb994_be0d)),
         ];
         let trace = small_trace(&small_cfg(), 12_000);
         for (defense, audit, pin) in golden {
@@ -1383,6 +1406,72 @@ mod tests {
             assert_eq!(found, pin, "{} audit {audit}", defense.spec_string());
             fs::remove_file(&ckpt).ok();
         }
+        fs::remove_file(&trace).ok();
+    }
+
+    /// A decorator shaped like the benchmark's activation tap: it forwards
+    /// the tree hooks, `snapshot_state` and `restore_state`, but not
+    /// `write_state`, so its checkpoint goes through the trait's default.
+    struct TreeHooksOnly(Box<dyn mitigations::RowHammerDefense + Send>);
+
+    impl mitigations::RowHammerDefense for TreeHooksOnly {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn on_activation(
+            &mut self,
+            row: dram_model::RowId,
+            now: dram_model::Picoseconds,
+        ) -> Vec<mitigations::RefreshAction> {
+            self.0.on_activation(row, now)
+        }
+
+        fn table_bits(&self) -> mitigations::TableBits {
+            self.0.table_bits()
+        }
+
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+
+        fn snapshot_state(&self) -> Result<JsonValue, String> {
+            self.0.snapshot_state()
+        }
+
+        fn restore_state(&mut self, state: &JsonValue) -> Result<(), String> {
+            self.0.restore_state(state)
+        }
+    }
+
+    /// The default `write_state` renders the parse of the direct writer's
+    /// text: every defense of the audited Graphene fleet wrapped in
+    /// [`TreeHooksOnly`] writes the bare fleet's checkpoint bytes.
+    #[test]
+    fn a_defense_forwarding_only_the_tree_hooks_writes_the_same_bytes() {
+        let mut cfg = small_cfg();
+        cfg.audit = true;
+        cfg.stop_after = Some(7_500);
+        let trace = small_trace(&cfg, 12_000);
+        let (spec, rows) = (cfg.defense, cfg.system.geometry.rows_per_bank);
+        let mut written = Vec::new();
+        for wrapped in [false, true] {
+            let ckpt = tmp("tree-hooks.ckpt");
+            let mut run = cfg.clone();
+            run.checkpoint = Some(ckpt.clone());
+            let mut replay = Replay::open(&run, &trace).unwrap();
+            if wrapped {
+                replay.system = McBuilder::new(run.system.clone())
+                    .mapping(run.policy)
+                    .defenses_with(|bank| Box::new(TreeHooksOnly(spec.build_audited(bank, rows))))
+                    .build_system();
+            }
+            replay.run(None, &mut |_| {}).unwrap();
+            written.push(fs::read(&ckpt).unwrap());
+            fs::remove_file(&ckpt).ok();
+        }
+        assert_eq!(written[0].len(), 392_163, "the audited Graphene golden pin's length");
+        assert!(written[0] == written[1], "the default write_state moved a byte");
         fs::remove_file(&trace).ok();
     }
 
@@ -1522,6 +1611,40 @@ mod tests {
         let err = run_fleet(&cfg, &trace, |_| {}).unwrap_err();
         assert!(matches!(err, FleetError::Snapshot { .. }), "{err:?}");
         assert!(err.to_string().contains("fault oracle"), "{err}");
+        fs::remove_file(&trace).ok();
+    }
+
+    /// A threshold the Graphene derivation refuses is a typed error from
+    /// both drivers, raised before the system is built, not a panic in
+    /// the defense factory.
+    #[test]
+    fn an_underivable_defense_is_a_typed_error() {
+        let mut cfg = small_cfg();
+        let trace = small_trace(&cfg, 1_000);
+        cfg.defense = DefenseSpec::Graphene { t_rh: 50, k: 2 };
+        let err = run_fleet(&cfg, &trace, |_| {}).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FleetError::DefenseConfig {
+                    source: ConfigError::TooManyEntries { n_entry: 84_900 },
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("N_entry = 84900"), "{err}");
+        cfg.defense = DefenseSpec::HardenedGraphene { t_rh: 2, k: 2 };
+        cfg.checkpoint = Some(tmp("underivable.ckpt"));
+        let err =
+            run_fleet_supervised(&SupervisorConfig::new(cfg), &trace, None, |_| {}).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FleetError::DefenseConfig { source: ConfigError::ThresholdTooLow { .. }, .. }
+            ),
+            "{err:?}"
+        );
         fs::remove_file(&trace).ok();
     }
 

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use dram_model::Generation;
-use graphene_core::GrapheneConfig;
+use dram_model::{DramTiming, Generation};
+use graphene_core::{ConfigError, GrapheneConfig};
 use memctrl::DefenseFactory;
 use mitigations::{
     AbacusConfig, AbacusDefense, AuditConfig, AuditedDefense, BlockHammerConfig,
@@ -250,6 +250,31 @@ impl DefenseSpec {
         }
     }
 
+    /// Derives this spec's parameters for `generation` and a bank of
+    /// `rows_per_bank` rows without building the system: `Ok` when
+    /// [`build_for`](Self::build_for) and its audited form derive them, and
+    /// the refusal otherwise. Only Graphene and its hardened variant derive
+    /// a counter table here; every other spec reads `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] Graphene's derivation refuses with, e.g. a
+    /// threshold so low that `T` is zero
+    /// ([`ConfigError::ThresholdTooLow`]) or the table outgrows its index
+    /// ([`ConfigError::TooManyEntries`]).
+    pub(crate) fn derive_for(
+        &self,
+        generation: Generation,
+        rows_per_bank: u32,
+    ) -> Result<(), ConfigError> {
+        match *self {
+            DefenseSpec::Graphene { t_rh, k } | DefenseSpec::HardenedGraphene { t_rh, k } => {
+                graphene(t_rh, k, rows_per_bank, generation.timing()).map(drop)
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Builds one per-bank instance for the paper's DDR4-2400 device;
     /// `bank` seeds RNG-based schemes.
     ///
@@ -279,25 +304,12 @@ impl DefenseSpec {
         match *self {
             DefenseSpec::None => Box::new(NoDefense::new()),
             DefenseSpec::Graphene { t_rh, k } => {
-                let cfg = GrapheneConfig::builder()
-                    .row_hammer_threshold(t_rh)
-                    .reset_window_divisor(k)
-                    .rows_per_bank(rows_per_bank)
-                    .timing(timing)
-                    .build()
-                    .expect("valid Graphene config");
-                Box::new(GrapheneDefense::from_config(&cfg).expect("derivable"))
+                Box::new(graphene(t_rh, k, rows_per_bank, timing).expect("derivable"))
             }
-            DefenseSpec::HardenedGraphene { t_rh, k } => {
-                let cfg = GrapheneConfig::builder()
-                    .row_hammer_threshold(t_rh)
-                    .reset_window_divisor(k)
-                    .rows_per_bank(rows_per_bank)
-                    .timing(timing)
-                    .build()
-                    .expect("valid Graphene config");
-                Box::new(HardenedGraphene::from_config(&cfg).expect("derivable"))
-            }
+            DefenseSpec::HardenedGraphene { t_rh, k } => Box::new(HardenedGraphene::new(
+                graphene(t_rh, k, rows_per_bank, timing).expect("derivable"),
+                rows_per_bank,
+            )),
             DefenseSpec::Para { p } => Box::new(Para::new(p, bank as u64 + 1)),
             DefenseSpec::Prohit => {
                 Box::new(Prohit::new(ProhitConfig::micro2020(), bank as u64 + 1))
@@ -389,14 +401,8 @@ impl DefenseSpec {
         // including while it degrades under injected corruption.
         if let DefenseSpec::Graphene { t_rh, k } | DefenseSpec::HardenedGraphene { t_rh, k } = *self
         {
-            let params = GrapheneConfig::builder()
-                .row_hammer_threshold(t_rh)
-                .reset_window_divisor(k)
-                .rows_per_bank(rows_per_bank)
-                .timing(timing)
-                .build()
-                .expect("valid Graphene config")
-                .derive()
+            let params = graphene_config(t_rh, k, rows_per_bank, timing)
+                .and_then(|c| c.derive())
                 .expect("derivable");
             cfg.max_radius = params.blast_radius;
             cfg.certify = Some(ShadowCert {
@@ -497,6 +503,33 @@ impl DefenseSpec {
             DefenseSpec::Graphene { t_rh, k: 2 },
         ]
     }
+}
+
+/// Graphene's configuration for `t_rh` and `k` on `timing` and a bank of
+/// `rows_per_bank` rows: the one builder chain every Graphene-derived spec
+/// of this module runs.
+fn graphene_config(
+    t_rh: u64,
+    k: u32,
+    rows_per_bank: u32,
+    timing: DramTiming,
+) -> Result<GrapheneConfig, ConfigError> {
+    GrapheneConfig::builder()
+        .row_hammer_threshold(t_rh)
+        .reset_window_divisor(k)
+        .rows_per_bank(rows_per_bank)
+        .timing(timing)
+        .build()
+}
+
+/// The Graphene engine of [`graphene_config`].
+fn graphene(
+    t_rh: u64,
+    k: u32,
+    rows_per_bank: u32,
+    timing: DramTiming,
+) -> Result<GrapheneDefense, ConfigError> {
+    GrapheneDefense::from_config(&graphene_config(t_rh, k, rows_per_bank, timing)?)
 }
 
 /// [`DefenseSpec`] is *the* defense factory of the repo: the sim runner,

@@ -13,8 +13,12 @@
 //! There is one renderer, [`JsonValue::render_into`]: it appends compact
 //! JSON to a caller's string, writing integer digits and unescaped string
 //! runs directly rather than through `fmt`, so multi-megabyte checkpoint
-//! documents render at memory speed. `Display` delegates to it. The parser
-//! is linear in the input: unescaped string runs are copied as one slice.
+//! documents render at memory speed. `Display` delegates to it. State too
+//! large to build as a tree first (a checkpoint's counter lanes) is written
+//! straight into the buffer with [`write_obj`], whose [`ObjWriter`] renders
+//! every value, comma and brace with the same functions, so it writes the
+//! bytes the rendered tree would. The parser is linear in the input:
+//! unescaped string runs are copied as one slice.
 //!
 //! Parsed documents are taken apart with one set of typed reads
 //! ([`JsonValue::field`], [`int`](JsonValue::int),
@@ -196,34 +200,122 @@ impl JsonValue {
             JsonValue::U64(n) => push_u64(out, *n),
             JsonValue::F64(v) => push_f64(out, *v),
             JsonValue::Str(s) => push_escaped(out, s),
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    // Checkpoint lanes are long integer arrays: render their
-                    // elements without a recursive call each.
-                    match item {
-                        JsonValue::U64(n) => push_u64(out, *n),
-                        other => other.render_into(out),
-                    }
+            // Checkpoint lanes are long integer arrays: render their
+            // elements without a recursive call each.
+            JsonValue::Arr(items) => push_items(out, items, |out, item| match item {
+                JsonValue::U64(n) => push_u64(out, *n),
+                other => other.render_into(out),
+            }),
+            JsonValue::Obj(fields) => write_obj(out, |w| {
+                for (k, v) in fields {
+                    v.render_into(w.key(k));
                 }
-                out.push(']');
-            }
-            JsonValue::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_key(out, k);
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
+            }),
         }
     }
+}
+
+/// Appends one JSON object to `out`, its fields written by `fields`
+/// through an [`ObjWriter`], and returns what `fields` returned.
+///
+/// This is how checkpoint state is written without a [`JsonValue`] tree:
+/// the writer renders every value with the renderers
+/// [`JsonValue::render_into`] uses (which itself renders objects through
+/// here), so a direct writer and the rendered tree of the same fields are
+/// the same bytes.
+pub fn write_obj<R>(out: &mut String, fields: impl FnOnce(&mut ObjWriter<'_>) -> R) -> R {
+    out.push('{');
+    let mut w = ObjWriter { out, empty: true };
+    let result = fields(&mut w);
+    w.out.push('}');
+    result
+}
+
+/// The fields of one object being written by [`write_obj`]: each call
+/// appends one field, and the writer places the commas.
+#[derive(Debug)]
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ObjWriter<'_> {
+    /// Opens field `key` and returns the buffer its value goes into: the
+    /// caller appends exactly one value there (a nested defense's state,
+    /// say).
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        push_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// An integer field.
+    pub fn u64(&mut self, key: &str, n: u64) -> &mut Self {
+        push_u64(self.key(key), n);
+        self
+    }
+
+    /// An integer field, or `null` for `None`.
+    pub fn opt_u64(&mut self, key: &str, n: Option<u64>) -> &mut Self {
+        match n {
+            Some(n) => push_u64(self.key(key), n),
+            None => self.key(key).push_str("null"),
+        }
+        self
+    }
+
+    /// A string field.
+    pub fn str(&mut self, key: &str, s: &str) -> &mut Self {
+        push_escaped(self.key(key), s);
+        self
+    }
+
+    /// An integer-array field: a checkpoint lane.
+    pub fn u64s(&mut self, key: &str, values: impl IntoIterator<Item = u64>) -> &mut Self {
+        push_u64s(self.key(key), values);
+        self
+    }
+
+    /// An array field, each element appended by `item`.
+    pub fn items<I: IntoIterator>(
+        &mut self,
+        key: &str,
+        items: I,
+        item: impl FnMut(&mut String, I::Item),
+    ) -> &mut Self {
+        push_items(self.key(key), items, item);
+        self
+    }
+
+    /// A nested-object field, written by `fields` as in [`write_obj`].
+    pub fn obj<R>(&mut self, key: &str, fields: impl FnOnce(&mut ObjWriter<'_>) -> R) -> R {
+        write_obj(self.key(key), fields)
+    }
+}
+
+/// Appends `[a,b,…]`, each element appended by `item`.
+fn push_items<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut item: impl FnMut(&mut String, I::Item),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// Appends `values` as an integer array.
+pub fn push_u64s(out: &mut String, values: impl IntoIterator<Item = u64>) {
+    push_items(out, values, push_u64);
 }
 
 /// Two ASCII digits per value below 100, so integers render two digits per
@@ -262,12 +354,6 @@ fn push_u64(out: &mut String, mut n: u64) {
     for &digit in &buf[i..] {
         out.push(char::from(digit));
     }
-}
-
-/// Appends `"key":` with `key` escaped: the opening of one object field.
-pub fn push_key(out: &mut String, key: &str) {
-    push_escaped(out, key);
-    out.push(':');
 }
 
 /// Renders `f64` per the module contract: shortest-roundtrip `Display` for
@@ -613,6 +699,41 @@ mod tests {
                         \"f\":[2.0,-0.25],\"b\":[true,false,null],\"e\":{}}";
         assert_eq!(out, format!("prefix {expected}"));
         assert_eq!(v.to_string(), expected);
+    }
+
+    #[test]
+    fn object_writer_writes_the_rendered_tree() {
+        let tree = obj(vec![
+            ("scheme", JsonValue::Str("a\"b".to_owned())),
+            ("n", JsonValue::U64(u64::MAX)),
+            ("none", JsonValue::Null),
+            ("some", JsonValue::U64(0)),
+            ("lane", JsonValue::Arr(vec![JsonValue::U64(10), JsonValue::U64(9)])),
+            ("empty", JsonValue::Arr(Vec::new())),
+            (
+                "pairs",
+                JsonValue::Arr(vec![JsonValue::Arr(vec![JsonValue::U64(1), JsonValue::U64(2)])]),
+            ),
+            ("nested", obj(vec![("x", JsonValue::U64(5)), ("e", obj(Vec::new()))])),
+            ("raw", JsonValue::Str("pre-rendered".to_owned())),
+        ]);
+        let mut out = String::from("prefix ");
+        let done = write_obj(&mut out, |w| {
+            w.str("scheme", "a\"b")
+                .u64("n", u64::MAX)
+                .opt_u64("none", None)
+                .opt_u64("some", Some(0));
+            w.u64s("lane", [10, 9]).u64s("empty", []).items("pairs", [(1, 2)], |out, (a, b)| {
+                push_u64s(out, [a, b]);
+            });
+            w.obj("nested", |w| {
+                w.u64("x", 5).obj("e", |_| {});
+            });
+            JsonValue::Str("pre-rendered".to_owned()).render_into(w.key("raw"));
+            "done"
+        });
+        assert_eq!(done, "done", "write_obj returns what its fields returned");
+        assert_eq!(out, format!("prefix {tree}"));
     }
 
     /// One object carrying, for every typed read, a good value, a mistyped
