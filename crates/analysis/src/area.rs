@@ -1,6 +1,6 @@
 //! Table-size models: Table IV and Figure 9(a).
 
-use graphene_core::GrapheneConfig;
+use graphene_core::{ConfigError, GrapheneConfig};
 use mitigations::{
     AbacusConfig, AbacusDefense, BlockHammerConfig, BlockHammerDefense, CbtConfig, CometConfig,
     CometDefense, RowHammerDefense, TableBits, TwiceConfig,
@@ -89,25 +89,25 @@ impl ArenaAreaComparison {
     ///
     /// Propagates any scheme's configuration-derivation error as text.
     pub fn at_threshold(t_rh: u64, banks: u32, rows_per_bank: u32) -> Result<Self, String> {
+        let text = |e: ConfigError| format!("{e:?}");
         let graphene = GrapheneConfig::builder()
             .row_hammer_threshold(t_rh)
             .rows_per_bank(rows_per_bank)
             .build()
-            .map_err(|e| format!("{e:?}"))?
+            .map_err(text)?
             .derive()
-            .map_err(|e| format!("{e:?}"))?;
-        let comet = CometDefense::new(CometConfig::for_threshold(t_rh, rows_per_bank)?);
+            .map_err(text)?;
+        let comet =
+            CometDefense::new(CometConfig::for_threshold(t_rh, rows_per_bank).map_err(text)?);
         // One facade over the genuinely shared table (`single` would shrink
         // the config to one bank and misreport the share).
-        let abacus = AbacusDefense::shared_for_banks(AbacusConfig::for_geometry(
-            t_rh,
-            2,
-            banks,
-            rows_per_bank,
-        )?)
+        let abacus = AbacusDefense::shared_for_banks(
+            AbacusConfig::for_geometry(t_rh, 2, banks, rows_per_bank).map_err(text)?,
+        )
         .swap_remove(0);
-        let blockhammer =
-            BlockHammerDefense::new(BlockHammerConfig::for_threshold(t_rh, rows_per_bank)?);
+        let blockhammer = BlockHammerDefense::new(
+            BlockHammerConfig::for_threshold(t_rh, rows_per_bank).map_err(text)?,
+        );
         Ok(ArenaAreaComparison {
             t_rh,
             graphene: TableBits { cam_bits: graphene.table_bits_per_bank(), sram_bits: 0 },

@@ -86,7 +86,7 @@ impl FnCertificate {
     ///
     /// Propagates the threshold derivation error as text.
     pub fn comet(t_rh: u64, rows_per_bank: u32) -> Result<Self, String> {
-        let cfg = CometConfig::for_threshold(t_rh, rows_per_bank)?;
+        let cfg = CometConfig::for_threshold(t_rh, rows_per_bank).map_err(|e| format!("{e:?}"))?;
         let params = GrapheneConfig::builder()
             .row_hammer_threshold(t_rh)
             .rows_per_bank(rows_per_bank)
@@ -116,7 +116,8 @@ impl FnCertificate {
     ///
     /// Propagates the threshold derivation error as text.
     pub fn blockhammer(t_rh: u64, rows_per_bank: u32) -> Result<Self, String> {
-        let cfg = BlockHammerConfig::for_threshold(t_rh, rows_per_bank)?;
+        let cfg =
+            BlockHammerConfig::for_threshold(t_rh, rows_per_bank).map_err(|e| format!("{e:?}"))?;
         // Reconstruct the cap from the actual integer-rounded config rather
         // than restating the ideal formula: unthrottled 2·N_BL per tREFW
         // plus (tREFW / interval) paced activations, doubled for a

@@ -340,6 +340,13 @@ pub enum ConfigError {
         /// The derived `N_entry`.
         n_entry: usize,
     },
+    /// A table shared across banks (ABACuS) spans `banks` banks outside
+    /// `1..=64`: its sharer vector and masks are one `u64`. A geometry
+    /// limit, not a threshold one.
+    BanksOutOfRange {
+        /// The requested number of sharing banks.
+        banks: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -359,6 +366,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "N_entry = {n_entry} exceeds the 65,535 entries a counter table can index"
             ),
+            ConfigError::BanksOutOfRange { banks } => {
+                write!(f, "ABACuS shares one u64 SAV: banks must be 1..=64, got {banks}")
+            }
         }
     }
 }

@@ -212,6 +212,34 @@ proptest! {
     }
 }
 
+/// The paper's table sizes (`T_RH` 50K down to the 2K class) on a
+/// miss-heavy stream: one ACT in 8 goes to a hot set of `N_entry / 2` rows,
+/// the rest are distinct rows that miss and run the spillover count search.
+/// Nearly every ACT replaces an entry and no count reaches `T`; the wraps
+/// are the property tests' job. Every step's `TableUpdate`, then the
+/// spillover and the whole final state, must match the linear reference.
+#[test]
+fn paper_sizes_match_on_a_miss_heavy_stream() {
+    const ACTS: u32 = 60_000;
+    for n_entry in [81usize, 672, 2_720] {
+        let mut x: u64 = 0x0DDB_1A5E_5BAD_5EED;
+        let stream: Vec<u32> = (0..ACTS)
+            .map(|step| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                if r.is_multiple_of(8) {
+                    (r >> 32) as u32 % (n_entry as u32 / 2)
+                } else {
+                    1_000_000 + step
+                }
+            })
+            .collect();
+        lockstep(n_entry, 2_048, &stream).unwrap_or_else(|e| panic!("N_entry {n_entry}: {e}"));
+    }
+}
+
 /// Deterministic stress: a long adversarial mix (hammer bursts, distinct-row
 /// floods, revisits) at Graphene-like sizing, checked step by step.
 #[test]

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 
 use dram_model::geometry::RowId;
 use dram_model::timing::{DramTiming, Picoseconds};
-use graphene_core::GrapheneConfig;
+use graphene_core::{ConfigError, GrapheneConfig};
 use telemetry::json::{push_u64s, write_obj, JsonValue};
 
 use crate::ckpt::{expect_scheme, parse_written};
@@ -81,9 +81,15 @@ impl AbacusConfig {
     ///
     /// # Errors
     ///
-    /// Rejects `banks` outside `1..=64` and propagates the Graphene
-    /// derivation error as text.
-    pub fn for_geometry(t_rh: u64, k: u32, banks: u32, rows_per_bank: u32) -> Result<Self, String> {
+    /// Rejects `banks` outside `1..=64` as
+    /// [`ConfigError::BanksOutOfRange`] and propagates the Graphene
+    /// derivation error.
+    pub fn for_geometry(
+        t_rh: u64,
+        k: u32,
+        banks: u32,
+        rows_per_bank: u32,
+    ) -> Result<Self, ConfigError> {
         Self::for_geometry_with_timing(t_rh, k, banks, rows_per_bank, DramTiming::ddr4_2400())
     }
 
@@ -93,27 +99,26 @@ impl AbacusConfig {
     ///
     /// # Errors
     ///
-    /// Rejects `banks` outside `1..=64` and propagates the Graphene
-    /// derivation error as text.
+    /// Rejects `banks` outside `1..=64` as
+    /// [`ConfigError::BanksOutOfRange`] and propagates the Graphene
+    /// derivation error.
     pub fn for_geometry_with_timing(
         t_rh: u64,
         k: u32,
         banks: u32,
         rows_per_bank: u32,
         timing: DramTiming,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, ConfigError> {
         if banks == 0 || banks > 64 {
-            return Err(format!("ABACuS shares one u64 SAV: banks must be 1..=64, got {banks}"));
+            return Err(ConfigError::BanksOutOfRange { banks });
         }
         let params = GrapheneConfig::builder()
             .row_hammer_threshold(t_rh)
             .reset_window_divisor(k)
             .rows_per_bank(rows_per_bank)
             .timing(timing)
-            .build()
-            .map_err(|e| format!("{e:?}"))?
-            .derive()
-            .map_err(|e| format!("{e:?}"))?;
+            .build()?
+            .derive()?;
         let tracking_threshold = (params.tracking_threshold / 2).max(1);
         let entries = (params.acts_per_window / tracking_threshold + 1) as usize;
         Ok(AbacusConfig {

@@ -30,7 +30,7 @@
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use freq_elems::CountMinCore;
-use graphene_core::GrapheneConfig;
+use graphene_core::{ConfigError, GrapheneConfig};
 use telemetry::json::{write_obj, JsonValue};
 
 use crate::ckpt::{expect_scheme, parse_written};
@@ -67,8 +67,8 @@ impl BlockHammerConfig {
     ///
     /// # Errors
     ///
-    /// Propagates the Graphene derivation error as text.
-    pub fn for_threshold(t_rh: u64, rows_per_bank: u32) -> Result<Self, String> {
+    /// Propagates the Graphene derivation error.
+    pub fn for_threshold(t_rh: u64, rows_per_bank: u32) -> Result<Self, ConfigError> {
         Self::for_threshold_with_timing(t_rh, rows_per_bank, dram_model::DramTiming::ddr4_2400())
     }
 
@@ -78,21 +78,19 @@ impl BlockHammerConfig {
     ///
     /// # Errors
     ///
-    /// Propagates the Graphene derivation error as text.
+    /// Propagates the Graphene derivation error.
     pub fn for_threshold_with_timing(
         t_rh: u64,
         rows_per_bank: u32,
         timing: dram_model::DramTiming,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, ConfigError> {
         let params = GrapheneConfig::builder()
             .row_hammer_threshold(t_rh)
             .reset_window_divisor(1) // reset_window == tREFW
             .rows_per_bank(rows_per_bank)
             .timing(timing)
-            .build()
-            .map_err(|e| format!("{e:?}"))?
-            .derive()
-            .map_err(|e| format!("{e:?}"))?;
+            .build()?
+            .derive()?;
         let t_refw = params.reset_window;
         Ok(BlockHammerConfig {
             row_hammer_threshold: t_rh,

@@ -25,7 +25,7 @@
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
 use freq_elems::CountMinCore;
-use graphene_core::GrapheneConfig;
+use graphene_core::{ConfigError, GrapheneConfig};
 use telemetry::json::{write_obj, JsonValue};
 
 use crate::ckpt::{expect_scheme, parse_written};
@@ -67,8 +67,8 @@ impl CometConfig {
     ///
     /// # Errors
     ///
-    /// Propagates the Graphene derivation error as text.
-    pub fn for_threshold(t_rh: u64, rows_per_bank: u32) -> Result<Self, String> {
+    /// Propagates the Graphene derivation error.
+    pub fn for_threshold(t_rh: u64, rows_per_bank: u32) -> Result<Self, ConfigError> {
         Self::for_threshold_with_timing(t_rh, rows_per_bank, dram_model::DramTiming::ddr4_2400())
     }
 
@@ -78,20 +78,18 @@ impl CometConfig {
     ///
     /// # Errors
     ///
-    /// Propagates the Graphene derivation error as text.
+    /// Propagates the Graphene derivation error.
     pub fn for_threshold_with_timing(
         t_rh: u64,
         rows_per_bank: u32,
         timing: dram_model::DramTiming,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, ConfigError> {
         let params = GrapheneConfig::builder()
             .row_hammer_threshold(t_rh)
             .rows_per_bank(rows_per_bank)
             .timing(timing)
-            .build()
-            .map_err(|e| format!("{e:?}"))?
-            .derive()
-            .map_err(|e| format!("{e:?}"))?;
+            .build()?
+            .derive()?;
         Ok(CometConfig {
             row_hammer_threshold: t_rh,
             nrr_threshold: params.tracking_threshold.max(1),

@@ -21,8 +21,9 @@
 //! "instrumented but discarding" hot path is the bare hot path. (A directly
 //! constructed [`InstrumentedDefense`] with a disabled sink keeps the
 //! wrapper but resolves its `active` flag once, paying one predictable
-//! branch.) `perf_snapshot` records the measured delta in
-//! `BENCH_hotpath.json` (acceptance: ≤ 2%).
+//! branch.) The unit tests pin that identity: the factory hands back the
+//! allocation it was given. perfbench's traced `telemetry.noop_ns` rung
+//! times the same call.
 
 use dram_model::geometry::RowId;
 use dram_model::timing::Picoseconds;
@@ -331,6 +332,15 @@ mod tests {
         let victims = snap.counters.iter().find(|(n, _)| n == "defense.victim_rows").unwrap().1;
         assert!(actions > 0);
         assert_eq!(victims, actions, "edge NRRs refresh exactly one row each");
+    }
+
+    #[test]
+    fn a_disabled_sink_gets_the_defense_back_unwrapped() {
+        let bare = graphene(5_000);
+        let addr = |d: &dyn RowHammerDefense| (d as *const dyn RowHammerDefense).cast::<()>();
+        let before = addr(bare.as_ref());
+        let out = instrumented(bare, Box::new(NoopSink), 0, 65_536, Cadence::EveryActs(1));
+        assert_eq!(addr(out.as_ref()), before, "a disabled sink must not interpose a wrapper");
     }
 
     #[test]

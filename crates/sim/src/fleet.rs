@@ -732,9 +732,11 @@ impl<'a> Replay<'a> {
         let reader = TraceReader::open_for_on(fs.clone(), trace, &cfg.system.geometry)
             .map_err(|source| FleetError::Trace { path: trace.to_path_buf(), source })?;
         // `build_system` builds every defense through the spec's
-        // `DefenseFactory`, for DDR4-2400 and the geometry's bank size.
+        // `DefenseFactory`, for DDR4-2400, one channel's banks per
+        // controller and the geometry's bank size.
+        let geometry = &cfg.system.geometry;
         cfg.defense
-            .derive_for(Generation::Ddr4_2400, cfg.system.geometry.rows_per_bank)
+            .derive_for(Generation::Ddr4_2400, geometry.banks_per_channel(), geometry.rows_per_bank)
             .map_err(|source| FleetError::DefenseConfig { spec: cfg.defense, source })?;
         let (fingerprint, system) = (CkptFingerprint::of(cfg), cfg.build_system());
         Ok(Replay { cfg, trace, fs, reader, fingerprint, system, done: 0 })
@@ -1614,9 +1616,10 @@ mod tests {
         fs::remove_file(&trace).ok();
     }
 
-    /// A threshold the Graphene derivation refuses is a typed error from
-    /// both drivers, raised before the system is built, not a panic in
-    /// the defense factory.
+    /// A threshold the derivation refuses is a typed error from both
+    /// drivers, raised before the system is built, not a panic in the
+    /// defense factory: Graphene's table, and the CoMeT, ABACuS and
+    /// BlockHammer configurations derived from the same threshold.
     #[test]
     fn an_underivable_defense_is_a_typed_error() {
         let mut cfg = small_cfg();
@@ -1634,6 +1637,17 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("N_entry = 84900"), "{err}");
+        for spec in ["comet@2", "abacus@2,k=2", "blockhammer@2"] {
+            cfg.defense = DefenseSpec::parse(spec).unwrap();
+            let err = run_fleet(&cfg, &trace, |_| {}).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FleetError::DefenseConfig { source: ConfigError::ThresholdTooLow { .. }, .. }
+                ),
+                "{spec}: {err:?}"
+            );
+        }
         cfg.defense = DefenseSpec::HardenedGraphene { t_rh: 2, k: 2 };
         cfg.checkpoint = Some(tmp("underivable.ckpt"));
         let err =

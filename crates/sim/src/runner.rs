@@ -17,36 +17,25 @@ use memctrl::{
 };
 use mitigations::RowHammerDefense;
 use rh_analysis::EnergyModel;
-use telemetry::{Cadence, MetricsSink, NoopSink, Recorder, SharedSink, Snapshot};
+use telemetry::{Cadence, MetricsSink, SharedSink, Snapshot};
 
 use crate::pool;
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
 
 /// Telemetry wiring for a campaign: how often instrumented defenses and the
-/// controller tap sample, how much history each per-bank ring keeps, and
-/// whether to use a recording sink at all.
+/// controller tap sample into the campaign's recorder, whose per-bank rings
+/// keep [`telemetry::DEFAULT_RING_CAPACITY`] samples each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySpec {
     /// Sample every this many ACTs (must be ≥ 1).
     pub every_acts: u64,
-    /// Ring capacity per (metric, bank) series.
-    pub ring_capacity: usize,
-    /// Wire the instrumentation but with a [`NoopSink`]: nothing is
-    /// recorded and the run must be bit-identical to an uninstrumented one.
-    /// This is the configuration `perf_snapshot` measures.
-    pub noop: bool,
 }
 
 impl TelemetrySpec {
     /// Recording telemetry sampling every `every_acts` ACTs.
     pub fn every_acts(every_acts: u64) -> Self {
         assert!(every_acts > 0, "telemetry cadence of 0 never fires");
-        TelemetrySpec { every_acts, ring_capacity: telemetry::DEFAULT_RING_CAPACITY, noop: false }
-    }
-
-    /// Instrumentation wired but discarding everything (overhead probes).
-    pub fn noop() -> Self {
-        TelemetrySpec { noop: true, ..TelemetrySpec::every_acts(1_000) }
+        TelemetrySpec { every_acts }
     }
 }
 
@@ -205,23 +194,13 @@ pub(crate) fn worst_disturbance(mc: &MemoryController) -> u64 {
         .ceil() as u64
 }
 
-/// The sink an instrumented component reports to: the cell's shared
-/// recorder, or a discarding [`NoopSink`] when nothing is recorded.
-pub(crate) fn sink_for(shared: &Option<SharedSink>) -> Box<dyn MetricsSink + Send> {
-    match shared {
-        Some(s) => Box::new(s.clone()),
-        None => Box::new(NoopSink),
-    }
-}
-
 /// A [`DefenseFactory`] that wraps every defense `inner` builds in
-/// [`mitigations::instrumented`], one wrapper per bank. All-bank pools are
-/// wrapped too, so ABACuS keeps its one shared table per controller under
-/// telemetry; with a noop sink the wrapper is the identity, so the built
-/// system is the uninstrumented one.
+/// [`mitigations::instrumented`], one wrapper per bank, all reporting to
+/// `shared`. All-bank pools are wrapped too, so ABACuS keeps its one shared
+/// table per controller under telemetry.
 pub(crate) struct InstrumentedFactory<'a> {
     pub(crate) inner: &'a dyn DefenseFactory,
-    pub(crate) shared: &'a Option<SharedSink>,
+    pub(crate) shared: &'a SharedSink,
     pub(crate) cadence: Cadence,
 }
 
@@ -232,7 +211,7 @@ impl InstrumentedFactory<'_> {
         rows_per_bank: u32,
         defense: Box<dyn RowHammerDefense + Send>,
     ) -> Box<dyn RowHammerDefense + Send> {
-        let sink = sink_for(self.shared);
+        let sink = Box::new(self.shared.clone());
         mitigations::instrumented(defense, sink, bank as u16, rows_per_bank, self.cadence)
     }
 }
@@ -265,7 +244,7 @@ impl DefenseFactory for InstrumentedFactory<'_> {
 /// through [`execute`], and scores it against `baseline`. Under telemetry
 /// every defense goes through [`mitigations::instrumented`] and the
 /// controller gets a [`TelemetryTap`], all feeding one shared recorder per
-/// cell; a noop spec (or no spec) yields no snapshot.
+/// cell; no spec yields no snapshot.
 fn run_cell(
     cfg: &SimConfig,
     defense: &DefenseSpec,
@@ -278,15 +257,13 @@ fn run_cell(
     let (mc, shared) = match &cfg.telemetry {
         None => (builder.defenses(defense).build(), None),
         Some(spec) => {
-            let shared = (!spec.noop).then(|| {
-                SharedSink::with_recorder(Recorder::with_ring_capacity(spec.ring_capacity))
-            });
+            let shared = SharedSink::new();
             let cadence = Cadence::EveryActs(spec.every_acts);
             let mc = builder
                 .defenses(&InstrumentedFactory { inner: defense, shared: &shared, cadence })
-                .telemetry(TelemetryTap::new(sink_for(&shared), cadence))
+                .telemetry(TelemetryTap::new(Box::new(shared.clone()), cadence))
                 .build();
-            (mc, shared)
+            (mc, Some(shared))
         }
     };
     let (mc, stats) = execute(mc, workload, cfg.accesses, cfg.seed, audit);
@@ -455,12 +432,12 @@ pub struct CellTelemetry {
 pub struct MatrixTelemetry {
     /// Per-cell reports, (workload-major, defense-minor).
     pub reports: Vec<SimReport>,
-    /// Per-cell snapshots (empty when the campaign ran without a recording
-    /// sink, i.e. `telemetry: None` or a noop spec).
+    /// Per-cell snapshots (empty when the campaign ran with
+    /// `telemetry: None`).
     pub cells: Vec<CellTelemetry>,
     /// Live sweep progress: series `sweep.jobs_done` over wall-clock time
     /// (ps since sweep start), one sample per finished baseline or cell
-    /// (empty without a recording sink).
+    /// (empty without telemetry).
     pub sweep: Snapshot,
 }
 
@@ -508,7 +485,7 @@ pub fn try_run_matrix(
 
     // Live sweep progress: one sample per finished baseline or cell,
     // timestamped in wall-clock picoseconds since sweep start.
-    let sweep_sink = cfg.telemetry.filter(|s| !s.noop).map(|_| SharedSink::new());
+    let sweep_sink = cfg.telemetry.map(|_| SharedSink::new());
     let sweep_start = Instant::now();
     let jobs_done = AtomicUsize::new(0);
     let job_done = || {

@@ -250,26 +250,41 @@ impl DefenseSpec {
         }
     }
 
-    /// Derives this spec's parameters for `generation` and a bank of
-    /// `rows_per_bank` rows without building the system: `Ok` when
-    /// [`build_for`](Self::build_for) and its audited form derive them, and
-    /// the refusal otherwise. Only Graphene and its hardened variant derive
-    /// a counter table here; every other spec reads `Ok`.
+    /// Derives this spec's parameters for `generation`, a controller of
+    /// `banks` banks and a bank of `rows_per_bank` rows without building
+    /// the system: `Ok` when [`build_for`](Self::build_for), its audited
+    /// form and the all-bank pool derive them, and the refusal otherwise.
+    /// It runs the constructors those builds run: Graphene's (and its
+    /// hardened variant's), CoMeT's, ABACuS's and BlockHammer's. Every
+    /// other spec reads `Ok`.
     ///
     /// # Errors
     ///
-    /// The [`ConfigError`] Graphene's derivation refuses with, e.g. a
-    /// threshold so low that `T` is zero
-    /// ([`ConfigError::ThresholdTooLow`]) or the table outgrows its index
-    /// ([`ConfigError::TooManyEntries`]).
+    /// The [`ConfigError`] the derivation refuses with, e.g. a threshold so
+    /// low that `T` is zero ([`ConfigError::ThresholdTooLow`]), a Graphene
+    /// table that outgrows its index ([`ConfigError::TooManyEntries`]), or
+    /// an ABACuS table shared by more banks than its sharer vector holds
+    /// ([`ConfigError::BanksOutOfRange`]).
     pub(crate) fn derive_for(
         &self,
         generation: Generation,
+        banks: u32,
         rows_per_bank: u32,
     ) -> Result<(), ConfigError> {
+        let timing = generation.timing();
         match *self {
             DefenseSpec::Graphene { t_rh, k } | DefenseSpec::HardenedGraphene { t_rh, k } => {
-                graphene(t_rh, k, rows_per_bank, generation.timing()).map(drop)
+                graphene(t_rh, k, rows_per_bank, timing).map(drop)
+            }
+            DefenseSpec::Comet { t_rh } => {
+                CometConfig::for_threshold_with_timing(t_rh, rows_per_bank, timing).map(drop)
+            }
+            DefenseSpec::Abacus { t_rh, k } => {
+                AbacusConfig::for_geometry_with_timing(t_rh, k, banks, rows_per_bank, timing)
+                    .map(drop)
+            }
+            DefenseSpec::BlockHammer { t_rh } => {
+                BlockHammerConfig::for_threshold_with_timing(t_rh, rows_per_bank, timing).map(drop)
             }
             _ => Ok(()),
         }
@@ -862,6 +877,16 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_abacus_pool_past_one_sav_does_not_derive() {
+        let abacus = DefenseSpec::Abacus { t_rh: 50_000, k: 2 };
+        assert_eq!(abacus.derive_for(Generation::Ddr4_2400, 64, 65_536), Ok(()));
+        assert_eq!(
+            abacus.derive_for(Generation::Ddr4_2400, 65, 65_536),
+            Err(ConfigError::BanksOutOfRange { banks: 65 })
+        );
+    }
 
     #[test]
     fn all_defenses_build() {

@@ -1,6 +1,6 @@
-//! Telemetry must be observation-only: instrumented sweeps produce the same
-//! reports as uninstrumented ones, and recording sweeps actually contain the
-//! trajectory series the report tooling consumes.
+//! Telemetry must be observation-only: recording sweeps produce the same
+//! reports as uninstrumented ones, and actually contain the trajectory
+//! series the report tooling consumes.
 
 use rh_sim::{try_run_matrix, DefenseSpec, SimConfig, TelemetrySpec, WorkloadSpec};
 
@@ -14,17 +14,6 @@ fn defenses() -> Vec<DefenseSpec> {
 
 fn workloads() -> Vec<WorkloadSpec> {
     vec![WorkloadSpec::S3, WorkloadSpec::S1 { n: 10 }]
-}
-
-#[test]
-fn noop_instrumented_matrix_is_bit_identical() {
-    let plain = SimConfig::attack_bank(5_000, 8_000);
-    let noop = SimConfig { telemetry: Some(TelemetrySpec::noop()), ..plain.clone() };
-    let baseline = try_run_matrix(&plain, &defenses(), &workloads()).unwrap().reports;
-    let instrumented = try_run_matrix(&noop, &defenses(), &workloads()).unwrap();
-    assert_eq!(instrumented.reports, baseline, "NoopSink wiring must not perturb any run");
-    assert!(instrumented.cells.is_empty(), "noop spec records nothing");
-    assert!(instrumented.sweep.series.is_empty(), "noop spec skips sweep progress too");
 }
 
 #[test]
