@@ -22,7 +22,7 @@
 //! Usage:
 //!   chaos-fleet [--audit] [--trh N] [--threads N]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -97,6 +97,29 @@ impl Harness {
     }
 }
 
+const USAGE: &str = "usage: chaos-fleet [--audit] [--trh N] [--threads N]";
+
+/// The value of `--{flag}`: an integer of at least 1, or exit 2 with the
+/// usage message.
+fn positive(flag: &str, value: Option<String>) -> u64 {
+    match value.as_deref().map(str::parse::<u64>) {
+        Some(Ok(n)) if n > 0 => n,
+        _ => {
+            let got = value.map_or("nothing".to_owned(), |v| format!("`{v}`"));
+            eprintln!("--{flag} wants an integer of at least 1, got {got}\n{USAGE}");
+            exit(2);
+        }
+    }
+}
+
+/// Removes the harness's scratch directory and exits 1 with `msg`: the
+/// set-up failed before any scenario ran.
+fn abort(dir: &Path, msg: String) -> ! {
+    std::fs::remove_dir_all(dir).ok();
+    eprintln!("{msg}");
+    exit(1);
+}
+
 fn main() {
     let mut audit = audit_mode();
     let mut trh = 2_000u64;
@@ -105,12 +128,10 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--audit" => audit = true,
-            "--trh" => trh = it.next().and_then(|v| v.parse().ok()).unwrap_or(trh),
-            "--threads" => threads = it.next().and_then(|v| v.parse().ok()).unwrap_or(threads),
+            "--trh" => trh = positive("trh", it.next()),
+            "--threads" => threads = positive("threads", it.next()) as usize,
             other => {
-                eprintln!(
-                    "unknown flag `{other}`\nusage: chaos-fleet [--audit] [--trh N] [--threads N]"
-                );
+                eprintln!("unknown flag `{other}`\n{USAGE}");
                 exit(2);
             }
         }
@@ -131,9 +152,11 @@ fn main() {
     };
     println!("synthesizing {TRACE_LEN}-record fleet trace (audit: {audit}, t_rh: {trh})");
     synth_fleet_trace(&trace, "chaos-fleet", &probe.config().system.geometry, 48, TRACE_LEN, 7)
-        .unwrap();
+        .unwrap_or_else(|e| abort(&dir, format!("trace synthesis failed: {e}")));
     println!("computing fault-free reference digest");
-    probe.reference = Some(run_fleet(&probe.config(), &trace, |_| {}).unwrap().stats);
+    let reference = run_fleet(&probe.config(), &trace, |_| {})
+        .unwrap_or_else(|e| abort(&dir, format!("fault-free reference run failed: {e}")));
+    probe.reference = Some(reference.stats);
     let mut h = probe;
 
     torn_checkpoint_crash_then_resume(&mut h);

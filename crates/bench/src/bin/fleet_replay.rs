@@ -83,6 +83,16 @@ impl Args {
         })
     }
 
+    /// [`num`](Self::num) for a count that must be at least 1.
+    fn positive(&self, key: &str, default: u64) -> u64 {
+        let n = self.num(key, default);
+        if n == 0 {
+            eprintln!("--{key} must be at least 1");
+            usage();
+        }
+        n
+    }
+
     fn path(&self, key: &str) -> PathBuf {
         PathBuf::from(self.get(key).unwrap_or_else(|| {
             eprintln!("--{key} is required");
@@ -102,7 +112,7 @@ fn geometry(small: bool) -> DramGeometry {
 fn synth(args: &Args) {
     let out = args.path("out");
     let small = args.has("small");
-    let clients = args.num("clients", if small { 64 } else { 2_048 });
+    let clients = args.positive("clients", if small { 64 } else { 2_048 });
     let clients = u16::try_from(clients).unwrap_or_else(|_| {
         eprintln!("--clients must fit u16 (stream ids are u16)");
         usage();
@@ -156,11 +166,11 @@ fn run(args: &Args) {
         FleetConfig::micro2020(DefenseSpec::Graphene { t_rh: args.num("trh", 50_000), k: 2 });
     cfg.system.geometry = geometry(small);
     cfg.audit = args.has("audit") || audit_mode();
-    cfg.threads = args.num(
+    cfg.threads = args.positive(
         "threads",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4) as u64,
     ) as usize;
-    cfg.segment = args.num("segment", if small { 10_000 } else { 1_000_000 });
+    cfg.segment = args.positive("segment", if small { 10_000 } else { 1_000_000 });
     cfg.checkpoint = args.get("checkpoint").map(PathBuf::from);
     cfg.stop_after = args.get("stop-after").map(|_| args.num("stop-after", 0));
     banner("fleet-replay run");

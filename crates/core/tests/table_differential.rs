@@ -18,6 +18,11 @@
 //! * `suppress_next_lookup` is exercised in the unit suites only: the
 //!   reference models stored bits, not transient compare-line glitches.
 //!
+//! The small-scope section at the end enumerates every activation stream up
+//! to the sizing bound for two tiny table shapes, instead of sampling
+//! them, and checks the proof's claims (Lemma 1, Lemma 2, the Theorem)
+//! after every ACT; PROOFS.md lists the shapes it covers.
+//!
 //! [`TableUpdate`]: graphene_core::TableUpdate
 //! [`CamStats`]: graphene_core::CamStats
 
@@ -270,4 +275,113 @@ fn long_adversarial_stream_stays_identical() {
         }
     }
     assert_same_state(&soa, &linear).unwrap();
+}
+
+/// One node of the exhaustive stream tree: both tables after the stream so
+/// far, and each row's actual ACT count and the triggers it has received.
+/// Rows are numbered `0..actual.len()` in order of first appearance.
+#[derive(Clone)]
+struct Node {
+    soa: CounterTable,
+    linear: LinearCounterTable,
+    actual: Vec<u64>,
+    triggers: Vec<u64>,
+}
+
+impl Node {
+    fn new(n_entry: usize, t: u64) -> Self {
+        Node {
+            soa: CounterTable::new(n_entry, t),
+            linear: LinearCounterTable::new(n_entry, t),
+            actual: Vec::new(),
+            triggers: Vec::new(),
+        }
+    }
+
+    /// Activates `row` (at most one past the highest row seen) on both
+    /// tables, then checks that they answered alike and that the proof's
+    /// claims hold, naming the first claim that fails.
+    fn act(&mut self, row: usize) -> Result<(), String> {
+        if row == self.actual.len() {
+            self.actual.push(0);
+            self.triggers.push(0);
+        }
+        let a = self.soa.process_activation(RowId(row as u32));
+        let b = self.linear.process_activation(RowId(row as u32));
+        if a != b {
+            return Err(format!("tables diverged: {a:?} vs the reference's {b:?}"));
+        }
+        self.actual[row] += 1;
+        self.triggers[row] += u64::from(a.triggered());
+        for (r, estimate, _) in self.soa.iter() {
+            let actual = self.actual[r.0 as usize];
+            if estimate < actual {
+                return Err(format!("Lemma 1: row {} estimated {estimate} < {actual}", r.0));
+            }
+        }
+        let (spillover, acts) = (self.soa.spillover(), self.soa.acts_since_reset());
+        if spillover * (self.soa.capacity() as u64 + 1) > acts {
+            return Err(format!("Lemma 2: spillover {spillover} after {acts} ACTs"));
+        }
+        let t = self.soa.tracking_threshold();
+        for (r, (&actual, &triggers)) in self.actual.iter().zip(&self.triggers).enumerate() {
+            if triggers < actual / t {
+                return Err(format!("Theorem: row {r} has {actual} ACTs but {triggers} triggers"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Visits every stream of at most `max_len` ACTs that extends `stream`
+/// (whose tables `node` holds), with rows relabelled in order of first
+/// appearance (restricted growth strings), so each stream shape is visited
+/// once. Returns how many streams it visited.
+fn walk(node: &Node, stream: &mut Vec<usize>, max_len: usize) -> u64 {
+    if stream.len() == max_len {
+        return 0;
+    }
+    let mut visited = 0;
+    for row in 0..=node.actual.len() {
+        let mut child = node.clone();
+        stream.push(row);
+        child.act(row).unwrap_or_else(|e| panic!("{e}, after the stream {stream:?}"));
+        visited += 1 + walk(&child, stream, max_len);
+        stream.pop();
+    }
+    visited
+}
+
+/// Every stream up to `W_max = (N+1)T − 1` ACTs, the longest window
+/// Inequality 1 sizes `N` entries for, for `(N, T) = (3, 3)` and `(2, 4)`
+/// (`W_max = 11` for both), without faults: the two tables agree after
+/// every ACT and Lemma 1, Lemma 2 and the Theorem hold.
+#[test]
+fn every_stream_up_to_the_sizing_bound_keeps_the_proof() {
+    // Σ Bell(1..=11): the number of stream shapes of 1 to 11 ACTs.
+    const SHAPES_UP_TO_11: u64 = 820_987;
+    for (n_entry, t) in [(3usize, 3u64), (2, 4)] {
+        let max_len = (n_entry + 1) * t as usize - 1;
+        assert_eq!(max_len, 11);
+        let visited = walk(&Node::new(n_entry, t), &mut Vec::new(), max_len);
+        assert_eq!(visited, SHAPES_UP_TO_11, "N = {n_entry}, T = {t}");
+    }
+}
+
+/// One ACT past the sizing bound the Theorem fails, as Inequality 1
+/// predicts, so the exhaustive check above is not vacuous: at N = 3, T = 3
+/// three rows fill the table at T each, and the fourth row's T ACTs all
+/// land on the spillover count, which Lemma 2 still allows (3 ≤ 12/4).
+#[test]
+fn one_act_past_the_sizing_bound_breaks_the_theorem() {
+    let mut node = Node::new(3, 3);
+    let stream = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3];
+    let (last, prefix) = stream.split_last().unwrap();
+    for &row in prefix {
+        node.act(row).unwrap();
+    }
+    let err = node.act(*last).unwrap_err();
+    assert_eq!(err, "Theorem: row 3 has 3 ACTs but 0 triggers");
+    assert!(!node.soa.is_tracked(RowId(3)));
+    assert_eq!(node.soa.spillover(), 3);
 }

@@ -14,7 +14,7 @@
 //! | `total_latency == Σ per_stream latencies + strays` | latency attribution loses nothing |
 //! | `victim_rows_refreshed ≥ defense_refresh_commands` | every charged defense command refreshed ≥ 1 real row |
 //! | `completion ≥ last issue time` | the clock never runs backwards past served work |
-//! | `stray_stream_accesses == 0` | the trace's stream ids matched the configured stream set |
+//! | `stray_stream_accesses == 0` | every stream id was below [`RunStats::MAX_TRACKED_STREAMS`] |
 //!
 //! [`StatsAudit::check_cross`] additionally compares a run against its
 //! baseline: a stream active in one but absent from the other would be
@@ -72,7 +72,8 @@ pub enum StatsFinding {
         /// Arrival time of the last issued access (ps).
         last_issue: Picoseconds,
     },
-    /// The trace carried stream ids outside the configured stream set.
+    /// The trace carried stream ids at or beyond
+    /// [`RunStats::MAX_TRACKED_STREAMS`].
     StrayStreams {
         /// Number of stray accesses.
         count: u64,

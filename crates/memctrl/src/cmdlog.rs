@@ -15,7 +15,6 @@
 //! assert zero violations — a regression net under every timing change.
 
 use dram_model::timing::{DramTiming, Picoseconds};
-use telemetry::json::JsonValue;
 
 /// One logged controller command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,44 +93,6 @@ impl CommandLog {
     /// True if nothing has been retained.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Renders the log as JSONL: a header line
-    /// `{"schema":"rh-cmdlog","version":1,"dropped":N}` followed by one
-    /// record per line, e.g. `{"bank":0,"at":45000,"cmd":"ACT","row":7}`.
-    /// Same hand-rolled JSON dialect as the telemetry snapshots, so the two
-    /// streams share downstream tooling.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let header = JsonValue::Obj(vec![
-            ("schema".into(), JsonValue::Str("rh-cmdlog".into())),
-            ("version".into(), JsonValue::U64(1)),
-            ("dropped".into(), JsonValue::U64(self.dropped)),
-        ]);
-        out.push_str(&header.to_string());
-        out.push('\n');
-        for r in &self.records {
-            let mut fields = vec![
-                ("bank".into(), JsonValue::U64(u64::from(r.bank))),
-                ("at".into(), JsonValue::U64(r.at)),
-            ];
-            match r.cmd {
-                LoggedCommand::Activate { row } => {
-                    fields.push(("cmd".into(), JsonValue::Str("ACT".into())));
-                    fields.push(("row".into(), JsonValue::U64(u64::from(row))));
-                }
-                LoggedCommand::Refresh => {
-                    fields.push(("cmd".into(), JsonValue::Str("REF".into())));
-                }
-                LoggedCommand::VictimRefresh { rows } => {
-                    fields.push(("cmd".into(), JsonValue::Str("VREF".into())));
-                    fields.push(("rows".into(), JsonValue::U64(rows)));
-                }
-            }
-            out.push_str(&JsonValue::Obj(fields).to_string());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -282,24 +243,6 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 1);
         assert_eq!(log.records()[0].at, 1);
-    }
-
-    #[test]
-    fn jsonl_export_round_trips_through_parser() {
-        let mut log = CommandLog::bounded(2);
-        log.push(act(0, 0));
-        log.push(CommandRecord { bank: 1, at: 50, cmd: LoggedCommand::Refresh });
-        log.push(CommandRecord { bank: 2, at: 99, cmd: LoggedCommand::VictimRefresh { rows: 4 } });
-        let text = log.to_jsonl();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "header + 2 retained records");
-        let header = telemetry::json::parse(lines[0]).unwrap();
-        assert_eq!(header.get("schema").and_then(JsonValue::as_str), Some("rh-cmdlog"));
-        assert_eq!(header.get("dropped").and_then(JsonValue::as_u64), Some(1));
-        let vref = telemetry::json::parse(lines[2]).unwrap();
-        assert_eq!(vref.get("cmd").and_then(JsonValue::as_str), Some("VREF"));
-        assert_eq!(vref.get("rows").and_then(JsonValue::as_u64), Some(4));
-        assert_eq!(vref.get("at").and_then(JsonValue::as_u64), Some(99));
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub struct McConfig {
     /// Ground-truth disturbance model; `None` disables the fault oracle
     /// (faster, for pure performance runs).
     pub fault_model: Option<DisturbanceModel>,
-    /// Number of workload streams the system is configured for. Accesses
-    /// carrying a stream id at or beyond this are counted as strays in
-    /// [`crate::RunStats`] (an audit finding) instead of being attributed
-    /// to a phantom stream.
-    pub max_streams: u16,
     /// DDR5/LPDDR5 Refresh Management accounting. When set the controller
     /// keeps a Rolling Accumulated ACT (RAA) counter per bank, debits it
     /// by RAAIMT per executed [`mitigations::RefreshAction::Rfm`], and
@@ -51,7 +46,6 @@ impl McConfig {
             geometry: DramGeometry::micro2020(),
             page_policy: PagePolicy::minimalist_open(),
             fault_model: Some(DisturbanceModel::ddr4_50k()),
-            max_streams: 1024,
             rfm: None,
             generation: Generation::Ddr4_2400,
         }
@@ -69,7 +63,6 @@ impl McConfig {
             geometry: DramGeometry::single_bank(rows),
             page_policy: PagePolicy::minimalist_open(),
             fault_model,
-            max_streams: 1024,
             rfm: None,
             generation: Generation::Ddr4_2400,
         }

@@ -17,7 +17,6 @@ use crate::cmdlog::{CommandLog, CommandRecord, LoggedCommand};
 use crate::config::McConfig;
 use crate::faults::{FaultInjector, FaultStats};
 use crate::mapping::SystemAddress;
-use crate::scheduler::{BankQueue, SchedulerConfig};
 use crate::stats::RunStats;
 use crate::tap::TelemetryTap;
 
@@ -53,14 +52,6 @@ pub enum McError {
         /// Zero-based index of the access within the run's batch.
         access_index: u64,
     },
-    /// A user-supplied [`SchedulerConfig`] cannot form batches (zero batch
-    /// size, or a queue too shallow to hold one batch).
-    InvalidScheduler {
-        /// The rejected batch size.
-        batch_size: usize,
-        /// The rejected queue depth.
-        queue_depth: usize,
-    },
 }
 
 impl std::fmt::Display for McError {
@@ -79,11 +70,6 @@ impl std::fmt::Display for McError {
                 geometry.ranks_per_channel,
                 geometry.banks_per_rank,
                 geometry.rows_per_bank
-            ),
-            McError::InvalidScheduler { batch_size, queue_depth } => write!(
-                f,
-                "scheduler config rejected: batch_size {batch_size} must be at least 1 and at \
-                 most queue_depth {queue_depth}"
             ),
         }
     }
@@ -320,19 +306,6 @@ impl MemoryController {
         self.oracles.as_ref().and_then(|o| o.get(bank))
     }
 
-    /// Records one served access against its stream, diverting ids outside
-    /// the configured stream set ([`McConfig::max_streams`]) to the stray
-    /// counters so a corrupt trace shows up as an audit finding instead of
-    /// a phantom stream.
-    fn note_stream(&mut self, stream: u16, latency: Picoseconds) {
-        if stream >= self.config.max_streams {
-            self.stats.stray_stream_accesses += 1;
-            self.stats.stray_stream_latency += latency;
-        } else {
-            self.stats.note_stream(stream, latency);
-        }
-    }
-
     /// Looks up the bank for an access, rejecting out-of-range indexes
     /// (historically these were silently wrapped with `%`, which masked
     /// address-mapping bugs as wrong-bank traffic).
@@ -354,7 +327,7 @@ impl MemoryController {
 
     /// Books one served access into the statistics, command log, telemetry,
     /// fault oracle, and defense hook — the common tail of the per-access
-    /// step, queued service and duplicate replay.
+    /// step and the command-duplication replay.
     fn apply_outcome(
         &mut self,
         bank_idx: usize,
@@ -367,7 +340,7 @@ impl MemoryController {
         let access_index = self.stats.accesses;
         self.stats.accesses += 1;
         self.stats.total_latency += outcome.finish - arrival;
-        self.note_stream(stream, outcome.finish - arrival);
+        self.stats.note_stream(stream, outcome.finish - arrival);
         self.stats.completion = self.stats.completion.max(outcome.finish);
         self.wall = self.wall.max(outcome.finish);
         if self.faults.is_some() {
@@ -532,89 +505,11 @@ impl MemoryController {
         self.stats.clone()
     }
 
-    /// Runs `n` accesses through per-bank request queues with batched
-    /// FR-FCFS scheduling (the PAR-BS-like policy of Table III), instead of
-    /// [`run`](Self::run)'s in-order service. Row hits within a batch are
-    /// served first, so streams with row-buffer locality complete faster;
-    /// everything else (defense hook, refresh machinery, fault oracle,
-    /// statistics) behaves identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::InvalidScheduler`] if the scheduler configuration
-    /// cannot form batches, and [`McError::BankOutOfRange`] on the first
-    /// access whose bank index does not exist in the configured geometry.
-    /// Work already queued is drained before returning the error, so the
-    /// statistics stay consistent.
-    pub fn try_run_queued(
-        &mut self,
-        workload: &mut dyn Workload,
-        n: u64,
-        scheduler: SchedulerConfig,
-    ) -> Result<RunStats, McError> {
-        if scheduler.batch_size < 1 || scheduler.queue_depth < scheduler.batch_size {
-            return Err(McError::InvalidScheduler {
-                batch_size: scheduler.batch_size,
-                queue_depth: scheduler.queue_depth,
-            });
-        }
-        let mut queues: Vec<BankQueue> =
-            (0..self.banks.len()).map(|_| BankQueue::new(scheduler)).collect();
-
-        let mut route_error = None;
-        for i in 0..n {
-            let access = workload.next_access();
-            self.clock += access.gap;
-            self.catch_up_refresh();
-            let bank_idx = match self.route(access.bank, i) {
-                Ok(idx) => idx,
-                Err(e) => {
-                    route_error = Some(e);
-                    break;
-                }
-            };
-
-            // Back-pressure: a full queue forces the oldest batch through.
-            while queues[bank_idx].is_full() {
-                self.serve_one_queued(&mut queues, bank_idx);
-            }
-            queues[bank_idx]
-                .push(access.row, self.clock, access.stream)
-                // invariant: the while-loop above drained until !is_full().
-                .expect("queue has space after back-pressure drain");
-
-            // Opportunistically serve any bank that is ready "now".
-            for b in 0..queues.len() {
-                while !queues[b].is_empty() && self.banks[b].ready_at() <= self.clock {
-                    self.serve_one_queued(&mut queues, b);
-                }
-            }
-        }
-        // Drain everything still queued.
-        for b in 0..queues.len() {
-            while !queues[b].is_empty() {
-                self.serve_one_queued(&mut queues, b);
-            }
-        }
-        let stats = self.finish_run();
-        route_error.map_or(Ok(stats), Err)
-    }
-
     /// Flushes the telemetry tap's tail and end-of-run gauges.
     fn finish_telemetry(&mut self) {
         if let Some(tap) = &mut self.telemetry {
             tap.finish(self.clock.max(self.wall), &self.stats);
         }
-    }
-
-    /// Serves the scheduler's pick for `bank_idx` (which must be non-empty).
-    fn serve_one_queued(&mut self, queues: &mut [BankQueue], bank_idx: usize) {
-        let open = self.banks[bank_idx].open_row();
-        // invariant: every caller gates on !queues[bank_idx].is_empty().
-        let req = queues[bank_idx].pop_next(open).expect("caller checked non-empty");
-        self.consult_throttle(bank_idx, req.row, req.arrival);
-        let outcome = self.banks[bank_idx].serve(req.row, req.arrival);
-        self.apply_outcome(bank_idx, req.row, req.arrival, req.stream, outcome);
     }
 
     /// Consults the bank's defense immediately before serving an access —
@@ -623,10 +518,10 @@ impl MemoryController {
     /// controller holds the bank so the access cannot start before
     /// `now + delay`, and accounts the decision in the run statistics.
     ///
-    /// Every dispatch path (the per-access step, queued, duplicate replay)
-    /// consults with exactly the `(row, now)` pair its `serve` call uses,
-    /// so a stateful throttle sees one identical decision stream regardless
-    /// of batching — preserving the batched-dispatch bit-identity contract.
+    /// Both callers (the per-access step and the command-duplication
+    /// replay) consult with exactly the `(row, now)` pair their `serve`
+    /// call uses, so a stateful throttle sees one decision stream however
+    /// the accesses were batched on their way in.
     fn consult_throttle(&mut self, bank_idx: usize, row: RowId, now: Picoseconds) {
         let decision = self.defenses[bank_idx].throttle_decision(row, now);
         if decision.is_throttled() {
@@ -1023,72 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn queued_mode_serves_everything() {
-        let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let stats = mc
-            .try_run_queued(
-                &mut Synthetic::s1(10, 65_536, 1),
-                20_000,
-                crate::scheduler::SchedulerConfig::par_bs_like(),
-            )
-            .unwrap();
-        assert_eq!(stats.accesses, 20_000);
-        assert_eq!(stats.activations + stats.row_hits, 20_000);
-    }
-
-    #[test]
-    fn batched_scheduling_beats_fcfs_on_interleaved_rows() {
-        // Two interleaved row streams: FCFS ping-pongs between rows, the
-        // batched scheduler groups row hits and finishes faster.
-        struct PingPong(u64);
-        impl Workload for PingPong {
-            fn name(&self) -> String {
-                "pingpong".into()
-            }
-            fn next_access(&mut self) -> workloads::Access {
-                self.0 += 1;
-                workloads::Access {
-                    bank: 0,
-                    row: RowId((self.0 % 2) as u32 * 64),
-                    gap: 0,
-                    stream: 0,
-                }
-            }
-        }
-        let run = |cfg: crate::scheduler::SchedulerConfig| {
-            let mut mc = no_defense_mc(McConfig {
-                page_policy: crate::PagePolicy::Open,
-                ..McConfig::single_bank(65_536, None)
-            });
-            mc.try_run_queued(&mut PingPong(0), 20_000, cfg).unwrap()
-        };
-        let fcfs = run(crate::scheduler::SchedulerConfig::fcfs());
-        let batched = run(crate::scheduler::SchedulerConfig::par_bs_like());
-        assert!(
-            batched.row_hits > fcfs.row_hits,
-            "batched {} hits vs fcfs {}",
-            batched.row_hits,
-            fcfs.row_hits
-        );
-        assert!(batched.completion < fcfs.completion);
-    }
-
-    #[test]
-    fn queued_mode_graphene_still_protects() {
-        let model = DisturbanceModel { t_rh: 5_000, mu: MuModel::Adjacent };
-        let mut mc = graphene_mc(McConfig::single_bank(65_536, Some(model)));
-        let stats = mc
-            .try_run_queued(
-                &mut Synthetic::s3(65_536, 1),
-                80_000,
-                crate::scheduler::SchedulerConfig::par_bs_like(),
-            )
-            .unwrap();
-        assert_eq!(stats.bit_flips, 0);
-        assert!(stats.victim_rows_refreshed > 0);
-    }
-
-    #[test]
     fn stats_snapshot_accumulates_across_runs() {
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
         mc.run(&mut Synthetic::s3(65_536, 1), 100);
@@ -1141,15 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn try_run_queued_reports_bad_bank_mapping() {
-        let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let err = mc
-            .try_run_queued(&mut WrongBank, 5, crate::scheduler::SchedulerConfig::par_bs_like())
-            .unwrap_err();
-        assert!(matches!(err, McError::BankOutOfRange { bank: 999, banks: 1, channel: 0, .. }));
-    }
-
-    #[test]
     fn batched_ingestion_matches_gap_driven_run_bit_identically() {
         // The shard-side equivalence: replaying a trace as absolutely
         // stamped batches must reproduce the legacy delta-gap path exactly,
@@ -1183,14 +1003,14 @@ mod tests {
         let _ = mc.run(&mut WrongBank, 1);
     }
 
-    /// A workload whose stream id lies outside the configured stream set.
-    struct StrayStream;
-    impl Workload for StrayStream {
+    /// A workload whose every access carries stream id `.0`.
+    struct OneStream(u16);
+    impl Workload for OneStream {
         fn name(&self) -> String {
-            "stray-stream".into()
+            "one-stream".into()
         }
         fn next_access(&mut self) -> workloads::Access {
-            workloads::Access { bank: 0, row: RowId(7), gap: 1_000, stream: 65_535 }
+            workloads::Access { bank: 0, row: RowId(7), gap: 1_000, stream: self.0 }
         }
     }
 
@@ -1200,12 +1020,22 @@ mod tests {
         // 64K-entry vec; now it lands in the stray counters, which the
         // audit flags while the exact latency invariant still holds.
         let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let stats = mc.run(&mut StrayStream, 10);
+        let stats = mc.run(&mut OneStream(65_535), 10);
         assert!(stats.per_stream.is_empty());
         assert_eq!(stats.stray_stream_accesses, 10);
         assert_eq!(stats.stray_stream_latency, stats.total_latency);
         let findings = crate::StatsAudit::check(&stats).unwrap_err();
         assert!(findings.iter().any(|f| matches!(f, crate::StatsFinding::StrayStreams { .. })));
+
+        // The bound itself: 1023 is the last tracked id, 1024 the first stray.
+        let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
+        let stats = mc.run(&mut OneStream(1_023), 3);
+        assert_eq!(stats.per_stream.len(), 1_024);
+        assert_eq!(stats.per_stream[1_023].0, 3);
+        assert_eq!(stats.stray_stream_accesses, 0);
+        let stats = mc.run(&mut OneStream(1_024), 2);
+        assert_eq!(stats.per_stream.len(), 1_024);
+        assert_eq!(stats.stray_stream_accesses, 2);
     }
 
     #[test]
@@ -1226,28 +1056,6 @@ mod tests {
         assert!(oracle.max_disturbance() > 0.0);
         assert!(mc.oracle(1).is_none());
         assert!(no_defense_mc(McConfig::single_bank(64, None)).oracle(0).is_none());
-    }
-
-    #[test]
-    fn invalid_scheduler_config_is_an_error_not_a_panic() {
-        let mut mc = no_defense_mc(McConfig::single_bank(65_536, None));
-        let err = mc
-            .try_run_queued(
-                &mut Synthetic::s3(65_536, 1),
-                10,
-                SchedulerConfig { batch_size: 0, queue_depth: 4 },
-            )
-            .unwrap_err();
-        assert_eq!(err, McError::InvalidScheduler { batch_size: 0, queue_depth: 4 });
-        let err = mc
-            .try_run_queued(
-                &mut Synthetic::s3(65_536, 1),
-                10,
-                SchedulerConfig { batch_size: 8, queue_depth: 4 },
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("batch_size 8"));
-        assert_eq!(mc.stats().accesses, 0, "rejected runs must not serve anything");
     }
 
     use faultsim::FaultSpec;

@@ -2,8 +2,8 @@
 //!
 //! The [`FaultInjector`] owns a [`faultsim::FaultPlan`] and is driven by the
 //! controller once per served access (the access index is the plan's clock,
-//! so the same plan replays bit-identically across in-order, batched and
-//! queued runs). Tracker-layer events are forwarded to the target
+//! so the same plan replays bit-identically whether the accesses arrive one
+//! at a time or in batches). Tracker-layer events are forwarded to the target
 //! bank's defense; controller-layer events arm one-shot behaviours that the
 //! dispatch tail consumes:
 //!

@@ -7,7 +7,9 @@
 //!
 //! * per-bank state machines with DDR4 service timing (tRCD/tRP/tCL, the
 //!   tRC activate-to-activate constraint, tRFC refresh blackout every
-//!   tREFI) — see [`bank`];
+//!   tREFI) — see [`bank`]. Each bank serves its requests in arrival
+//!   order: every access, batched or not, goes through one per-access
+//!   step of the [`MemoryController`];
 //! * a page policy deciding when rows close ([`pagepolicy`], including the
 //!   paper's minimalist-open);
 //! * the periodic refresh machinery and the paper's **NRR** (Nearby Row
@@ -52,7 +54,6 @@ pub mod controller;
 pub mod faults;
 pub mod mapping;
 pub mod pagepolicy;
-pub mod scheduler;
 pub mod stats;
 pub mod system;
 pub mod tap;
@@ -65,9 +66,8 @@ pub use cmdlog::{CommandLog, CommandRecord, LoggedCommand, ProtocolChecker, Prot
 pub use config::McConfig;
 pub use controller::{McBuildError, McError, MemoryController, StampedAccess};
 pub use faults::{FaultInjector, FaultStats};
-pub use mapping::{AddressMapper, DecodedAddress, MappingPolicy, MappingScheme, SystemAddress};
+pub use mapping::{MappingPolicy, SystemAddress};
 pub use pagepolicy::PagePolicy;
-pub use scheduler::{BankQueue, SchedulerConfig};
 pub use stats::RunStats;
 pub use system::{SystemController, SystemRouter, SystemStats};
 pub use tap::TelemetryTap;

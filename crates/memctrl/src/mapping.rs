@@ -1,130 +1,12 @@
-//! Physical-address decoding.
+//! System addressing: where an access lands in the channel-sharded system.
 //!
-//! The controller crates elsewhere in this workspace operate on
-//! already-decoded (bank, row) pairs; this module supplies the decode for
-//! users who start from flat physical addresses, with the two classic
-//! schemes:
-//!
-//! * [`MappingScheme::ChannelInterleaved`] — column bits lowest, then
-//!   channel, bank, rank, row: consecutive cache lines stripe across
-//!   channels and banks, the layout the paper's 4-channel system implies.
-//! * [`MappingScheme::BankXor`] — same, but the bank index is XOR-folded
-//!   with the low row bits (permutation-based interleaving), the standard
-//!   trick to spread row-conflict strides across banks.
-//!
-//! Decoding is bit-exact and bijective over the configured capacity; both
-//! properties are tested.
-//!
-//! For the channel-sharded system controller this module also supplies
-//! [`SystemAddress`] (a fully-decoded bank coordinate plus row) and
-//! [`MappingPolicy`] — the front-end routing function that scatters a
-//! workload's flat `(bank, row)` accesses across channels.
+//! Workloads and traces carry already-decoded flat `(bank, row)` pairs.
+//! This module supplies [`SystemAddress`] (a fully-decoded bank coordinate
+//! plus row) and [`MappingPolicy`], the front-end routing function that
+//! scatters those pairs across channels for
+//! [`McBuilder::build_system`](crate::McBuilder::build_system).
 
-use dram_model::geometry::{bits_for, BankCoord, DramGeometry, RowId};
-
-/// How physical-address bits map onto (channel, rank, bank, row, column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum MappingScheme {
-    /// `[row | rank | bank | channel | column]`, LSB on the right.
-    ChannelInterleaved,
-    /// Like [`MappingScheme::ChannelInterleaved`], with
-    /// `bank ^= row & (banks − 1)`.
-    BankXor,
-}
-
-/// A decoded physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DecodedAddress {
-    /// Which bank the access targets.
-    pub coord: BankCoord,
-    /// Row within the bank.
-    pub row: RowId,
-    /// Column within the row.
-    pub column: u32,
-}
-
-/// Bit-exact physical-address mapper.
-///
-/// # Example
-///
-/// ```
-/// use dram_model::DramGeometry;
-/// use memctrl::mapping::{AddressMapper, MappingScheme};
-///
-/// let m = AddressMapper::new(DramGeometry::micro2020(), 1024, MappingScheme::ChannelInterleaved);
-/// let d = m.decode(0x1234_5678);
-/// assert!(d.row.0 < 65_536);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddressMapper {
-    geometry: DramGeometry,
-    scheme: MappingScheme,
-    column_bits: u32,
-    channel_bits: u32,
-    rank_bits: u32,
-    bank_bits: u32,
-    row_bits: u32,
-}
-
-impl AddressMapper {
-    /// Creates a mapper for `geometry` with `columns` columns per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is not a power of two (bit-sliced mapping
-    /// requires it) or zero.
-    pub fn new(geometry: DramGeometry, columns: u32, scheme: MappingScheme) -> Self {
-        let dims = [
-            ("columns", columns),
-            ("channels", u32::from(geometry.channels)),
-            ("ranks", u32::from(geometry.ranks_per_channel)),
-            ("banks", u32::from(geometry.banks_per_rank)),
-            ("rows", geometry.rows_per_bank),
-        ];
-        for (name, v) in dims {
-            assert!(v > 0 && v.is_power_of_two(), "{name} must be a non-zero power of two");
-        }
-        AddressMapper {
-            geometry,
-            scheme,
-            column_bits: bits_for(u64::from(columns)),
-            channel_bits: bits_for(u64::from(geometry.channels)),
-            rank_bits: bits_for(u64::from(geometry.ranks_per_channel)),
-            bank_bits: bits_for(u64::from(geometry.banks_per_rank)),
-            row_bits: bits_for(u64::from(geometry.rows_per_bank)),
-        }
-    }
-
-    /// Total addressable capacity in mapper units (one unit = one column).
-    pub fn capacity(&self) -> u64 {
-        1u64 << (self.column_bits
-            + self.channel_bits
-            + self.rank_bits
-            + self.bank_bits
-            + self.row_bits)
-    }
-
-    /// Decodes a flat physical address (in column-sized units, wrapped at
-    /// capacity).
-    pub fn decode(&self, addr: u64) -> DecodedAddress {
-        let mut a = addr % self.capacity();
-        let mut take = |bits: u32| -> u64 {
-            let v = a & ((1u64 << bits) - 1);
-            a >>= bits;
-            v
-        };
-        let column = take(self.column_bits) as u32;
-        let channel = take(self.channel_bits) as u8;
-        let mut bank = take(self.bank_bits) as u8;
-        let rank = take(self.rank_bits) as u8;
-        let row = take(self.row_bits) as u32;
-        if self.scheme == MappingScheme::BankXor {
-            bank ^= (row as u8) & (self.geometry.banks_per_rank - 1);
-        }
-        DecodedAddress { coord: BankCoord { channel, rank, bank }, row: RowId(row), column }
-    }
-}
+use dram_model::geometry::{BankCoord, DramGeometry, RowId};
 
 /// A fully-decoded system address: which bank in the whole memory system,
 /// and which row inside it.
@@ -255,98 +137,6 @@ impl MappingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn mapper(scheme: MappingScheme) -> AddressMapper {
-        AddressMapper::new(DramGeometry::micro2020(), 1024, scheme)
-    }
-
-    /// Encodes a decoded address back to its flat form (inverse of
-    /// [`AddressMapper::decode`]).
-    fn encode(m: &AddressMapper, d: DecodedAddress) -> u64 {
-        let bank = match m.scheme {
-            MappingScheme::ChannelInterleaved => d.coord.bank,
-            MappingScheme::BankXor => {
-                d.coord.bank ^ ((d.row.0 as u8) & (m.geometry.banks_per_rank - 1))
-            }
-        };
-        let mut a = 0u64;
-        let mut at = 0;
-        for (v, bits) in [
-            (u64::from(d.column), m.column_bits),
-            (u64::from(d.coord.channel), m.channel_bits),
-            (u64::from(bank), m.bank_bits),
-            (u64::from(d.coord.rank), m.rank_bits),
-            (u64::from(d.row.0), m.row_bits),
-        ] {
-            a |= v << at;
-            at += bits;
-        }
-        a
-    }
-
-    #[test]
-    fn decode_encode_roundtrip() {
-        for scheme in [MappingScheme::ChannelInterleaved, MappingScheme::BankXor] {
-            let m = mapper(scheme);
-            for addr in (0..m.capacity()).step_by(987_654_321).take(1000) {
-                assert_eq!(encode(&m, m.decode(addr)), addr, "{scheme:?} @ {addr:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_addresses_stripe_across_channels() {
-        let m = mapper(MappingScheme::ChannelInterleaved);
-        let mut channels_seen = std::collections::HashSet::new();
-        for i in 0..4u64 {
-            channels_seen.insert(m.decode(1024 * i).coord.channel);
-        }
-        assert_eq!(channels_seen.len(), 4, "row-sized strides must rotate channels");
-    }
-
-    #[test]
-    fn fields_stay_in_range() {
-        let m = mapper(MappingScheme::BankXor);
-        for addr in (0..m.capacity()).step_by(123_456_789).take(2000) {
-            let d = m.decode(addr);
-            assert!(d.coord.channel < 4);
-            assert!(d.coord.rank < 1);
-            assert!(d.coord.bank < 16);
-            assert!(d.row.0 < 65_536);
-            assert!(d.column < 1024);
-        }
-    }
-
-    #[test]
-    fn bank_xor_spreads_row_strides() {
-        // A stride that keeps the plain bank bits constant while changing the
-        // row: plain mapping hits one bank, XOR mapping spreads.
-        let plain = mapper(MappingScheme::ChannelInterleaved);
-        let xor = mapper(MappingScheme::BankXor);
-        let row_stride = plain.capacity() / u64::from(plain.geometry.rows_per_bank);
-        let banks = |m: &AddressMapper| {
-            (0..16u64)
-                .map(|i| m.decode(i * row_stride).coord.bank)
-                .collect::<std::collections::HashSet<u8>>()
-                .len()
-        };
-        assert_eq!(banks(&plain), 1);
-        assert_eq!(banks(&xor), 16);
-    }
-
-    #[test]
-    fn addresses_wrap_at_capacity() {
-        let m = mapper(MappingScheme::ChannelInterleaved);
-        assert_eq!(m.decode(0), m.decode(m.capacity()));
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_rejected() {
-        let mut g = DramGeometry::micro2020();
-        g.rows_per_bank = 65_537;
-        let _ = AddressMapper::new(g, 1024, MappingScheme::ChannelInterleaved);
-    }
 
     const POLICIES: [MappingPolicy; 3] =
         [MappingPolicy::RowInterleaved, MappingPolicy::BankInterleaved, MappingPolicy::ChannelXor];

@@ -54,11 +54,18 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Hard upper bound on distinct stream ids tracked per run. The paper's
-    /// systems have 16 cores; anything near this bound is a corrupt trace,
-    /// which [`RunStats::note_stream`] diverts to the stray counters instead
-    /// of allocating for.
-    pub const MAX_TRACKED_STREAMS: usize = 4096;
+    /// Hard upper bound on distinct stream ids tracked per run: ids
+    /// `0..1024` get a `per_stream` entry, and [`RunStats::note_stream`]
+    /// diverts every higher id to the stray counters instead of allocating
+    /// for it. The paper's systems have 16 cores, so a higher id usually
+    /// means a corrupt trace.
+    ///
+    /// Known defect: a fleet trace from `rh_sim::synth_fleet_trace` with
+    /// more than 1,024 clients (`fleet-replay synth`'s default is 2,048)
+    /// gives client `c` stream id `c`, so clients 1024 and up lose the
+    /// per-tenant attribution that function documents and are counted as
+    /// strays.
+    pub const MAX_TRACKED_STREAMS: usize = 1024;
 
     /// Records one served access of `stream` with the given latency.
     ///

@@ -120,19 +120,6 @@ fn command_log_is_protocol_clean_under_random_traffic() {
 }
 
 #[test]
-fn queued_mode_is_protocol_clean_too() {
-    use memctrl::{CommandLog, ProtocolChecker, SchedulerConfig};
-    let timing = DramTiming::ddr4_2400();
-    let mut mc = McBuilder::new(McConfig::single_bank(65_536, None))
-        .command_log(CommandLog::unbounded())
-        .build();
-    let mut w = workloads::Synthetic::s1(10, 65_536, 9);
-    mc.try_run_queued(&mut w, 30_000, SchedulerConfig::par_bs_like()).unwrap();
-    let violations = ProtocolChecker::new(timing).check(mc.command_log().unwrap());
-    assert!(violations.is_empty(), "protocol violations: {violations:?}");
-}
-
-#[test]
 fn refresh_blackout_delays_service() {
     let timing = DramTiming::ddr4_2400();
     let mut bank = BankState::new(timing, PagePolicy::Open);

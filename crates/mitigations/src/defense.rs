@@ -142,15 +142,16 @@ pub trait RowHammerDefense {
     /// proactive refreshes to perform (usually empty).
     fn on_activation(&mut self, row: RowId, now: Picoseconds) -> Vec<RefreshAction>;
 
-    /// Consulted by the scheduler *before* serving an access to `row` at
+    /// Consulted by the controller *before* serving an access to `row` at
     /// time `now`: a throttling defense (BlockHammer) returns the delay to
     /// impose on blacklisted activations; everything else proceeds.
     ///
-    /// The controller consults this on every dispatch path (in-order,
-    /// queued, batched) with the same `(row, now)` sequence, so a stateful
-    /// implementation stays bit-identical under batched dispatch, and the
-    /// state it mutates here must be covered by
-    /// [`write_state`](Self::write_state). Wrappers
+    /// The controller consults this once per served access, from its one
+    /// in-order per-access step (and from the replay of a duplicated
+    /// command), with the `(row, now)` pair it then serves, so a stateful
+    /// implementation sees the same sequence however the accesses were
+    /// batched on their way in, and the state it mutates here must be
+    /// covered by [`write_state`](Self::write_state). Wrappers
     /// ([`AuditedDefense`](crate::AuditedDefense),
     /// [`InstrumentedDefense`](crate::InstrumentedDefense)) forward to their
     /// inner scheme so the feedback path survives decoration. Default:

@@ -1235,6 +1235,7 @@ pub fn synth_fleet_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memctrl::DefenseFactory;
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1465,7 +1466,9 @@ mod tests {
             if wrapped {
                 replay.system = McBuilder::new(run.system.clone())
                     .mapping(run.policy)
-                    .defenses_with(|bank| Box::new(TreeHooksOnly(spec.build_audited(bank, rows))))
+                    .defenses_with(|bank| {
+                        Box::new(TreeHooksOnly(spec.build_defense(bank, rows, true)))
+                    })
                     .build_system();
             }
             replay.run(None, &mut |_| {}).unwrap();

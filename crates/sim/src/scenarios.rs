@@ -369,41 +369,6 @@ impl DefenseSpec {
         }
     }
 
-    /// Like [`DefenseSpec::build`], wrapped in an [`AuditedDefense`] that
-    /// validates every refresh action online. For Graphene the wrapper also
-    /// carries the derived `T` and reset window, certifying the paper's
-    /// multiples-of-`T` trigger against an independent shadow count.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`DefenseSpec::build`] on underivable parameters.
-    pub fn build_audited(
-        &self,
-        bank: usize,
-        rows_per_bank: u32,
-    ) -> Box<dyn RowHammerDefense + Send> {
-        self.build_audited_for(Generation::Ddr4_2400, bank, rows_per_bank)
-    }
-
-    /// [`DefenseSpec::build_audited`] on an explicit generation: the inner
-    /// defense *and* the certificate (tracking threshold, reset window) are
-    /// derived from the generation's timing, so the audit proves the
-    /// no-false-negative property against the window the device actually
-    /// has, not the DDR4 64 ms assumption.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`DefenseSpec::build`] on underivable parameters.
-    pub fn build_audited_for(
-        &self,
-        generation: Generation,
-        bank: usize,
-        rows_per_bank: u32,
-    ) -> Box<dyn RowHammerDefense + Send> {
-        let inner = self.build_for(generation, bank, rows_per_bank);
-        Box::new(AuditedDefense::new(inner, self.audit_config_for(generation, rows_per_bank)))
-    }
-
     /// The audit shell for this spec: action bounds plus the exact shadow
     /// certificate where the scheme supports one, every threshold derived
     /// from the generation's timing.
@@ -432,18 +397,10 @@ impl DefenseSpec {
             // and the certificate, waiving only the was-activated check.
             cfg.degraded_repairs = true;
         }
-        // ABACuS counts exactly too (Misra-Gries over full row addresses),
-        // so it carries the same no-false-negative certificate as Graphene
-        // — at its cert threshold (2× the shared-table tracking quantum,
-        // headroom for cross-bank spillover churn).
         if let DefenseSpec::Abacus { t_rh, k } = *self {
             let a = AbacusConfig::for_geometry_with_timing(t_rh, k, 1, rows_per_bank, timing)
                 .expect("valid ABACuS config");
-            cfg.max_radius = a.radius;
-            cfg.certify = Some(ShadowCert {
-                tracking_threshold: a.cert_threshold,
-                reset_window: a.reset_window,
-            });
+            cfg = abacus_audit(&a, rows_per_bank);
         }
         // CoMeT's sketch can (with bounded probability) under-count, so it
         // runs under the plain action audit plus the analysis-layer
@@ -487,17 +444,10 @@ impl DefenseSpec {
                     if !audited {
                         return inner;
                     }
-                    // Same exact certificate as the per-bank audited path:
-                    // the audit shell is per-bank even when the table is
+                    // The audit shell is per-bank even when the table is
                     // shared, so every bank's shadow count independently
                     // proves the no-false-negative property.
-                    let mut audit = AuditConfig::new(rows_per_bank);
-                    audit.max_radius = cfg.radius;
-                    audit.certify = Some(ShadowCert {
-                        tracking_threshold: cfg.cert_threshold,
-                        reset_window: cfg.reset_window,
-                    });
-                    Box::new(AuditedDefense::new(inner, audit))
+                    Box::new(AuditedDefense::new(inner, abacus_audit(&cfg, rows_per_bank)))
                 })
                 .collect(),
         )
@@ -547,11 +497,23 @@ fn graphene(
     GrapheneDefense::from_config(&graphene_config(t_rh, k, rows_per_bank, timing)?)
 }
 
-/// [`DefenseSpec`] is *the* defense factory of the repo: the sim runner,
-/// the bench binaries, the audit layer, and the sharded system path all
-/// construct per-bank defense instances through this one impl, so the
-/// seed derivation (`bank + 1`) and the audit wrapping live in a single
-/// place. The `bank` index is the **global flat** index — the sharded
+/// ABACuS's audit shell, on the per-bank and the shared-table path alike.
+/// ABACuS counts exactly (Misra-Gries over full row addresses), so it
+/// carries the same no-false-negative certificate as Graphene, at its cert
+/// threshold: 2× the shared-table tracking quantum, headroom for cross-bank
+/// spillover churn.
+fn abacus_audit(cfg: &AbacusConfig, rows_per_bank: u32) -> AuditConfig {
+    let mut audit = AuditConfig::new(rows_per_bank);
+    audit.max_radius = cfg.radius;
+    audit.certify =
+        Some(ShadowCert { tracking_threshold: cfg.cert_threshold, reset_window: cfg.reset_window });
+    audit
+}
+
+/// [`DefenseSpec`] is the defense factory of the paper's DDR4-2400 device:
+/// it builds exactly what [`GenSpec::ddr4`] builds, so the seed derivation
+/// (`bank + 1`) and the audit wrapping live in one place, [`GenSpec`]'s
+/// impl. The `bank` index is the **global flat** index — the sharded
 /// system builder offsets it per channel — so a sharded system and a
 /// whole-system controller seed bit-identically.
 impl DefenseFactory for DefenseSpec {
@@ -561,21 +523,17 @@ impl DefenseFactory for DefenseSpec {
         rows_per_bank: u32,
         audited: bool,
     ) -> Box<dyn RowHammerDefense + Send> {
-        if audited {
-            self.build_audited(bank, rows_per_bank)
-        } else {
-            self.build(bank, rows_per_bank)
-        }
+        GenSpec::ddr4(*self).build_defense(bank, rows_per_bank, audited)
     }
 
     fn build_all_bank(
         &self,
-        _first_bank: usize,
+        first_bank: usize,
         banks: u32,
         rows_per_bank: u32,
         audited: bool,
     ) -> Option<Vec<Box<dyn RowHammerDefense + Send>>> {
-        self.all_bank_pool_for(Generation::Ddr4_2400, banks, rows_per_bank, audited, false)
+        GenSpec::ddr4(*self).build_all_bank(first_bank, banks, rows_per_bank, audited)
     }
 }
 
@@ -908,7 +866,7 @@ mod tests {
             let d = spec.build(0, 65_536);
             assert!(!d.name().is_empty());
             assert!(!spec.name().is_empty());
-            let a = spec.build_audited(0, 65_536);
+            let a = spec.build_defense(0, 65_536, true);
             assert_eq!(a.name(), format!("Audited({})", d.name()));
             assert_eq!(a.table_bits(), d.table_bits(), "audit must not change footprint");
         }
