@@ -12,31 +12,22 @@
 //!   RFM-defining generation issue only standardised RFM commands (never
 //!   raw neighbor-row refreshes), while DDR4/LPDDR4X cells show zero RFM
 //!   traffic.
-//! * **The DDR4 column is bit-identical to the legacy path**: each DDR4
-//!   cell is re-run through the pre-generation `McConfig::single_bank` +
-//!   `DefenseSpec` factory route and diffed counter for counter.
 //!
 //! Exports `experiment-data/generations/generation_matrix.csv`: one row
 //! per (generation, threshold, workload, defense).
 
-use dram_model::fault::DisturbanceModel;
-use memctrl::{McBuilder, McConfig, RunStats};
 use rh_analysis::export::{output_dir, Csv};
 use rh_analysis::TablePrinter;
-use rh_sim::{
-    generation_lineup, run_generation_matrix, DefenseSpec, GenerationCell, GenerationMatrixConfig,
-    WorkloadSpec,
-};
+use rh_sim::{generation_lineup, run_generation_matrix, GenerationCell, GenerationMatrixConfig};
 
-/// Runs the cross-generation sweep, asserts the matrix claims, diffs the
-/// DDR4 column against the legacy path, and writes the export.
+/// Runs the cross-generation sweep, asserts the matrix claims, and writes
+/// the export.
 ///
 /// # Panics
 ///
 /// Panics if a matrix claim fails: a tracker leaking flips on any
 /// generation, a non-RFM spelling on DDR5/LPDDR5 (or RFM traffic on
-/// DDR4/LPDDR4X), a refresh-based tracker that throttled, or a DDR4 cell
-/// diverging from the legacy pre-generation path.
+/// DDR4/LPDDR4X), or a refresh-based tracker that throttled.
 pub fn run(fast: bool) {
     crate::banner("generation-matrix — the defense lineup across DRAM generations");
     let cfg = if fast {
@@ -67,7 +58,6 @@ pub fn run(fast: bool) {
     assert_eq!(cells.len(), cell_count);
     print_cells(&cells);
     assert_matrix_claims(&cfg, &cells);
-    diff_ddr4_against_legacy(&cfg, &cells);
 
     let rerun = run_generation_matrix(&cfg);
     assert_eq!(cells, rerun, "generation matrix must be bit-reproducible");
@@ -143,71 +133,6 @@ fn assert_matrix_claims(cfg: &GenerationMatrixConfig, cells: &[GenerationCell]) 
         "Claims hold: trackers certify on every generation, RFM spelling total on \
          DDR5/LPDDR5 ({rfm_cells} cells), {throttled} throttled ACT(s) (BlockHammer only)."
     );
-}
-
-/// Re-runs every DDR4 cell through the legacy pre-generation path —
-/// `McConfig::single_bank` plus the bare `DefenseSpec` factory — and
-/// diffs the observable counters. This is the executable form of the
-/// refactor's compatibility promise.
-fn diff_ddr4_against_legacy(cfg: &GenerationMatrixConfig, cells: &[GenerationCell]) {
-    let ddr4: Vec<&GenerationCell> = cells.iter().filter(|c| c.generation == "ddr4").collect();
-    if ddr4.is_empty() {
-        println!("[no DDR4 column in this matrix; legacy diff skipped]");
-        return;
-    }
-    let mut diffed = 0usize;
-    for &t_rh in cfg.thresholds_for(dram_model::Generation::Ddr4_2400) {
-        for workload in &cfg.workloads {
-            let (baseline, baseline_dist) = legacy_run(cfg, t_rh, workload, &DefenseSpec::None);
-            for cell in ddr4.iter().filter(|c| c.t_rh == t_rh && c.workload == workload.name()) {
-                assert!(!cell.spec.contains('/'), "{}: DDR4 specs stay bare", cell.spec);
-                let defense =
-                    DefenseSpec::parse(&cell.spec).unwrap_or_else(|e| panic!("{}: {e}", cell.spec));
-                let (stats, max_disturbance) = if matches!(defense, DefenseSpec::None) {
-                    (baseline.clone(), baseline_dist)
-                } else {
-                    legacy_run(cfg, t_rh, workload, &defense)
-                };
-                let id = format!("{}@{t_rh} on {}", cell.defense, cell.workload);
-                assert_eq!(cell.bit_flips, stats.bit_flips, "{id}: bit_flips diverged");
-                assert_eq!(cell.max_disturbance, max_disturbance, "{id}: disturbance diverged");
-                assert_eq!(
-                    cell.defense_refresh_commands, stats.defense_refresh_commands,
-                    "{id}: refresh traffic diverged"
-                );
-                assert_eq!(cell.throttled_acts, stats.throttled_acts, "{id}: throttling diverged");
-                assert_eq!(
-                    cell.slowdown.to_bits(),
-                    stats.slowdown_vs(&baseline).to_bits(),
-                    "{id}: slowdown diverged"
-                );
-                diffed += 1;
-            }
-        }
-    }
-    println!("Legacy diff: all {diffed} DDR4 cells bit-identical to the pre-generation path.");
-}
-
-/// One run on the legacy DDR4 path, mirroring the matrix's geometry rules.
-fn legacy_run(
-    cfg: &GenerationMatrixConfig,
-    t_rh: u64,
-    workload: &WorkloadSpec,
-    defense: &DefenseSpec,
-) -> (RunStats, u64) {
-    let model = DisturbanceModel { t_rh, ..DisturbanceModel::ddr4_50k() };
-    let mut mc_cfg = McConfig::single_bank(cfg.rows_per_bank, Some(model));
-    if workload.is_system_scale() {
-        mc_cfg.geometry.banks_per_rank = cfg.system_banks;
-    }
-    let banks = mc_cfg.geometry.total_banks();
-    let mut mc = McBuilder::new(mc_cfg).defenses(defense).audit(true).build();
-    let mut w = workload.build(banks as u16, cfg.rows_per_bank, cfg.seed);
-    let stats = mc.run(w.as_mut(), cfg.accesses);
-    let max_disturbance = (0..banks as usize)
-        .map(|bank| mc.oracle(bank).expect("legacy diff arms the oracle").max_disturbance())
-        .fold(0.0_f64, f64::max);
-    (stats, max_disturbance.ceil() as u64)
 }
 
 fn print_cells(cells: &[GenerationCell]) {

@@ -1,8 +1,8 @@
 //! `resilience-report`: the fault-injection resilience matrix.
 //!
 //! Crosses seeded fault plans (a single-bit tracker-corruption plan and a
-//! full chaos plan: drops, defers, refresh postponement, duplicates, sink
-//! outages, worker stalls) with defenses and workloads via
+//! full chaos plan: lookup misses, drops, defers, refresh postponement,
+//! duplicates) with defenses and workloads via
 //! [`rh_sim::run_matrix_faulted`], prints the per-cell outcome table, and
 //! enforces the headline resilience claims in-process:
 //!
@@ -13,15 +13,12 @@
 //! * **plain Graphene** under the same plans fails *detectably*: every
 //!   affected cell ends as an audit kill or with oracle-counted flips,
 //!   never silently;
-//! * the sweep itself survives its injected harness faults (sink outages
-//!   ridden out by bounded retry, worker stalls cut to a 50 ms budget per
-//!   cell) and every cell of both plans is bit-reproducible from the
-//!   seeds.
+//! * every cell of both plans is bit-reproducible from the seeds.
 //!
 //! Exports under `experiment-data/resilience/`:
 //!
 //! * `resilience.csv` — one row per cell (outcome, false negatives, fault
-//!   and degradation counters, retry accounting);
+//!   and degradation counters);
 //! * `snapshot.jsonl` — the merged telemetry snapshot, every completed
 //!   cell's series prefixed `"{plan}/{workload}/{defense}/"`.
 
@@ -39,8 +36,8 @@ use rh_sim::{
 ///
 /// Panics if a resilience claim fails: a HardenedGraphene cell with false
 /// negatives (or killed by the audit) under a single-bit plan, a plain
-/// Graphene failure the harness did not detect, a sweep that lost telemetry
-/// writes despite the retry budget, or a non-reproducible matrix.
+/// Graphene failure the harness did not detect, or a non-reproducible
+/// matrix.
 pub fn run(fast: bool) {
     crate::banner("resilience-report — fault injection × graceful degradation");
     let accesses: u64 = if fast { 8_000 } else { 40_000 };
@@ -70,8 +67,7 @@ pub fn run(fast: bool) {
 
     assert_resilience_claims(&report, &plans[0]);
 
-    // Bit-reproducibility: the whole matrix re-run from the same seeds,
-    // the chaos plan's sink outages and worker stalls included, must
+    // Bit-reproducibility: the whole matrix re-run from the same seeds must
     // produce identical cells.
     let rerun = run_matrix_faulted(&cfg, &plans, &defenses, &workloads);
     assert_eq!(rerun, report, "resilience matrix must be bit-reproducible from seeds");
@@ -118,13 +114,6 @@ fn assert_resilience_claims(report: &ResilienceReport, single_bit: &FaultSpec) {
             }
             _ => {}
         }
-        if let Some(run) = cell.completed() {
-            assert_eq!(
-                run.sink.dropped_writes, 0,
-                "bounded sink outages must never lose telemetry writes ({}/{}/{})",
-                cell.plan, cell.workload, cell.defense
-            );
-        }
     }
     assert!(
         plain_failures > 0,
@@ -132,14 +121,13 @@ fn assert_resilience_claims(report: &ResilienceReport, single_bit: &FaultSpec) {
     );
     println!(
         "Claims hold: hardened zero-FN under single-bit faults; {plain_failures} plain-Graphene \
-         failure(s), all detected; no telemetry writes lost."
+         failure(s), all detected."
     );
 }
 
 fn print_cells(report: &ResilienceReport) {
     let mut table = TablePrinter::new(vec![
         "plan", "workload", "defense", "outcome", "FN", "trk", "drop", "dup", "parity", "repairs",
-        "retries",
     ]);
     for cell in &report.cells {
         let row = match &cell.outcome {
@@ -154,7 +142,6 @@ fn print_cells(report: &ResilienceReport) {
                 run.faults.commands_duplicated.to_string(),
                 run.parity_detections.to_string(),
                 run.repair_nrrs.to_string(),
-                run.sink.retries.to_string(),
             ],
             CellOutcome::AuditViolation { .. } => {
                 let mut row = vec![
@@ -163,7 +150,7 @@ fn print_cells(report: &ResilienceReport) {
                     cell.defense.clone(),
                     "audit-kill".into(),
                 ];
-                row.extend(std::iter::repeat_n("-".to_string(), 7));
+                row.extend(std::iter::repeat_n("-".to_string(), 6));
                 row
             }
         };
@@ -199,8 +186,6 @@ fn write_exports(report: &ResilienceReport) {
         "commands_duplicated",
         "parity_detections",
         "repair_nrrs",
-        "sink_retries",
-        "sink_dropped_writes",
     ]);
     for cell in &report.cells {
         let row = match &cell.outcome {
@@ -219,8 +204,6 @@ fn write_exports(report: &ResilienceReport) {
                 run.faults.commands_duplicated.to_string(),
                 run.parity_detections.to_string(),
                 run.repair_nrrs.to_string(),
-                run.sink.retries.to_string(),
-                run.sink.dropped_writes.to_string(),
             ],
             CellOutcome::AuditViolation { message } => {
                 let mut row = vec![
@@ -229,7 +212,7 @@ fn write_exports(report: &ResilienceReport) {
                     cell.defense.clone(),
                     format!("audit-kill: {}", message.lines().next().unwrap_or(message)),
                 ];
-                row.extend(std::iter::repeat_n("-".to_string(), 12));
+                row.extend(std::iter::repeat_n("-".to_string(), 10));
                 row
             }
         };

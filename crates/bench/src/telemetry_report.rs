@@ -7,9 +7,7 @@
 //!
 //! * `telemetry/snapshot.jsonl` — the full merged [`Snapshot`] (versioned
 //!   `rh-telemetry` schema), every cell's series prefixed
-//!   `"{workload}/{defense}/"` plus the sweep's `sweep.jobs_done` progress
-//!   (stamped with wall-clock time: the one part of the export that
-//!   differs between runs);
+//!   `"{workload}/{defense}/"`;
 //! * `telemetry/snapshot.csv` — the same data in long form
 //!   (`metric,bank,t_ps,value`) for direct plotting;
 //! * `telemetry/graphene_<workload>.csv` — Graphene's spillover / occupancy
@@ -108,17 +106,6 @@ pub fn run(fast: bool) {
             Err(e) => println!("[could not write {}: {e}]", path.display()),
         }
     }
-
-    let progress = m.sweep.series_for("sweep.jobs_done", 0).expect("sweep progress recorded");
-    println!();
-    println!(
-        "Sweep: {} cells + {} baselines finished; progress series has {} samples \
-         (last = {} jobs).",
-        m.reports.len(),
-        workloads.len(),
-        progress.samples.len(),
-        progress.samples.last().map_or(0.0, |s| s.value)
-    );
 }
 
 /// Long-form trajectory table of one Graphene cell's scheme-specific series.

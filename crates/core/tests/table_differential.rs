@@ -21,7 +21,9 @@
 //! The small-scope section at the end enumerates every activation stream up
 //! to the sizing bound for two tiny table shapes, instead of sampling
 //! them, and checks the proof's claims (Lemma 1, Lemma 2, the Theorem)
-//! after every ACT; PROOFS.md lists the shapes it covers.
+//! after every ACT. It then enumerates every short stream with one
+//! stored-bit fault at every position and checks the lockstep alone;
+//! PROOFS.md lists the shapes it covers.
 //!
 //! [`TableUpdate`]: graphene_core::TableUpdate
 //! [`CamStats`]: graphene_core::CamStats
@@ -84,6 +86,25 @@ enum FaultedOp {
     CorruptCount { slot: usize, bit: u32 },
     CorruptAddr { slot: usize, bit: u32 },
     CorruptSpillover { bit: u32 },
+}
+
+impl FaultedOp {
+    /// Applies a corruption op to both tables and returns each one's
+    /// answer (whether its stored state changed).
+    fn corrupt(self, soa: &mut CounterTable, linear: &mut LinearCounterTable) -> (bool, bool) {
+        match self {
+            FaultedOp::Act(row) => panic!("ACT {row} is not a corruption"),
+            FaultedOp::CorruptCount { slot, bit } => {
+                (soa.corrupt_count_bit(slot, bit), linear.corrupt_count_bit(slot, bit))
+            }
+            FaultedOp::CorruptAddr { slot, bit } => {
+                (soa.corrupt_addr_bit(slot, bit), linear.corrupt_addr_bit(slot, bit))
+            }
+            FaultedOp::CorruptSpillover { bit } => {
+                (soa.corrupt_spillover_bit(bit), linear.corrupt_spillover_bit(bit))
+            }
+        }
+    }
 }
 
 /// Decodes a raw generated tuple into an op. Roughly 8 activations for
@@ -194,20 +215,9 @@ proptest! {
             let step = warmup.len() + step;
             match op {
                 FaultedOp::Act(x) => act_both(&mut soa, &mut linear, x, step)?,
-                FaultedOp::CorruptCount { slot, bit } => {
-                    prop_assert_eq!(
-                        soa.corrupt_count_bit(slot, bit),
-                        linear.corrupt_count_bit(slot, bit)
-                    );
-                }
-                FaultedOp::CorruptAddr { slot, bit } => {
-                    prop_assert_eq!(
-                        soa.corrupt_addr_bit(slot, bit),
-                        linear.corrupt_addr_bit(slot, bit)
-                    );
-                }
-                FaultedOp::CorruptSpillover { bit } => {
-                    prop_assert_eq!(soa.corrupt_spillover_bit(bit), linear.corrupt_spillover_bit(bit));
+                fault => {
+                    let (a, b) = fault.corrupt(&mut soa, &mut linear);
+                    prop_assert_eq!(a, b);
                 }
             }
             prop_assert_eq!(soa.spillover(), linear.spillover(), "spillover at step {}", step);
@@ -298,21 +308,42 @@ impl Node {
         }
     }
 
+    /// ACTs taken so far.
+    fn acts(&self) -> usize {
+        self.actual.iter().sum::<u64>() as usize
+    }
+
     /// Activates `row` (at most one past the highest row seen) on both
-    /// tables, then checks that they answered alike and that the proof's
-    /// claims hold, naming the first claim that fails.
-    fn act(&mut self, row: usize) -> Result<(), String> {
+    /// tables and checks that they answered alike: the same update, then
+    /// the same spillover and estimate of `row`.
+    fn step(&mut self, row: usize) -> Result<(), String> {
         if row == self.actual.len() {
             self.actual.push(0);
             self.triggers.push(0);
         }
-        let a = self.soa.process_activation(RowId(row as u32));
-        let b = self.linear.process_activation(RowId(row as u32));
+        let id = RowId(row as u32);
+        let a = self.soa.process_activation(id);
+        let b = self.linear.process_activation(id);
         if a != b {
             return Err(format!("tables diverged: {a:?} vs the reference's {b:?}"));
         }
+        let (spillover, reference) = (self.soa.spillover(), self.linear.spillover());
+        if spillover != reference {
+            return Err(format!("spillover {spillover} vs the reference's {reference}"));
+        }
+        let (estimate, reference) = (self.soa.estimate(id), self.linear.estimate(id));
+        if estimate != reference {
+            return Err(format!("row {row} estimated {estimate:?} vs {reference:?}"));
+        }
         self.actual[row] += 1;
         self.triggers[row] += u64::from(a.triggered());
+        Ok(())
+    }
+
+    /// [`Node::step`], then checks that the proof's claims hold, naming the
+    /// first claim that fails.
+    fn act(&mut self, row: usize) -> Result<(), String> {
+        self.step(row)?;
         for (r, estimate, _) in self.soa.iter() {
             let actual = self.actual[r.0 as usize];
             if estimate < actual {
@@ -328,6 +359,35 @@ impl Node {
             if triggers < actual / t {
                 return Err(format!("Theorem: row {r} has {actual} ACTs but {triggers} triggers"));
             }
+        }
+        Ok(())
+    }
+
+    /// Applies a stored-bit fault to both tables and checks that they
+    /// answered alike and that the slot index still describes the lanes.
+    fn inject(&mut self, fault: FaultedOp) -> Result<(), String> {
+        let (a, b) = fault.corrupt(&mut self.soa, &mut self.linear);
+        if a != b {
+            return Err(format!("{fault:?} answered {a} vs the reference's {b}"));
+        }
+        self.soa.assert_index_consistency();
+        Ok(())
+    }
+
+    /// Checks that both tables track the same rows at the same counts and
+    /// kept the same CAM statistics: [`assert_same_state`] without its
+    /// index walk, which would double the faulted walk's time.
+    fn same_end_state(&self) -> Result<(), String> {
+        let mut tracked: Vec<_> = self.soa.iter().collect();
+        let mut reference: Vec<_> = self.linear.iter().collect();
+        tracked.sort_unstable();
+        reference.sort_unstable();
+        if tracked != reference {
+            return Err(format!("tracked {tracked:?} vs the reference's {reference:?}"));
+        }
+        let (stats, reference) = (self.soa.cam_stats(), self.linear.cam_stats());
+        if stats != reference {
+            return Err(format!("{stats:?} vs the reference's {reference:?}"));
         }
         Ok(())
     }
@@ -384,4 +444,101 @@ fn one_act_past_the_sizing_bound_breaks_the_theorem() {
     assert_eq!(err, "Theorem: row 3 has 3 ACTs but 0 triggers");
     assert!(!node.soa.is_tracked(RowId(3)));
     assert_eq!(node.soa.spillover(), 3);
+}
+
+/// Every single stored-bit fault of an `n_entry`-slot table at threshold
+/// `t`: each of the ⌈log₂T⌉ count bits and address bits 0–3 and 31 of
+/// every slot, and spillover bits 0–3 and 31. Low address bits move a key
+/// onto rows the stream uses; bit 31 moves it off every row.
+fn single_faults(n_entry: usize, t: u64) -> Vec<FaultedOp> {
+    let count_bits = 64 - (t - 1).leading_zeros();
+    let low_and_top = [0, 1, 2, 3, 31];
+    let mut faults = Vec::new();
+    for slot in 0..n_entry {
+        faults.extend((0..count_bits).map(|bit| FaultedOp::CorruptCount { slot, bit }));
+        faults.extend(low_and_top.map(|bit| FaultedOp::CorruptAddr { slot, bit }));
+    }
+    faults.extend(low_and_top.map(|bit| FaultedOp::CorruptSpillover { bit }));
+    faults
+}
+
+/// Visits every fault-free extension of `stream` to `len` ACTs, stepping
+/// both tables in lockstep, and checks that each ends them alike. Returns
+/// how many streams of `len` ACTs it visited.
+fn walk_to_leaves(node: &Node, stream: &mut Vec<FaultedOp>, len: usize) -> u64 {
+    if node.acts() == len {
+        node.same_end_state().unwrap_or_else(|e| panic!("{e}, after the stream {stream:?}"));
+        return 1;
+    }
+    let mut leaves = 0;
+    for row in 0..=node.actual.len() {
+        let mut child = node.clone();
+        stream.push(FaultedOp::Act(row as u32));
+        child.step(row).unwrap_or_else(|e| panic!("{e}, after the stream {stream:?}"));
+        leaves += walk_to_leaves(&child, stream, len);
+        stream.pop();
+    }
+    leaves
+}
+
+/// Visits every stream of `len` ACTs that extends the fault-free `stream`
+/// with one fault from `faults` injected before one of its remaining ACTs,
+/// rows relabelled as in [`walk`]. Returns how many faulted streams it
+/// visited.
+fn walk_with_one_fault(
+    node: &Node,
+    stream: &mut Vec<FaultedOp>,
+    len: usize,
+    faults: &[FaultedOp],
+) -> u64 {
+    let mut visited = 0;
+    for &fault in faults {
+        let mut child = node.clone();
+        stream.push(fault);
+        child.inject(fault).unwrap_or_else(|e| panic!("{e}, after the stream {stream:?}"));
+        visited += walk_to_leaves(&child, stream, len);
+        stream.pop();
+    }
+    if node.acts() + 1 < len {
+        for row in 0..=node.actual.len() {
+            let mut child = node.clone();
+            stream.push(FaultedOp::Act(row as u32));
+            child.step(row).unwrap_or_else(|e| panic!("{e}, after the stream {stream:?}"));
+            visited += walk_with_one_fault(&child, stream, len, faults);
+            stream.pop();
+        }
+    }
+    visited
+}
+
+/// Every stream of 9 ACTs at N = 3, T = 6 with one stored-bit fault (see
+/// [`single_faults`]) before any one of its ACTs: the two tables return
+/// the same answer from the fault hook, then the same update, spillover
+/// and estimate after every ACT, and end with the same tracked set and
+/// statistics. Only the lockstep is checked: a stored-bit fault can break
+/// the proof's lemmas, which is what `HardenedGraphene`'s parity is for.
+/// The space holds the count-flip repro of `CounterTable`'s unit test
+/// `count_flip_below_the_spillover_stops_trusting_the_cursor`, relabelled:
+/// ACTs `0,1,0,2,3,4`, count bit 1 of slot 1, then ACTs `1,4,3`.
+#[test]
+fn every_single_stored_bit_fault_at_every_position_keeps_the_lockstep() {
+    // Bell(9): the number of stream shapes of 9 ACTs.
+    const SHAPES_OF_9: u64 = 21_147;
+    let (n_entry, t, len) = (3usize, 6u64, 9usize);
+    let faults = single_faults(n_entry, t);
+    assert_eq!(faults.len(), 29);
+    // Each thread walks the whole tree for its share of the faults.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    let visited: u64 = std::thread::scope(|s| {
+        let walkers: Vec<_> = faults
+            .chunks(faults.len().div_ceil(threads))
+            .map(|share| {
+                s.spawn(move || {
+                    walk_with_one_fault(&Node::new(n_entry, t), &mut Vec::new(), len, share)
+                })
+            })
+            .collect();
+        walkers.into_iter().map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e))).sum()
+    });
+    assert_eq!(visited, SHAPES_OF_9 * len as u64 * faults.len() as u64);
 }

@@ -1,5 +1,5 @@
-//! DRAM generations: const timing instances, refresh-management (RFM)
-//! specs, and per-generation protection presets.
+//! DRAM generations: per-generation timing, refresh-management (RFM)
+//! specs, and protection presets.
 //!
 //! The paper evaluates one device — DDR4-2400, Table I — but every formula
 //! it derives (`W`, `T`, `N_entry`, the reset window) is a function of the
@@ -7,16 +7,12 @@
 //! a small generation API so the rest of the stack can be generic over the
 //! device:
 //!
-//! * [`DramGeneration`] — a zero-cost trait whose implementors are
-//!   zero-sized types carrying their timing as an associated `const`
-//!   ([`Ddr4_2400`], [`Ddr5_4800`], [`Lpddr4x`], [`Lpddr5`]). Code that is
-//!   monomorphized per generation pays nothing at run time.
-//! * [`Generation`] — the runtime enum mirror of the same instances, for
-//!   CLI flags, spec strings, and report matrices that iterate over
-//!   generations dynamically. `Generation::Ddr4_2400.timing()` is
-//!   **bit-identical** to [`DramTiming::ddr4_2400`], which is what pins the
-//!   legacy DDR4 path through the refactor (see the differential tests in
-//!   `rh_sim::generations`).
+//! * [`Generation`] — one enum variant per device, carrying its name,
+//!   timing, RFM spec, postponement bound and `T_RH` presets, for CLI
+//!   flags, spec strings, and report matrices that iterate over
+//!   generations. `Generation::Ddr4_2400.timing()` is **bit-identical** to
+//!   [`DramTiming::ddr4_2400`], which is what keeps the DDR4 path of every
+//!   generation-bound run the paper's Table I device.
 //! * [`RfmSpec`] — DDR5/LPDDR5 Refresh Management accounting: the
 //!   controller keeps a per-bank Rolling Accumulated ACT (RAA) counter;
 //!   once it crosses RAAIMT the tracker may spend an RFM command (which
@@ -76,110 +72,7 @@ impl RfmSpec {
     }
 }
 
-/// A DRAM generation as a zero-sized const-timing instance.
-///
-/// Implementors are unit structs; everything is an associated constant, so
-/// generation-generic code monomorphizes to the same machine code as the
-/// hand-written DDR4 path. The runtime [`Generation`] enum delegates to
-/// these constants, keeping exactly one definition of each instance.
-pub trait DramGeneration {
-    /// Spec-string / report name (`"ddr4"`, `"ddr5"`, …).
-    const NAME: &'static str;
-    /// The generation's timing parameters.
-    const TIMING: DramTiming;
-    /// Refresh-management accounting, for generations that define RFM.
-    const RFM: Option<RfmSpec>;
-    /// Maximum REF commands the controller may accumulate as postponed
-    /// (JESD79-4 §4.24 allows 8 at DDR4's 7.8 µs tREFI; DDR5's halved
-    /// tREFI doubles the count for the same ~62.4 µs wall-clock budget).
-    const MAX_POSTPONED_REFS: u32;
-    /// Row Hammer threshold presets the generation is evaluated at,
-    /// descending (the head is the default).
-    const T_RH_PRESETS: &'static [u64];
-}
-
-/// The paper's DDR4-2400 device (Tables I and III) — bit-identical to
-/// [`DramTiming::ddr4_2400`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ddr4_2400;
-
-impl DramGeneration for Ddr4_2400 {
-    const NAME: &'static str = "ddr4";
-    const TIMING: DramTiming = DramTiming::ddr4_2400();
-    const RFM: Option<RfmSpec> = None;
-    const MAX_POSTPONED_REFS: u32 = 8;
-    const T_RH_PRESETS: &'static [u64] = &[50_000, 25_000, 12_500, 6_250, 3_125, 1_560];
-}
-
-/// DDR5-4800: halved tREFI/tREFW, same-bank refresh granularity, RFM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ddr5_4800;
-
-impl DramGeneration for Ddr5_4800 {
-    const NAME: &'static str = "ddr5";
-    const TIMING: DramTiming = DramTiming {
-        t_refi: 3_900_000, // 3.9 µs: DDR4's tREFI halved (JESD79-5 FGR)
-        t_rfc: 130_000,    // 130 ns same-bank refresh blackout (tRFCsb)
-        t_rc: 48_000,      // 48 ns (tRAS 32 + tRP 16)
-        t_rcd: 16_000,     // 16 ns
-        t_rp: 16_000,      // 16 ns
-        t_cl: 16_600,      // CL40 at 4800 MT/s
-        t_refw: 32 * MS,   // 32 ms refresh window
-    };
-    const RFM: Option<RfmSpec> = Some(RfmSpec {
-        raaimt: 32,     // mid-range of the spec's 16..80 (multiples of 8)
-        raammt: 192,    // 6 × RAAIMT, the spec's loosest ratio
-        t_rfm: 195_000, // ~tRFC2-class blackout per RFM
-    });
-    const MAX_POSTPONED_REFS: u32 = 16;
-    const T_RH_PRESETS: &'static [u64] = &[20_000, 10_000, 4_000, 2_000, 1_000];
-}
-
-/// LPDDR4X-4266 mobile configuration (per-bank refresh, no RFM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Lpddr4x;
-
-impl DramGeneration for Lpddr4x {
-    const NAME: &'static str = "lpddr4x";
-    const TIMING: DramTiming = DramTiming {
-        t_refi: 3_904_000, // 3.904 µs all-bank average at 8 Gb
-        t_rfc: 180_000,    // 180 ns tRFCab-class blackout
-        t_rc: 60_000,      // 60 ns (tRAS 42 + tRPpb 18)
-        t_rcd: 18_000,     // 18 ns
-        t_rp: 18_000,      // 18 ns
-        t_cl: 16_900,      // CL36 at 4266 MT/s
-        t_refw: 32 * MS,   // 32 ms mobile refresh window
-    };
-    const RFM: Option<RfmSpec> = None;
-    const MAX_POSTPONED_REFS: u32 = 8;
-    const T_RH_PRESETS: &'static [u64] = &[25_000, 12_500, 6_250, 3_125, 1_560];
-}
-
-/// LPDDR5-6400 mobile configuration (RFM per JESD209-5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Lpddr5;
-
-impl DramGeneration for Lpddr5 {
-    const NAME: &'static str = "lpddr5";
-    const TIMING: DramTiming = DramTiming {
-        t_refi: 3_906_000, // 3.906 µs per-bank cadence
-        t_rfc: 140_000,    // 140 ns per-bank blackout
-        t_rc: 48_000,      // 48 ns (tRAS 33 + tRPpb 15)
-        t_rcd: 15_000,     // 15 ns
-        t_rp: 15_000,      // 15 ns
-        t_cl: 15_600,      // ~CL50 at 6400 MT/s
-        t_refw: 32 * MS,   // 32 ms mobile refresh window
-    };
-    const RFM: Option<RfmSpec> = Some(RfmSpec {
-        raaimt: 16,     // mobile parts arm RFM earlier
-        raammt: 64,     // 4 × RAAIMT
-        t_rfm: 140_000, // per-bank RFM blackout
-    });
-    const MAX_POSTPONED_REFS: u32 = 16;
-    const T_RH_PRESETS: &'static [u64] = &[10_000, 5_000, 2_000, 1_000];
-}
-
-/// Runtime handle on one of the [`DramGeneration`] instances.
+/// A DRAM generation: one of the four modelled devices.
 ///
 /// # Example
 ///
@@ -215,51 +108,86 @@ impl Generation {
     /// `"lpddr5"`).
     pub fn name(self) -> &'static str {
         match self {
-            Generation::Ddr4_2400 => Ddr4_2400::NAME,
-            Generation::Ddr5_4800 => Ddr5_4800::NAME,
-            Generation::Lpddr4x => Lpddr4x::NAME,
-            Generation::Lpddr5 => Lpddr5::NAME,
+            Generation::Ddr4_2400 => "ddr4",
+            Generation::Ddr5_4800 => "ddr5",
+            Generation::Lpddr4x => "lpddr4x",
+            Generation::Lpddr5 => "lpddr5",
         }
     }
 
     /// The generation's timing parameters.
     pub fn timing(self) -> DramTiming {
         match self {
-            Generation::Ddr4_2400 => Ddr4_2400::TIMING,
-            Generation::Ddr5_4800 => Ddr5_4800::TIMING,
-            Generation::Lpddr4x => Lpddr4x::TIMING,
-            Generation::Lpddr5 => Lpddr5::TIMING,
+            // The paper's DDR4-2400 device (Tables I and III).
+            Generation::Ddr4_2400 => DramTiming::ddr4_2400(),
+            // Halved tREFI/tREFW, same-bank refresh granularity.
+            Generation::Ddr5_4800 => DramTiming {
+                t_refi: 3_900_000, // 3.9 µs: DDR4's tREFI halved (JESD79-5 FGR)
+                t_rfc: 130_000,    // 130 ns same-bank refresh blackout (tRFCsb)
+                t_rc: 48_000,      // 48 ns (tRAS 32 + tRP 16)
+                t_rcd: 16_000,     // 16 ns
+                t_rp: 16_000,      // 16 ns
+                t_cl: 16_600,      // CL40 at 4800 MT/s
+                t_refw: 32 * MS,   // 32 ms refresh window
+            },
+            // Mobile configuration with per-bank refresh.
+            Generation::Lpddr4x => DramTiming {
+                t_refi: 3_904_000, // 3.904 µs all-bank average at 8 Gb
+                t_rfc: 180_000,    // 180 ns tRFCab-class blackout
+                t_rc: 60_000,      // 60 ns (tRAS 42 + tRPpb 18)
+                t_rcd: 18_000,     // 18 ns
+                t_rp: 18_000,      // 18 ns
+                t_cl: 16_900,      // CL36 at 4266 MT/s
+                t_refw: 32 * MS,   // 32 ms mobile refresh window
+            },
+            // Mobile configuration with per-bank refresh and RFM.
+            Generation::Lpddr5 => DramTiming {
+                t_refi: 3_906_000, // 3.906 µs per-bank cadence
+                t_rfc: 140_000,    // 140 ns per-bank blackout
+                t_rc: 48_000,      // 48 ns (tRAS 33 + tRPpb 15)
+                t_rcd: 15_000,     // 15 ns
+                t_rp: 15_000,      // 15 ns
+                t_cl: 15_600,      // ~CL50 at 6400 MT/s
+                t_refw: 32 * MS,   // 32 ms mobile refresh window
+            },
         }
     }
 
     /// RFM accounting constants, `Some` for the generations that define
-    /// the command (DDR5, LPDDR5).
+    /// the command (DDR5, LPDDR5 per JESD209-5).
     pub fn rfm(self) -> Option<RfmSpec> {
         match self {
-            Generation::Ddr4_2400 => Ddr4_2400::RFM,
-            Generation::Ddr5_4800 => Ddr5_4800::RFM,
-            Generation::Lpddr4x => Lpddr4x::RFM,
-            Generation::Lpddr5 => Lpddr5::RFM,
+            Generation::Ddr4_2400 | Generation::Lpddr4x => None,
+            Generation::Ddr5_4800 => Some(RfmSpec {
+                raaimt: 32,     // mid-range of the spec's 16..80 (multiples of 8)
+                raammt: 192,    // 6 × RAAIMT, the spec's loosest ratio
+                t_rfm: 195_000, // ~tRFC2-class blackout per RFM
+            }),
+            Generation::Lpddr5 => Some(RfmSpec {
+                raaimt: 16,     // mobile parts arm RFM earlier
+                raammt: 64,     // 4 × RAAIMT
+                t_rfm: 140_000, // per-bank RFM blackout
+            }),
         }
     }
 
-    /// Maximum accumulated postponed REF commands the generation permits.
+    /// Maximum REF commands the controller may accumulate as postponed
+    /// (JESD79-4 §4.24 allows 8 at DDR4's 7.8 µs tREFI; DDR5's halved
+    /// tREFI doubles the count for the same ~62.4 µs wall-clock budget).
     pub fn max_postponed_refs(self) -> u32 {
         match self {
-            Generation::Ddr4_2400 => Ddr4_2400::MAX_POSTPONED_REFS,
-            Generation::Ddr5_4800 => Ddr5_4800::MAX_POSTPONED_REFS,
-            Generation::Lpddr4x => Lpddr4x::MAX_POSTPONED_REFS,
-            Generation::Lpddr5 => Lpddr5::MAX_POSTPONED_REFS,
+            Generation::Ddr4_2400 | Generation::Lpddr4x => 8,
+            Generation::Ddr5_4800 | Generation::Lpddr5 => 16,
         }
     }
 
     /// Row Hammer threshold presets, descending (head = default).
     pub fn t_rh_presets(self) -> &'static [u64] {
         match self {
-            Generation::Ddr4_2400 => Ddr4_2400::T_RH_PRESETS,
-            Generation::Ddr5_4800 => Ddr5_4800::T_RH_PRESETS,
-            Generation::Lpddr4x => Lpddr4x::T_RH_PRESETS,
-            Generation::Lpddr5 => Lpddr5::T_RH_PRESETS,
+            Generation::Ddr4_2400 => &[50_000, 25_000, 12_500, 6_250, 3_125, 1_560],
+            Generation::Ddr5_4800 => &[20_000, 10_000, 4_000, 2_000, 1_000],
+            Generation::Lpddr4x => &[25_000, 12_500, 6_250, 3_125, 1_560],
+            Generation::Lpddr5 => &[10_000, 5_000, 2_000, 1_000],
         }
     }
 
@@ -300,7 +228,6 @@ mod tests {
         // The anchor of the whole refactor: the generation-routed DDR4
         // timing IS the paper's Table I instance, field for field.
         assert_eq!(Generation::Ddr4_2400.timing(), DramTiming::ddr4_2400());
-        assert_eq!(Ddr4_2400::TIMING, DramTiming::ddr4_2400());
         assert_eq!(Generation::Ddr4_2400.max_postponed_refs(), 8);
         assert!(Generation::Ddr4_2400.rfm().is_none());
     }

@@ -7,10 +7,9 @@
 //! * [`timing`] — JEDEC DDR4 timing parameters (Table I of the paper) and the
 //!   derived quantities the paper's sizing formulas need, most importantly the
 //!   maximum number of row activations that fit in a refresh window.
-//! * [`generation`] — the multi-generation layer over [`timing`]: zero-cost
-//!   [`DramGeneration`] const-timing instances (DDR4-2400, DDR5-4800 with
-//!   RFM, LPDDR4X, LPDDR5), the runtime [`Generation`] enum, and the
-//!   [`RfmSpec`] refresh-management accounting constants.
+//! * [`generation`] — the multi-generation layer over [`timing`]: the
+//!   [`Generation`] enum (DDR4-2400, DDR5-4800 with RFM, LPDDR4X, LPDDR5)
+//!   and the [`RfmSpec`] refresh-management accounting constants.
 //! * [`geometry`] — channel/rank/bank/row organization and strongly-typed
 //!   addresses ([`RowId`], [`BankCoord`]).
 //! * [`fault`] — a ground-truth Row Hammer *fault oracle*: it integrates the
@@ -45,7 +44,7 @@ pub mod timing;
 
 pub use error::DramError;
 pub use fault::{BitFlip, DisturbanceModel, FaultOracle, MuModel};
-pub use generation::{DramGeneration, Generation, RfmSpec};
+pub use generation::{Generation, RfmSpec};
 pub use geometry::{BankCoord, DramGeometry, RowId};
 pub use refresh::{RefreshEngine, MAX_POSTPONED_REFS};
 pub use timing::{DramTiming, Picoseconds};

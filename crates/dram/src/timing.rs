@@ -60,9 +60,6 @@ pub struct DramTiming {
 impl DramTiming {
     /// The DDR4-2400 parameters used throughout the paper
     /// (Tables I and III; tREFW = 64 ms).
-    ///
-    /// `const` so the [`crate::generation::DramGeneration`] instances can
-    /// embed it as an associated constant at zero runtime cost.
     pub const fn ddr4_2400() -> Self {
         DramTiming {
             t_refi: 7_800_000, // 7.8 µs

@@ -5,22 +5,19 @@
 //! Graphene's no-false-negative guarantee (PROOFS.md, paper §IV) assumes the
 //! CAM counter table, the NRR path, and the refresh machinery are themselves
 //! fault-free. This crate drops that assumption: a seeded [`FaultPlan`]
-//! pre-materializes a schedule of fault events at three layers of the
-//! stack, so that resilience experiments are **bit-reproducible** from a
-//! single `u64` seed — in CI, across thread counts, and in resumed sweeps.
+//! pre-materializes a schedule of fault events at two layers of the
+//! simulated hardware, so that resilience experiments are
+//! **bit-reproducible** from a single `u64` seed — in CI, across thread
+//! counts, and in resumed sweeps.
 //!
-//! The three layers (see DESIGN.md §6g for the full taxonomy):
+//! The two layers (see DESIGN.md §6g for the full taxonomy):
 //!
 //! * [`TrackerFault`] — SRAM soft errors inside a defense's state: single-bit
 //!   flips in counter values, tracked row addresses, and the spillover
 //!   register, plus transient CAM lookup mismatches;
 //! * [`ControllerFault`] — memory-controller misbehavior: dropped or deferred
 //!   NRRs under bandwidth pressure, DDR4-legal refresh postponement (up to
-//!   8 tREFI, JESD79-4 §4.24), and command duplication at the shard boundary;
-//! * [`HarnessFault`] — failures of the experiment harness itself: telemetry
-//!   sink write failures and sweep-worker stalls, which the harness must
-//!   absorb via retry/backoff and a bounded per-cell stall budget rather
-//!   than aborting.
+//!   8 tREFI, JESD79-4 §4.24), and command duplication at the shard boundary.
 //!
 //! A plan is pure data: [`FaultPlan::generate`] derives every event from
 //! `StdRng::seed_from_u64(spec.seed)` with no dependence on wall-clock time,
@@ -30,7 +27,7 @@
 //! sizes. The [`FaultSpec`] is the archive: a sweep that records its spec
 //! regenerates the exact schedule it ran.
 //!
-//! A fourth layer targets the harness's **storage stack** rather than the
+//! A third layer targets the harness's **storage stack** rather than the
 //! simulated hardware: an [`IoFaultPlan`] ([`iofault`]) places a torn write,
 //! bit rot, an fsync failure or a reader stall on a chosen I/O operation
 //! against the trace and checkpoint files a fleet run persists, and
@@ -55,6 +52,6 @@ pub mod plan;
 pub use chaosfs::{ChaosFs, InjectedFault, IoOpCounts};
 pub use iofault::{IoFaultEvent, IoFaultKind, IoFaultPlan, IoOp};
 pub use plan::{
-    ControllerFault, FaultCursor, FaultEvent, FaultKind, FaultPlan, FaultSpec, HarnessFault,
-    TrackerFault, MAX_REFRESH_POSTPONE_REFI,
+    ControllerFault, FaultCursor, FaultEvent, FaultKind, FaultPlan, FaultSpec, TrackerFault,
+    MAX_REFRESH_POSTPONE_REFI,
 };

@@ -71,21 +71,6 @@ pub enum ControllerFault {
     DuplicateCommand,
 }
 
-/// A failure of the experiment harness itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HarnessFault {
-    /// The telemetry sink fails the next `writes` write attempts.
-    SinkFailure {
-        /// Number of consecutive failing writes.
-        writes: u32,
-    },
-    /// A sweep worker stalls for `millis` before making progress.
-    WorkerStall {
-        /// Stall duration in milliseconds.
-        millis: u64,
-    },
-}
-
 /// One fault of any layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -93,8 +78,6 @@ pub enum FaultKind {
     Tracker(TrackerFault),
     /// Memory-controller fault.
     Controller(ControllerFault),
-    /// Harness fault.
-    Harness(HarnessFault),
 }
 
 /// A scheduled fault: `kind` strikes bank `bank` when the controller
@@ -144,10 +127,6 @@ pub struct FaultSpec {
     pub refresh_postpones: u32,
     /// Number of command-duplication events.
     pub duplicates: u32,
-    /// Number of telemetry sink-failure events.
-    pub sink_failures: u32,
-    /// Number of sweep-worker stall events.
-    pub worker_stalls: u32,
 }
 
 impl FaultSpec {
@@ -169,8 +148,6 @@ impl FaultSpec {
             nrr_defers: 0,
             refresh_postpones: 0,
             duplicates: 0,
-            sink_failures: 0,
-            worker_stalls: 0,
         }
     }
 
@@ -192,8 +169,6 @@ impl FaultSpec {
             nrr_defers: 4,
             refresh_postpones: 2,
             duplicates: 4,
-            sink_failures: 3,
-            worker_stalls: 2,
             ..Self::new(seed)
         }
     }
@@ -206,8 +181,6 @@ impl FaultSpec {
             + u64::from(self.nrr_defers)
             + u64::from(self.refresh_postpones)
             + u64::from(self.duplicates)
-            + u64::from(self.sink_failures)
-            + u64::from(self.worker_stalls)
     }
 }
 
@@ -282,14 +255,6 @@ impl FaultPlan {
         for _ in 0..spec.duplicates {
             push(&mut events, &mut rng, FaultKind::Controller(ControllerFault::DuplicateCommand));
         }
-        for _ in 0..spec.sink_failures {
-            let writes = rng.gen_range(1u32..=4);
-            push(&mut events, &mut rng, FaultKind::Harness(HarnessFault::SinkFailure { writes }));
-        }
-        for _ in 0..spec.worker_stalls {
-            let millis = rng.gen_range(20u64..=120);
-            push(&mut events, &mut rng, FaultKind::Harness(HarnessFault::WorkerStall { millis }));
-        }
         events.sort_by_key(|e| (e.at_access, e.seq));
         FaultPlan { spec: *spec, events }
     }
@@ -318,12 +283,6 @@ impl FaultPlan {
     /// class the `HardenedGraphene` parity certificate covers.
     pub fn is_single_bit_only(&self) -> bool {
         self.events.iter().all(|e| matches!(e.kind, FaultKind::Tracker(t) if t.is_single_bit()))
-    }
-
-    /// The harness-layer events (sink failures, worker stalls), which are
-    /// consumed by the sweep harness rather than the memory controller.
-    pub fn harness_events(&self) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(|e| matches!(e.kind, FaultKind::Harness(_)))
     }
 
     /// A cursor for walking the schedule access by access.
@@ -437,14 +396,6 @@ mod tests {
             total += cursor.take_due(access).len();
         }
         assert_eq!(total, plan.len());
-    }
-
-    #[test]
-    fn harness_events_filtered() {
-        let spec = FaultSpec::chaos(8);
-        let plan = FaultPlan::generate(&spec);
-        let n = plan.harness_events().count() as u64;
-        assert_eq!(n, u64::from(spec.sink_failures) + u64::from(spec.worker_stalls));
     }
 
     #[test]

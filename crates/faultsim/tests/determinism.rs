@@ -16,8 +16,6 @@ fn spec_for(seed: u64, scale: u32) -> FaultSpec {
         nrr_defers: scale % 3,
         refresh_postpones: scale % 4,
         duplicates: scale % 6,
-        sink_failures: scale % 3,
-        worker_stalls: scale % 2,
         ..FaultSpec::new(seed)
     }
 }

@@ -133,6 +133,13 @@ mod tests {
         let ddr4 = McConfig::for_generation(Generation::Ddr4_2400);
         assert_eq!(ddr4.timing, DramTiming::ddr4_2400());
         assert!(ddr4.rfm.is_none());
+        // The generation-bound DDR4 bank is the plain single bank, so every
+        // DDR4 cell of the generation matrix runs the pre-generation path.
+        let model = Some(DisturbanceModel { t_rh: 1_560, ..DisturbanceModel::ddr4_50k() });
+        assert_eq!(
+            McConfig::single_bank_for_generation(Generation::Ddr4_2400, 65_536, model.clone()),
+            McConfig::single_bank(65_536, model)
+        );
 
         let ddr5 = McConfig::for_generation(Generation::Ddr5_4800);
         assert_eq!(ddr5.timing, Generation::Ddr5_4800.timing());

@@ -388,7 +388,6 @@ impl MemoryController {
     /// Takes every fault event due at `access_index`, forwarding tracker
     /// faults to the target bank's defense, arming controller one-shots,
     /// and applying deferred NRRs whose release access has arrived.
-    /// Harness-layer events are skipped (the sweep harness consumes them).
     fn deliver_faults(&mut self, access_index: u64) {
         // Temporarily take the injector so the loop can borrow defenses and
         // refresh state mutably; `apply_action` never touches `self.faults`.
@@ -409,7 +408,6 @@ impl MemoryController {
                     }
                     inj.arm(fault);
                 }
-                FaultKind::Harness(_) => {}
             }
         }
         for (bank, action) in inj.release_due(access_index) {

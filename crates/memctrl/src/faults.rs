@@ -16,9 +16,6 @@
 //! * [`ControllerFault::DuplicateCommand`] — the access is replayed once at
 //!   the shard boundary (the row is served twice).
 //!
-//! Harness-layer events are not consumed here; the sweep harness reads them
-//! from the plan directly (see [`FaultPlan::harness_events`]).
-//!
 //! Dropping or deferring an NRR does **not** touch the ground-truth fault
 //! oracle: victims the defense believed it protected stay unrefreshed, so a
 //! sufficiently unlucky plan turns into oracle bit flips — exactly the

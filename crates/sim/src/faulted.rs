@@ -1,17 +1,12 @@
 //! The resilience matrix: fault-injected sweeps with graceful degradation.
 //!
 //! [`run_matrix_faulted`] crosses seeded [`FaultSpec`] plans with defenses
-//! and workloads and runs every cell under injection at all three layers:
+//! and workloads and runs every cell under injection at both layers:
 //!
 //! * **tracker faults** flow through the controller into the defense
 //!   ([`RowHammerDefense::inject_fault`](mitigations::RowHammerDefense));
 //! * **controller faults** drop/defer NRRs, postpone refresh, and duplicate
-//!   commands inside [`memctrl::FaultInjector`];
-//! * **harness faults** hit the sweep itself: telemetry sink outages are
-//!   ridden out by a [`RetrySink`] over a scripted [`FlakySink`], and a
-//!   cell's injected worker stalls hold its thread for at most a 50 ms
-//!   stall budget, so the sweep drains instead of serializing behind a
-//!   stalled worker.
+//!   commands inside [`memctrl::FaultInjector`].
 //!
 //! Unlike [`crate::try_run_matrix`], cells are *standalone*: no
 //! defense-free baseline and no cross-run audit, because duplicated
@@ -31,30 +26,19 @@
 //!   NRRs, read back from its `fault.*` telemetry series.
 //!
 //! Everything in [`ResilienceReport::cells`] is bit-reproducible from the
-//! plan seeds: injection schedules, retry accounting (the write-attempt
-//! clock is deterministic), and telemetry snapshots (timestamps come from
-//! the simulated clock). The sweep is one [`pool::map`] over (plan,
-//! workload, defense) cells, each run through `runner::execute`.
+//! plan seeds: injection schedules and telemetry snapshots (timestamps
+//! come from the simulated clock). The sweep is one [`pool::map`] over
+//! (plan, workload, defense) cells, each run through `runner::execute`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-use faultsim::{FaultKind, FaultPlan, FaultSpec, HarnessFault};
+use faultsim::{FaultPlan, FaultSpec};
 use memctrl::{FaultStats, McBuilder, RunStats, TelemetryTap};
-use telemetry::{
-    Cadence, FailureSpan, FlakySink, MetricsSink, RetryPolicy, RetrySink, RetryStats, SharedSink,
-    Snapshot,
-};
+use telemetry::{Cadence, MetricsSink, SharedSink, Snapshot};
 
 use crate::pool;
 use crate::runner::{execute, payload_message, SimConfig};
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
-
-/// The longest a cell sleeps for its injected worker stalls. Stalls reach
-/// 120 ms each, so the budget cuts every long plan short while a plan's
-/// stalls still cost real time on the worker that drew them.
-const STALL_BUDGET: Duration = Duration::from_millis(50);
 
 /// Short human label for a plan, used in [`ResilienceCell::plan`].
 pub fn plan_label(spec: &FaultSpec) -> String {
@@ -74,8 +58,6 @@ pub struct FaultedRun {
     pub parity_detections: u64,
     /// Repair NRRs emitted while degrading (0 for other schemes).
     pub repair_nrrs: u64,
-    /// What the telemetry retry layer endured under injected sink outages.
-    pub sink: RetryStats,
     /// The cell's telemetry, including the `fault.*` series.
     pub snapshot: Snapshot,
 }
@@ -155,65 +137,6 @@ impl ResilienceReport {
     }
 }
 
-/// A cloneable [`MetricsSink`] handle over one shared retry stack. The
-/// controller tap writes through a clone; the cell keeps another to read
-/// the [`RetryStats`] after the run.
-#[derive(Clone)]
-struct SharedRetrySink(Arc<Mutex<RetrySink<FlakySink<SharedSink>>>>);
-
-impl SharedRetrySink {
-    fn with<R>(&self, f: impl FnOnce(&mut RetrySink<FlakySink<SharedSink>>) -> R) -> R {
-        f(&mut self.0.lock().expect("retry sink poisoned"))
-    }
-}
-
-impl MetricsSink for SharedRetrySink {
-    fn counter(&mut self, name: &'static str, delta: u64) {
-        self.with(|s| s.counter(name, delta));
-    }
-
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        self.with(|s| s.gauge(name, value));
-    }
-
-    fn observe(&mut self, name: &'static str, value: f64) {
-        self.with(|s| s.observe(name, value));
-    }
-
-    fn sample(&mut self, series: &'static str, bank: u16, t_ps: u64, value: f64) {
-        self.with(|s| s.sample(series, bank, t_ps, value));
-    }
-}
-
-/// Maps the plan's `SinkFailure` events onto the telemetry write-attempt
-/// clock: the access index a harness event carries has no 1:1 counterpart
-/// among write attempts (a tap flush is one access but several writes), so
-/// the k-th outage deterministically starts at attempt `8k` — early enough
-/// that even short runs exercise it.
-fn sink_failure_spans(plan: &FaultPlan) -> Vec<FailureSpan> {
-    plan.harness_events()
-        .filter_map(|e| match e.kind {
-            FaultKind::Harness(HarnessFault::SinkFailure { writes }) => Some(writes),
-            _ => None,
-        })
-        .enumerate()
-        .map(|(k, writes)| FailureSpan { at_attempt: 8 * k as u64, writes })
-        .collect()
-}
-
-/// How long a cell sleeps for `plan`'s injected worker stalls: their
-/// scripted total, capped at [`STALL_BUDGET`].
-fn stall_budget(plan: &FaultPlan) -> Duration {
-    let scripted: u64 = plan
-        .harness_events()
-        .filter_map(|e| match e.kind {
-            FaultKind::Harness(HarnessFault::WorkerStall { millis }) => Some(millis),
-            _ => None,
-        })
-        .sum();
-    Duration::from_millis(scripted).min(STALL_BUDGET)
-}
-
 /// Sums the last sampled value of `series` across all banks — the cumulative
 /// counters `HardenedGraphene` emits at completion time.
 fn last_sample_sum(snapshot: &Snapshot, series: &str, banks: u32) -> u64 {
@@ -238,22 +161,14 @@ fn execute_faulted(
     let every_acts = cfg.telemetry.map_or(1_000, |t| t.every_acts);
     let banks = mc_cfg.geometry.total_banks();
     let shared = SharedSink::new();
-    let retry = SharedRetrySink(Arc::new(Mutex::new(RetrySink::new(
-        FlakySink::new(shared.clone(), sink_failure_spans(plan)),
-        RetryPolicy::default_bounded(),
-    ))));
     let mc = McBuilder::new(mc_cfg.clone())
         .defenses(defense)
         .audit(audit)
-        .telemetry(TelemetryTap::new(Box::new(retry.clone()), Cadence::EveryActs(every_acts)))
+        .telemetry(TelemetryTap::new(Box::new(shared.clone()), Cadence::EveryActs(every_acts)))
         .faults(plan.clone())
         .build();
     let (mc, stats) = execute(mc, workload, cfg.accesses, cfg.seed, audit);
     let faults = mc.fault_stats().copied().unwrap_or_default();
-    let sink = retry.with(|s| *s.stats());
-    // End-of-run bookkeeping goes straight into the recorder: these writes
-    // are part of the harness, not of the (possibly still failing) sink
-    // under test.
     shared.with(|rec| {
         for bank in 0..banks as usize {
             mc.defense(bank).emit_telemetry(bank as u16, stats.completion, rec);
@@ -266,8 +181,6 @@ fn execute_faulted(
         rec.counter("fault.refreshes_postponed", faults.refreshes_postponed);
         rec.counter("fault.commands_duplicated", faults.commands_duplicated);
         rec.counter("fault.false_negatives", stats.bit_flips);
-        rec.counter("fault.sink_retries", sink.retries);
-        rec.counter("fault.sink_dropped_writes", sink.dropped_writes);
     });
     let snapshot = shared.snapshot(&format!(
         "{}/{}/{}",
@@ -283,7 +196,6 @@ fn execute_faulted(
         faults,
         parity_detections,
         repair_nrrs,
-        sink,
         snapshot,
     }
 }
@@ -295,9 +207,7 @@ fn execute_faulted(
 /// Each cell runs standalone under its generated [`FaultPlan`] (see the
 /// module docs for why there is no baseline). A cell killed mid-run by the
 /// audit layer becomes [`CellOutcome::AuditViolation`]; the rest of the
-/// sweep continues. Harness faults are realized here: sink outages through
-/// the retry stack, worker stalls as a sleep before the cell runs: the
-/// plan's scripted stall total, capped at 50 ms.
+/// sweep continues.
 pub fn run_matrix_faulted(
     cfg: &SimConfig,
     plans: &[FaultSpec],
@@ -312,7 +222,6 @@ pub fn run_matrix_faulted(
         })
         .collect();
     let cells = pool::map(&grid, |&(plan, workload, defense)| {
-        std::thread::sleep(stall_budget(plan));
         let run = catch_unwind(AssertUnwindSafe(|| execute_faulted(cfg, plan, defense, workload)));
         let outcome = match run {
             Ok(run) => CellOutcome::Completed(Box::new(run)),
@@ -392,59 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_outages_are_ridden_out_without_dropping_writes() {
-        let mut spec = FaultSpec::new(11);
-        spec.accesses = 10_000;
-        spec.sink_failures = 3;
-        let cfg = SimConfig::attack_bank(5_000, 10_000);
-        let report = run_matrix_faulted(
-            &cfg,
-            &[spec],
-            &[DefenseSpec::Graphene { t_rh: 5_000, k: 2 }],
-            &[WorkloadSpec::S3],
-        );
-        let run = report.cells[0].completed().expect("sink faults must not kill the run");
-        assert!(run.sink.retries > 0, "the scripted outage must actually bite");
-        assert_eq!(run.sink.dropped_writes, 0, "bounded outages lose nothing under retry");
-    }
-
-    #[test]
-    fn worker_stalls_complete_under_the_watchdog() {
-        let mut spec = FaultSpec::new(23);
-        spec.accesses = 2_000;
-        spec.worker_stalls = 2;
-        let cfg = SimConfig::attack_bank(5_000, 2_000);
-        let report = run_matrix_faulted(
-            &cfg,
-            &[spec],
-            &[DefenseSpec::Graphene { t_rh: 5_000, k: 2 }],
-            &[WorkloadSpec::S3],
-        );
-        assert_eq!(report.cells.len(), 1);
-        assert!(report.cells[0].completed().is_some());
-    }
-
-    #[test]
-    fn stall_budget_is_the_scripted_total_capped_at_fifty_millis() {
-        // (seed, stalls, the plan's scripted stalls in ms, expected budget)
-        let cases: [(u64, u32, &[u64], u64); 4] =
-            [(1, 0, &[], 0), (1, 1, &[35], 35), (21, 2, &[23, 29], 50), (4, 1, &[104], 50)];
-        for (seed, stalls, scripted, budget) in cases {
-            let spec = FaultSpec { accesses: 2_000, worker_stalls: stalls, ..FaultSpec::new(seed) };
-            let plan = FaultPlan::generate(&spec);
-            let drawn: Vec<u64> = plan
-                .harness_events()
-                .filter_map(|e| match e.kind {
-                    FaultKind::Harness(HarnessFault::WorkerStall { millis }) => Some(millis),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(drawn, scripted, "seed {seed}");
-            assert_eq!(stall_budget(&plan), Duration::from_millis(budget), "seed {seed}");
-        }
-    }
-
-    #[test]
     fn matrix_is_bit_reproducible_from_the_seed() {
         let run = || {
             let cfg = SimConfig::attack_bank(5_000, 8_000);
@@ -462,8 +318,7 @@ mod tests {
         };
         let a = run();
         let b = run();
-        // Cells (runs, fault accounting, retry stats, snapshots) must be
-        // identical.
+        // Cells (runs, fault accounting, snapshots) must be identical.
         assert_eq!(a.cells, b.cells);
         assert_eq!(a.cells.len(), 4);
     }

@@ -37,13 +37,11 @@
 //! core: checkpoints rotate across two generation slots, corrupt files are
 //! **quarantined aside** (renamed, never deleted or overwritten in place),
 //! a failed segment rolls back to the newest *verified* checkpoint and
-//! retries up to three times with deterministic exponential (virtual —
-//! recorded, not slept) backoff from a 1 ms base, and the degraded-
-//! mode accounting surfaces as `fleet.retries` / `fleet.rollbacks` /
-//! `fleet.corrupt_chunks` / `fleet.quarantined` telemetry counters. All
-//! file I/O flows through the [`workloads::vfs`] seam, so the `chaos-fleet`
-//! harness injects deterministic torn writes, bit rot, and fsync failures
-//! under these exact code paths.
+//! retries up to three times, and the degraded-mode accounting (retries,
+//! rollbacks, corrupt chunks, quarantined files) comes back in the
+//! [`SupervisorReport`]. All file I/O flows through the [`workloads::vfs`]
+//! seam, so the `chaos-fleet` harness injects deterministic torn writes,
+//! bit rot, and fsync failures under these exact code paths.
 //!
 //! [`synth_fleet_trace`] writes the multi-tenant input: thousands of
 //! interleaved clients — Zipf/streaming SPEC-like proxies seasoned with
@@ -64,7 +62,6 @@ use memctrl::{
     CkptError, MappingPolicy, McBuilder, McConfig, McError, SystemController, SystemStats,
 };
 use telemetry::json::{self, obj, JsonValue};
-use telemetry::{MetricsSink, SharedSink};
 use workloads::crc::{crc32c_combine, Crc32c};
 use workloads::vfs::{real_fs, Vfs};
 use workloads::{
@@ -256,7 +253,7 @@ impl std::error::Error for FleetError {
 impl FleetError {
     /// True when the failure is *data damage* a CRC frame caught — a trace
     /// chunk or checkpoint whose content no longer matches its checksum.
-    /// The supervisor counts these as `fleet.corrupt_chunks`.
+    /// The supervisor counts these in [`SupervisorReport::corrupt_chunks`].
     pub fn is_corruption(&self) -> bool {
         match self {
             FleetError::CkptCorrupt { .. } => true,
@@ -704,12 +701,6 @@ const GENERATIONS: usize = 2;
 /// one checkpoint write, before [`FleetError::RetriesExhausted`].
 const MAX_RETRIES: u32 = 3;
 
-/// Base of the supervisor's exponential backoff: retry `a` (from 1) adds
-/// `BACKOFF_NS << (a - 1)`. The backoff is **virtual**: recorded in the
-/// report and telemetry, never slept, so supervised runs stay exactly
-/// reproducible and fast.
-const BACKOFF_NS: u64 = 1_000_000;
-
 /// The replay core both drivers run: the trace reader, the system it
 /// feeds, and the trace records executed so far.
 struct Replay<'a> {
@@ -819,7 +810,7 @@ impl<'a> Replay<'a> {
         if let Some(rec) = recovery.as_deref_mut().filter(|r| !r.quarantined.is_empty()) {
             // A damaged newest generation was discarded: whatever state it
             // held is gone and the run falls back to an older (or empty) one.
-            rec.rollback();
+            rec.rollbacks += 1;
         }
         let resumed_from = ckpt.map(|c| c.accesses_done);
         let trace_len = self.reader.len();
@@ -833,7 +824,7 @@ impl<'a> Replay<'a> {
                 self.system = self.cfg.build_system();
                 let ckpt = rec.latest();
                 self.resume(ckpt.as_ref())?;
-                rec.rollback();
+                rec.rollbacks += 1;
                 continue;
             }
             attempt = 0;
@@ -875,7 +866,7 @@ impl<'a> Replay<'a> {
             };
             if e.is_corruption() && self.fs.exists(&slot) {
                 let moved = rec.store.quarantine(&slot);
-                rec.note_quarantine(moved);
+                rec.quarantined.push(moved);
             }
             attempt += 1;
             rec.retry(e, attempt, self.done)?;
@@ -1012,48 +1003,25 @@ pub struct SupervisorReport {
     pub corrupt_chunks: u64,
     /// Files moved aside as corrupt, in quarantine order.
     pub quarantined: Vec<PathBuf>,
-    /// Total virtual backoff accumulated (never slept).
-    pub backoff_ns: u64,
 }
 
 /// The supervisor's half of a replay: the rotating checkpoint store and
-/// the degraded-mode accounting that [`SupervisorReport`] returns, mirrored
-/// into the telemetry sink when there is one.
+/// the degraded-mode accounting that [`SupervisorReport`] returns.
 struct Recovery {
     store: CheckpointStore,
     verify_writes: bool,
-    sink: Option<SharedSink>,
     retries: u64,
     rollbacks: u64,
     corrupt_chunks: u64,
     quarantined: Vec<PathBuf>,
-    backoff_ns: u64,
 }
 
 impl Recovery {
-    fn bump(&mut self, name: &'static str) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.counter(name, 1);
-        }
-    }
-
-    fn note_quarantine(&mut self, moved: PathBuf) {
-        self.quarantined.push(moved);
-        self.bump("fleet.quarantined");
-    }
-
-    fn rollback(&mut self) {
-        self.rollbacks += 1;
-        self.bump("fleet.rollbacks");
-    }
-
     /// The newest verified generation, once every damaged slot is
     /// quarantined.
     fn latest(&mut self) -> Option<FleetCheckpoint> {
         let (best, damaged) = self.store.latest();
-        for moved in damaged {
-            self.note_quarantine(moved);
-        }
+        self.quarantined.extend(damaged);
         best.map(|(_, ckpt)| ckpt)
     }
 
@@ -1077,30 +1045,25 @@ impl Recovery {
     }
 
     /// Accounts failure `e` of attempt `attempt` (counting from 1): a retry
-    /// with its backoff or, past [`MAX_RETRIES`],
-    /// [`FleetError::RetriesExhausted`] at `segment_start`.
+    /// or, past [`MAX_RETRIES`], [`FleetError::RetriesExhausted`] at
+    /// `segment_start`.
     fn retry(&mut self, e: FleetError, attempt: u32, segment_start: u64) -> Result<(), FleetError> {
         if e.is_corruption() {
             self.corrupt_chunks += 1;
-            self.bump("fleet.corrupt_chunks");
         }
         if attempt > MAX_RETRIES {
             let last = Box::new(e);
             return Err(FleetError::RetriesExhausted { segment_start, attempts: attempt, last });
         }
         self.retries += 1;
-        self.bump("fleet.retries");
-        self.backoff_ns += BACKOFF_NS << (attempt - 1);
         Ok(())
     }
 }
 
 /// [`run_fleet`] wrapped in the recovery supervisor: rotating verified
 /// checkpoints, quarantine-aside for corrupt files, bounded deterministic
-/// retry with virtual backoff, and rollback to the newest verified
-/// generation on segment failure. Degraded-mode accounting is reported and
-/// (when `sink` is given) emitted as `fleet.retries` / `fleet.rollbacks` /
-/// `fleet.corrupt_chunks` / `fleet.quarantined` counters.
+/// retry, and rollback to the newest verified generation on segment
+/// failure. The [`SupervisorReport`] carries the degraded-mode accounting.
 ///
 /// The contract the chaos harness asserts: under any injected I/O fault
 /// schedule, a supervised run either completes with statistics
@@ -1120,7 +1083,6 @@ impl Recovery {
 pub fn run_fleet_supervised(
     cfg: &SupervisorConfig,
     trace: &Path,
-    sink: Option<SharedSink>,
     mut on_segment: impl FnMut(&FleetProgress),
 ) -> Result<SupervisorReport, FleetError> {
     let Some(base) = cfg.fleet.checkpoint.clone() else {
@@ -1129,12 +1091,10 @@ pub fn run_fleet_supervised(
     let mut rec = Recovery {
         store: CheckpointStore::new(cfg.fleet.vfs(), base),
         verify_writes: cfg.verify_writes,
-        sink,
         retries: 0,
         rollbacks: 0,
         corrupt_chunks: 0,
         quarantined: Vec::new(),
-        backoff_ns: 0,
     };
     let report = Replay::open(&cfg.fleet, trace)?.run(Some(&mut rec), &mut on_segment)?;
     Ok(SupervisorReport {
@@ -1143,7 +1103,6 @@ pub fn run_fleet_supervised(
         rollbacks: rec.rollbacks,
         corrupt_chunks: rec.corrupt_chunks,
         quarantined: rec.quarantined,
-        backoff_ns: rec.backoff_ns,
     })
 }
 
@@ -1653,8 +1612,7 @@ mod tests {
         }
         cfg.defense = DefenseSpec::HardenedGraphene { t_rh: 2, k: 2 };
         cfg.checkpoint = Some(tmp("underivable.ckpt"));
-        let err =
-            run_fleet_supervised(&SupervisorConfig::new(cfg), &trace, None, |_| {}).unwrap_err();
+        let err = run_fleet_supervised(&SupervisorConfig::new(cfg), &trace, |_| {}).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1673,7 +1631,7 @@ mod tests {
         let mut fleet = cfg.clone();
         fleet.checkpoint = Some(tmp("sup.ckpt"));
         let sup_cfg = SupervisorConfig::new(fleet.clone());
-        let sup = run_fleet_supervised(&sup_cfg, &trace, None, |_| {}).unwrap();
+        let sup = run_fleet_supervised(&sup_cfg, &trace, |_| {}).unwrap();
         assert_eq!(sup.report.stats, plain.stats);
         assert_eq!(sup.retries, 0);
         assert_eq!(sup.rollbacks, 0);
@@ -1700,7 +1658,7 @@ mod tests {
         fleet.checkpoint = Some(base.clone());
         fleet.stop_after = Some(10_000);
         let sup_cfg = SupervisorConfig::new(fleet.clone());
-        run_fleet_supervised(&sup_cfg, &trace, None, |_| {}).unwrap();
+        run_fleet_supervised(&sup_cfg, &trace, |_| {}).unwrap();
 
         // Corrupt the newest generation on disk (bit rot in place).
         let store = CheckpointStore::new(real_fs(), base.clone());
@@ -1717,16 +1675,13 @@ mod tests {
         // fault-free statistics.
         let mut resumed = sup_cfg.clone();
         resumed.fleet.stop_after = None;
-        let sink = SharedSink::new();
-        let sup = run_fleet_supervised(&resumed, &trace, Some(sink.clone()), |_| {}).unwrap();
+        let sup = run_fleet_supervised(&resumed, &trace, |_| {}).unwrap();
         assert_eq!(sup.rollbacks, 1, "discarding the newest generation is a rollback");
         assert_eq!(sup.quarantined.len(), 1);
         assert!(sup.quarantined[0].to_string_lossy().contains("quarantined"));
         assert!(sup.quarantined[0].exists(), "quarantine preserves the evidence");
         assert!(sup.report.resumed_from.unwrap() < 10_000, "resumed from an older generation");
         assert_eq!(sup.report.stats, reference.stats, "recovery is bit-identical");
-        assert_eq!(sink.with(|r| r.counter_value("fleet.rollbacks")), 1);
-        assert_eq!(sink.with(|r| r.counter_value("fleet.quarantined")), 1);
         for s in store.slots() {
             fs::remove_file(&s).ok();
         }
@@ -1741,7 +1696,7 @@ mod tests {
         let base = tmp("rot.ckpt");
         let mut fleet = cfg.clone();
         fleet.checkpoint = Some(base.clone());
-        run_fleet_supervised(&SupervisorConfig::new(fleet), &trace, None, |_| {}).unwrap();
+        run_fleet_supervised(&SupervisorConfig::new(fleet), &trace, |_| {}).unwrap();
         let store = CheckpointStore::new(real_fs(), base);
         // 3 segments were checkpointed across the 2 slots; the newest holds
         // the final count and next_slot would not clobber it.

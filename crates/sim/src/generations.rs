@@ -6,9 +6,6 @@
 //! table size — are re-derived from that generation's timing, and on the
 //! generations that define Refresh Management (DDR5, LPDDR5) the defense
 //! issues standardised RFM commands instead of raw neighbor-row refreshes.
-//! The DDR4 column of the matrix is **bit-identical** to the legacy
-//! pre-generation path; `ddr4_cells_are_bit_identical_to_the_legacy_path`
-//! below pins that equivalence counter for counter.
 //!
 //! Like the tracker arena, every cell runs fully audited: the action audit
 //! validates each refresh (RFM or NRR spelling), the fault oracle records
@@ -234,7 +231,6 @@ fn run_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::DefenseSpec;
 
     #[test]
     fn lineup_covers_baselines_and_every_tracker() {
@@ -247,40 +243,6 @@ mod tests {
         // DDR4 lineup strings stay bare (the legacy notation).
         for spec in generation_lineup(Generation::Ddr4_2400, 1_560) {
             assert!(!spec.spec_string().contains('/'), "{}", spec.spec_string());
-        }
-    }
-
-    #[test]
-    fn ddr4_cells_are_bit_identical_to_the_legacy_path() {
-        // The pin of the whole refactor: routing DDR4-2400 through the
-        // generation API — config, factory, audit certificate — must not
-        // move a single counter relative to the pre-generation path.
-        let rows = 65_536u32;
-        let t_rh = 1_560u64;
-        let model = DisturbanceModel { t_rh, ..DisturbanceModel::ddr4_50k() };
-        let legacy_cfg = McConfig::single_bank(rows, Some(model.clone()));
-        let gen_cfg =
-            McConfig::single_bank_for_generation(Generation::Ddr4_2400, rows, Some(model));
-        assert_eq!(legacy_cfg, gen_cfg, "DDR4 generation config must equal the legacy config");
-        for defense in [
-            DefenseSpec::Graphene { t_rh, k: 2 },
-            DefenseSpec::Comet { t_rh },
-            DefenseSpec::Abacus { t_rh, k: 2 },
-            DefenseSpec::BlockHammer { t_rh },
-        ] {
-            let workload = WorkloadSpec::S3;
-            let legacy = {
-                let mut mc =
-                    McBuilder::new(legacy_cfg.clone()).defenses(&defense).audit(true).build();
-                let mut w = workload.build(1, rows, 42);
-                mc.run(w.as_mut(), 30_000)
-            };
-            let mc = McBuilder::new(gen_cfg.clone())
-                .defenses(&GenSpec::ddr4(defense))
-                .audit(true)
-                .build();
-            let (_, generational) = execute(mc, &workload, 30_000, 42, true);
-            assert_eq!(legacy, generational, "{} diverged on DDR4", defense.name());
         }
     }
 

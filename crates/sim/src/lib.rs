@@ -22,8 +22,8 @@
 //!   the streaming pipeline is built on.
 //! * [`faulted`] — the resilience matrix: seeded fault plans crossed with
 //!   defenses and workloads, measuring false negatives, audit detections,
-//!   and graceful degradation under injected tracker, controller, and
-//!   harness faults.
+//!   and graceful degradation under injected tracker and controller
+//!   faults.
 //! * [`fleet`] — bounded-memory fleet replay: RHT4 traces streamed from
 //!   disk through the sharded pipeline in checkpointed segments, with
 //!   bit-identical kill/resume via `fleetckpt.v2` checkpoints and
@@ -34,8 +34,8 @@
 //!   certificate), slowdown, area, and energy.
 //! * [`generations`] — the cross-generation matrix: the same lineup raced
 //!   on every DRAM generation ([`dram_model::Generation`]) with
-//!   per-generation derived parameters, RFM-issuing defenses on DDR5 and
-//!   LPDDR5, and a DDR4 column pinned bit-identical to the legacy path.
+//!   per-generation derived parameters and RFM-issuing defenses on DDR5
+//!   and LPDDR5.
 //!
 //! # Example
 //!

@@ -8,8 +8,6 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use dram_model::fault::DisturbanceModel;
 use memctrl::{
@@ -17,7 +15,7 @@ use memctrl::{
 };
 use mitigations::RowHammerDefense;
 use rh_analysis::EnergyModel;
-use telemetry::{Cadence, MetricsSink, SharedSink, Snapshot};
+use telemetry::{Cadence, SharedSink, Snapshot};
 
 use crate::pool;
 use crate::scenarios::{DefenseSpec, WorkloadSpec};
@@ -435,30 +433,24 @@ pub struct MatrixTelemetry {
     /// Per-cell snapshots (empty when the campaign ran with
     /// `telemetry: None`).
     pub cells: Vec<CellTelemetry>,
-    /// Live sweep progress: series `sweep.jobs_done` over wall-clock time
-    /// (ps since sweep start), one sample per finished baseline or cell
-    /// (empty without telemetry).
-    pub sweep: Snapshot,
 }
 
 impl MatrixTelemetry {
-    /// Everything in one [`Snapshot`]: each cell's metrics prefixed with
-    /// `"{workload}/{defense}/"`, the sweep-progress series unprefixed.
-    /// This is what `telemetry-report` writes to disk.
+    /// Every cell's metrics in one [`Snapshot`], each prefixed with
+    /// `"{workload}/{defense}/"`. This is what `telemetry-report` writes to
+    /// disk.
     pub fn merged_snapshot(&self, source: &str) -> Snapshot {
         let mut out = Snapshot::empty(source);
         for cell in &self.cells {
             out.merge_prefixed(&format!("{}/{}/", cell.workload, cell.defense), &cell.snapshot);
         }
-        out.merge_prefixed("", &self.sweep);
         out
     }
 }
 
 /// Runs the full (defenses × workloads) matrix in parallel: reports in
-/// (workload-major, defense-minor) order, plus the telemetry of
-/// `cfg.telemetry` — per-cell snapshots under a recording spec, and the
-/// sweep's progress series.
+/// (workload-major, defense-minor) order, plus per-cell snapshots under a
+/// recording `cfg.telemetry` spec.
 ///
 /// The sweep is two [`pool::map`]s. The first runs each workload's
 /// defense-free baseline once; the second runs every (workload, defense)
@@ -482,44 +474,20 @@ pub fn try_run_matrix(
     workloads: &[WorkloadSpec],
 ) -> Result<MatrixTelemetry, MatrixError> {
     let audit = cfg.audit_enabled();
-
-    // Live sweep progress: one sample per finished baseline or cell,
-    // timestamped in wall-clock picoseconds since sweep start.
-    let sweep_sink = cfg.telemetry.map(|_| SharedSink::new());
-    let sweep_start = Instant::now();
-    let jobs_done = AtomicUsize::new(0);
-    let job_done = || {
-        if let Some(sink) = &sweep_sink {
-            sink.with(|rec| {
-                // Counted under the recorder's lock, so the series rises in
-                // step with the count.
-                let done = jobs_done.fetch_add(1, Ordering::Relaxed) + 1;
-                let t_ps = sweep_start.elapsed().as_nanos() as u64 * 1_000;
-                rec.sample("sweep.jobs_done", 0, t_ps, done as f64);
-            });
-        }
-    };
-
     let baselines = pool::map(workloads, |workload| {
-        let baseline = catch_unwind(AssertUnwindSafe(|| {
+        catch_unwind(AssertUnwindSafe(|| {
             let mc_cfg = cfg.mc_config_for(workload).clone();
             let mc = McBuilder::new(mc_cfg).defenses(&DefenseSpec::None).audit(audit).build();
             execute(mc, workload, cfg.accesses, cfg.seed, audit).1
         }))
-        .map_err(|payload| format!("baseline panicked: {}", payload_message(&*payload)));
-        job_done();
-        baseline
+        .map_err(|payload| format!("baseline panicked: {}", payload_message(&*payload)))
     });
     let grid: Vec<(usize, &DefenseSpec)> =
         (0..workloads.len()).flat_map(|wi| defenses.iter().map(move |d| (wi, d))).collect();
     let results = pool::map(&grid, |&(wi, defense)| {
         let baseline = baselines[wi].as_ref().map_err(Clone::clone)?;
-        let cell = catch_unwind(AssertUnwindSafe(|| {
-            run_cell(cfg, defense, &workloads[wi], baseline, audit)
-        }))
-        .map_err(|payload| payload_message(&*payload));
-        job_done();
-        cell
+        catch_unwind(AssertUnwindSafe(|| run_cell(cfg, defense, &workloads[wi], baseline, audit)))
+            .map_err(|payload| payload_message(&*payload))
     });
 
     let mut reports = Vec::with_capacity(results.len());
@@ -547,8 +515,7 @@ pub fn try_run_matrix(
     if !failures.is_empty() {
         return Err(MatrixError { failures });
     }
-    let sweep = sweep_sink.map(|s| s.snapshot("sweep")).unwrap_or_else(|| Snapshot::empty("sweep"));
-    Ok(MatrixTelemetry { reports, cells, sweep })
+    Ok(MatrixTelemetry { reports, cells })
 }
 
 /// The reports of [`try_run_matrix`], panicking with the full failure list

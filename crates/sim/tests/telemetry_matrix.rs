@@ -51,10 +51,6 @@ fn recording_matrix_captures_per_defense_series() {
         assert!(cell.snapshot.series_for("mc.acts", 0).is_some(), "controller tap series");
     }
 
-    // Sweep progress reached the full job count: 2 baselines + 6 cells.
-    let progress = m.sweep.series_for("sweep.jobs_done", 0).expect("sweep progress series");
-    assert_eq!(progress.samples.last().unwrap().value, 8.0);
-
     // The merged snapshot survives a JSONL round trip with prefixed names.
     let merged = m.merged_snapshot("test-sweep");
     let text = merged.to_jsonl();

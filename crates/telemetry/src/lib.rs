@@ -18,9 +18,6 @@
 //! * [`Recorder`] / [`SharedSink`] — the in-memory store with ring-bounded
 //!   per-bank series and a cloneable, internally locked handle for
 //!   multi-producer runs. Locking is paid at flush cadence, not per ACT;
-//! * [`RetrySink`] / [`FlakySink`] — graceful degradation under injected
-//!   sink failures: bounded retry with exponential (virtual) backoff over a
-//!   deterministically scripted flaky sink — see [`retry`];
 //! * [`Snapshot`] — the versioned export: JSONL (schema
 //!   [`SCHEMA_VERSION`], round-trippable via
 //!   [`Snapshot::parse_jsonl`]) and long-form CSV for plotting.
@@ -29,8 +26,7 @@
 //! occupancy, evictions, and per-window NRR triggers; `memctrl` taps
 //! ACT/REF/victim-refresh rates; `mitigations::instrumented()` wraps any
 //! defense so all nine schemes report action rates uniformly; `rh-sim`
-//! aggregates per-cell snapshots across a sweep and samples live sweep
-//! progress (`sweep.jobs_done`, one sample per finished baseline or cell).
+//! aggregates per-cell snapshots across a sweep.
 //!
 //! # Example
 //!
@@ -47,13 +43,9 @@
 
 pub mod json;
 pub mod recorder;
-pub mod retry;
 pub mod sink;
 pub mod snapshot;
 
 pub use recorder::{HistogramSummary, Recorder, Sample, SharedSink, DEFAULT_RING_CAPACITY};
-pub use retry::{
-    FailureSpan, FallibleMetricsSink, FlakySink, RetryPolicy, RetrySink, RetryStats, SinkWriteError,
-};
 pub use sink::{Cadence, CadenceClock, MetricsSink, NoopSink};
 pub use snapshot::{SeriesData, Snapshot, SCHEMA_NAME, SCHEMA_VERSION};

@@ -217,8 +217,7 @@ impl MetricsSink for Recorder {
 }
 
 /// A cloneable handle letting several producers (per-bank defense wrappers,
-/// the controller tap, the sweep's progress samples) record into one
-/// [`Recorder`].
+/// the controller tap) record into one [`Recorder`].
 ///
 /// Locking cost is paid only at flush cadence, not per activation: the
 /// instrumented wrappers accumulate locally and call the sink every k ACTs.

@@ -49,7 +49,7 @@ pub struct SeriesData {
 pub struct Snapshot {
     /// Schema version ([`SCHEMA_VERSION`] when produced by this crate).
     pub version: u32,
-    /// Where the data came from (defense@workload, "sweep", ...).
+    /// Where the data came from (defense@workload, a report name, ...).
     pub source: String,
     /// Monotone counters, name-sorted.
     pub counters: Vec<(String, u64)>,

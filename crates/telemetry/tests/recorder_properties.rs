@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use telemetry::{MetricsSink, Recorder, Snapshot};
 
 /// Static name pool: sink metric names are `&'static str` by design.
-const NAMES: [&str; 4] = ["graphene.spillover", "defense.acts", "mc.refreshes", "sweep.jobs_done"];
+const NAMES: [&str; 4] = ["graphene.spillover", "defense.acts", "mc.refreshes", "mc.acts"];
 
 /// One encoded sink call: ((op selector, name selector), (bank, time, value)).
 /// Nested because the offline proptest stub supports tuples up to arity 4.
